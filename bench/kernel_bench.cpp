@@ -10,16 +10,19 @@
  * benches. All google-benchmark flags pass through.
  *
  * `--json PATH`: the kernel-backend sweep feeding the CI perf gate.
- * Runs the gather-sum-pool at d in {32, 64, 128, 256} and the blocked
- * GEMM on every backend the host supports (scalar always; avx2/avx512
- * when usable) and writes benchdiff-schema JSON: one sweep entry per
- * (backend, kernel, dim) point, keyed by a stable numeric "point" id
- * (backend_index * 10 + {0..3 gather by dim, 4 gemm}), with "qps"
- * holding GB/s (gather) or GFLOP/s (GEMM) and "allocs_per_call" the
- * heap allocations inside the gather AllocGate region. The gate only
+ * Runs the gather-sum-pool at d in {32, 64, 128, 256} over a
+ * cache-resident table, the blocked GEMM, and a DRAM-resident gather
+ * (d = 32, a table of max(4 x LLC, 64 MiB) read at locality-P ranks
+ * through a shuffled hotness permutation) on every backend the host
+ * supports (scalar always; avx2/avx512 when usable) and writes
+ * benchdiff-schema JSON: one sweep entry per (backend, kernel, dim)
+ * point, keyed by a stable numeric "point" id (backend_index * 10 +
+ * {0..3 gather by dim, 4 gemm, 5 DRAM gather}), with "qps" holding
+ * GB/s (gather) or GFLOP/s (GEMM) and "allocs_per_call" the heap
+ * allocations inside the gather AllocGate regions. The gate only
  * checks the scalar points (0-4) against bench/baselines/
  * BENCH_kernels.json, so baselines hold across hosts with different
- * ISAs:
+ * ISAs and cache sizes:
  *
  *     kernel_bench --json BENCH_kernels.json --quick
  *     erec_benchdiff bench/baselines/BENCH_kernels.json \
@@ -34,6 +37,7 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -41,6 +45,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +58,7 @@
 #include "elasticrec/core/bucketizer.h"
 #include "elasticrec/core/dp_partitioner.h"
 #include "elasticrec/embedding/embedding_table.h"
+#include "elasticrec/embedding/sharded_table.h"
 #include "elasticrec/kernels/registry.h"
 #include "elasticrec/model/mlp.h"
 #include "elasticrec/workload/access_distribution.h"
@@ -317,6 +324,89 @@ runGatherPoint(const kernels::KernelBackend &backend,
     return r;
 }
 
+/**
+ * The DRAM-resident gather workload, built once and shared by every
+ * backend: the paper's regime of a table far past the LLC, stored in
+ * original-ID order behind a shuffled hotness permutation and read at
+ * locality-P (P = 0.9) ranks through ShardedTable, in RM1-shaped
+ * requests (batch 32, pooling 128).
+ */
+struct DramGather
+{
+    static constexpr std::uint32_t kDim = 32;
+    static constexpr std::size_t kBatch = 32;
+    static constexpr std::size_t kPooling = 128;
+    /** Distinct requests cycled through, so reps do not replay one
+     *  request's rows out of cache. */
+    static constexpr std::size_t kRequests = 16;
+
+    std::unique_ptr<embedding::ShardedTable> table;
+    std::vector<std::vector<std::uint32_t>> indices;
+    std::vector<std::uint32_t> offsets;
+
+    DramGather()
+    {
+        // 4 x LLC from sysconf, at least 64 MiB (also when the query
+        // reports nothing).
+        const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+        const std::uint64_t bytes = std::max<std::uint64_t>(
+            4 * static_cast<std::uint64_t>(std::max(llc, 0L)), 64ull << 20);
+        const std::uint64_t rows = bytes / (kDim * sizeof(float));
+        Rng rng(11);
+        std::vector<std::uint32_t> perm(rows);
+        std::iota(perm.begin(), perm.end(), 0u);
+        for (std::uint64_t r = rows - 1; r > 0; --r)
+            std::swap(perm[r], perm[rng.uniformInt(r + 1)]);
+        table = std::make_unique<embedding::ShardedTable>(
+            std::make_shared<const embedding::EmbeddingTable>(rows, kDim),
+            perm, std::vector<std::uint64_t>{rows});
+
+        const workload::LocalityDistribution ranks(rows, 0.9);
+        indices.resize(kRequests);
+        for (auto &req : indices) {
+            req.resize(kBatch * kPooling);
+            for (auto &i : req)
+                i = static_cast<std::uint32_t>(ranks.sampleRank(rng));
+        }
+        for (std::size_t b = 0; b < kBatch; ++b)
+            offsets.push_back(static_cast<std::uint32_t>(b * kPooling));
+    }
+};
+
+/** DRAM-resident gather rate for one backend (point backend*10 + 5). */
+KernelResult
+runDramGatherPoint(const DramGather &work,
+                   const kernels::KernelBackend &backend,
+                   std::size_t backend_index, const JsonOptions &opts)
+{
+    std::vector<float> out(DramGather::kBatch * DramGather::kDim);
+    std::size_t next = 0;
+    auto gather = [&] {
+        const kernels::GatherRequest req(work.indices[next], work.offsets);
+        work.table->gatherPool(0, req, out.data(), backend);
+        benchmark::DoNotOptimize(out.data());
+        next = (next + 1) % DramGather::kRequests;
+    };
+    for (std::size_t w = 0; w < DramGather::kRequests; ++w)
+        gather();
+
+    const std::size_t reps = opts.quick ? 200 : 1000;
+    const double bytes_per_call = static_cast<double>(
+        DramGather::kBatch * DramGather::kPooling * DramGather::kDim *
+        sizeof(float));
+    const auto [rate, allocs] =
+        timedLoop(reps, opts.throttleUs, bytes_per_call, gather);
+
+    KernelResult r;
+    r.point = backend_index * 10 + 5;
+    r.backend = backend.name();
+    r.kernel = "gather_dram";
+    r.dim = DramGather::kDim;
+    r.rate = rate;
+    r.allocsPerCall = allocs;
+    return r;
+}
+
 /** Blocked-GEMM rate for one backend through the MLP forward pass
  *  (batch 32, one 256 -> 128 layer). */
 KernelResult
@@ -405,12 +495,14 @@ runJson(int argc, char **argv)
     std::cout << "\n\n";
 
     const std::uint32_t dims[] = {32, 64, 128, 256};
+    const DramGather dram;
     std::vector<KernelResult> sweep;
     for (std::size_t bi = 0; bi < backends.size(); ++bi) {
         for (std::size_t di = 0; di < 4; ++di)
             sweep.push_back(runGatherPoint(*backends[bi], bi, di,
                                            dims[di], opts));
         sweep.push_back(runGemmPoint(*backends[bi], bi, opts));
+        sweep.push_back(runDramGatherPoint(dram, *backends[bi], bi, opts));
     }
 
     TablePrinter table(

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "elasticrec/common/hotpath.h"
+#include "elasticrec/common/huge_page_buffer.h"
 #include "elasticrec/workload/query_generator.h"
 
 namespace erec::core {
@@ -29,9 +30,10 @@ class Bucketizer
      *        entry is the table row count.
      * @param inverse_perm inverse_perm[originalId] = hotness rank.
      *        Pass empty when queries already carry sorted-space IDs.
+     *        Copied into huge-page storage.
      */
     Bucketizer(std::vector<std::uint64_t> boundaries,
-               std::vector<std::uint32_t> inverse_perm = {});
+               const std::vector<std::uint32_t> &inverse_perm = {});
 
     std::uint32_t numShards() const
     {
@@ -69,7 +71,7 @@ class Bucketizer
     std::uint64_t rankOf(std::uint32_t original_id) const;
 
     std::vector<std::uint64_t> boundaries_;
-    std::vector<std::uint32_t> inversePerm_;
+    HugePageBuffer<std::uint32_t> inversePerm_;
 };
 
 } // namespace erec::core

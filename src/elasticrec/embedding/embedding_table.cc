@@ -51,7 +51,7 @@ EmbeddingTable::EmbeddingTable(std::uint64_t num_rows, std::uint32_t dim,
                   "materialized table too large ("
                       << num_rows << " x " << dim
                       << " floats); use Storage::Virtual");
-        data_.resize(num_rows * dim);
+        data_ = HugePageBuffer<float>(num_rows * dim);
         Rng rng(seed_);
         for (auto &v : data_)
             v = static_cast<float>((rng.uniform() - 0.5) * 0.1);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "elasticrec/common/hotpath.h"
+#include "elasticrec/common/huge_page_buffer.h"
 #include "elasticrec/common/units.h"
 #include "elasticrec/kernels/kernel_backend.h"
 #include "elasticrec/kernels/registry.h"
@@ -112,7 +113,8 @@ class EmbeddingTable
     std::uint32_t dim_;
     Storage storage_;
     std::uint64_t seed_;
-    std::vector<float> data_;
+    /** Materialized rows; huge-page backed (random access). */
+    HugePageBuffer<float> data_;
 };
 
 } // namespace erec::embedding

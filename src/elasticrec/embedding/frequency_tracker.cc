@@ -1,6 +1,7 @@
 #include "elasticrec/embedding/frequency_tracker.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "elasticrec/common/error.h"
@@ -50,11 +51,20 @@ FrequencyTracker::sortPermutation() const
 std::vector<std::uint32_t>
 FrequencyTracker::invertPermutation(const std::vector<std::uint32_t> &perm)
 {
-    std::vector<std::uint32_t> inv(perm.size());
+    // Entries start at a sentinel no rank can take, so an ID seen twice
+    // finds its entry claimed. In range and never repeated is exactly
+    // a permutation.
+    constexpr std::uint32_t kUnclaimed =
+        std::numeric_limits<std::uint32_t>::max();
+    ERC_CHECK(perm.size() <= kUnclaimed, "permutation too long");
+    std::vector<std::uint32_t> inv(perm.size(), kUnclaimed);
     for (std::uint32_t rank = 0; rank < perm.size(); ++rank) {
-        ERC_CHECK(perm[rank] < inv.size(),
-                  "permutation value out of range");
-        inv[perm[rank]] = rank;
+        const std::uint32_t id = perm[rank];
+        ERC_CHECK(id < inv.size(), "permutation value out of range");
+        ERC_CHECK(inv[id] == kUnclaimed,
+                  "permutation repeats ID " << id << " at ranks "
+                                            << inv[id] << " and " << rank);
+        inv[id] = rank;
     }
     return inv;
 }

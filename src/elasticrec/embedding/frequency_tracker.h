@@ -48,6 +48,9 @@ class FrequencyTracker
     /**
      * Inverse permutation: inv[originalId] = hotness rank. Used by the
      * bucketizer to translate production IDs into sorted-space IDs.
+     * Raises ConfigError unless perm is a permutation of [0, size):
+     * a value out of range, or one repeated (which would leave another
+     * ID silently routed to rank 0).
      */
     static std::vector<std::uint32_t>
     invertPermutation(const std::vector<std::uint32_t> &perm);

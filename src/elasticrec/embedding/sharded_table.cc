@@ -21,9 +21,9 @@ shardGatherRegion()
 } // namespace
 
 ShardedTable::ShardedTable(std::shared_ptr<const EmbeddingTable> table,
-                           std::vector<std::uint32_t> sort_perm,
+                           const std::vector<std::uint32_t> &sort_perm,
                            std::vector<std::uint64_t> boundaries)
-    : table_(std::move(table)), sortPerm_(std::move(sort_perm)),
+    : table_(std::move(table)), sortPerm_(sort_perm.data(), sort_perm.size()),
       boundaries_(std::move(boundaries))
 {
     ERC_CHECK(table_ != nullptr, "null backing table");

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "elasticrec/common/hotpath.h"
+#include "elasticrec/common/huge_page_buffer.h"
 #include "elasticrec/common/units.h"
 #include "elasticrec/embedding/embedding_table.h"
 
@@ -41,12 +42,12 @@ class ShardedTable
      * @param table Backing table (original ID order).
      * @param sort_perm Hotness permutation: sort_perm[rank] = original
      *        ID. Pass an empty vector when the table is already stored
-     *        in hotness order.
+     *        in hotness order. Copied into huge-page storage.
      * @param boundaries Exclusive end rank of each shard, strictly
      *        increasing, last element must equal table->numRows().
      */
     ShardedTable(std::shared_ptr<const EmbeddingTable> table,
-                 std::vector<std::uint32_t> sort_perm,
+                 const std::vector<std::uint32_t> &sort_perm,
                  std::vector<std::uint64_t> boundaries);
 
     std::uint32_t numShards() const
@@ -94,7 +95,7 @@ class ShardedTable
 
   private:
     std::shared_ptr<const EmbeddingTable> table_;
-    std::vector<std::uint32_t> sortPerm_;
+    HugePageBuffer<std::uint32_t> sortPerm_;
     std::vector<std::uint64_t> boundaries_;
 };
 

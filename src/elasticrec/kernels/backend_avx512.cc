@@ -1,12 +1,14 @@
 /**
  * @file
  * AVX-512 backend: 16-lane gather-pool and GEMM, same blocking scheme
- * as the AVX2 backend at twice the lane width (column blocks of 128
- * floats in eight ZMM accumulators; GEMM register tiles of 64
+ * as the AVX2 backend at twice the lane width (gather column blocks of
+ * up to 128 floats in eight ZMM accumulators; GEMM register tiles of 64
  * columns). Compiled with -mavx512f and -ffp-contract=off; see
  * backend_avx2.cc for the bit-identity reasoning, which is unchanged:
  * lanes map 1:1 onto output dimensions, so per-lane accumulation
- * order matches the scalar reference exactly.
+ * order matches the scalar reference exactly. A dim that is not a
+ * multiple of 16 ends in one masked register: its dead lanes load
+ * zeros without touching memory and are never stored.
  */
 
 #include "elasticrec/kernels/backend_impl.h"
@@ -15,42 +17,69 @@
 
 #include <immintrin.h>
 
-#include <cstring>
+#include <algorithm>
 
 #include "elasticrec/common/error.h"
 
 namespace erec::kernels {
 namespace {
 
-/** Rows gathered ahead of the current one to hide DRAM latency. */
-constexpr std::size_t kPrefetchDistance = 8;
+/** Floats per ZMM register. */
+constexpr std::uint32_t kLanes = 16;
+/** Columns one pass over a bag keeps in registers (eight ZMMs). */
+constexpr std::uint32_t kBlockCols = 8 * kLanes;
 
-/** Accumulate columns [c0, c0 + 16*kBlocks) of one bag into `acc`. */
-template <int kBlocks>
+/**
+ * Accumulate columns [c0, c0 + 16*kRegs) of one bag into `acc`, the
+ * last register limited to the lanes in `tail`. The first column pass
+ * over a bag (`prefetch`) issues the request-wide prefetches.
+ */
+template <int kRegs>
 void
 poolColumns(const TableSlice &table, const GatherRequest &req,
             std::size_t begin, std::size_t end, std::uint32_t c0,
-            bool prefetch, float *acc)
+            __mmask16 tail, bool prefetch, float *acc)
 {
-    __m512 sum[kBlocks];
-    for (int v = 0; v < kBlocks; ++v)
+    __m512 sum[kRegs];
+    for (int v = 0; v < kRegs; ++v)
         sum[v] = _mm512_setzero_ps();
+    constexpr int kLast = kRegs - 1;
     const std::uint32_t dim = table.dim;
     for (std::size_t i = begin; i < end; ++i) {
-        if (prefetch && i + kPrefetchDistance < end) {
-            const float *ahead = detail::prefetchRow(
-                table, req.indices[i + kPrefetchDistance]);
-            if (ahead != nullptr)
-                _mm_prefetch(reinterpret_cast<const char *>(ahead + c0),
-                             _MM_HINT_T0);
-        }
+        if (prefetch)
+            detail::prefetchAhead(table, req, i);
         const float *src =
             table.rows + detail::resolveRow(table, req.indices[i]) * dim + c0;
-        for (int v = 0; v < kBlocks; ++v)
-            sum[v] = _mm512_add_ps(sum[v], _mm512_loadu_ps(src + 16 * v));
+        for (int v = 0; v < kLast; ++v)
+            sum[v] = _mm512_add_ps(sum[v], _mm512_loadu_ps(src + kLanes * v));
+        sum[kLast] = _mm512_add_ps(
+            sum[kLast], _mm512_maskz_loadu_ps(tail, src + kLanes * kLast));
     }
-    for (int v = 0; v < kBlocks; ++v)
-        _mm512_storeu_ps(acc + c0 + 16 * v, sum[v]);
+    for (int v = 0; v < kLast; ++v)
+        _mm512_storeu_ps(acc + c0 + kLanes * v, sum[v]);
+    _mm512_mask_storeu_ps(acc + c0 + kLanes * kLast, tail, sum[kLast]);
+}
+
+/** poolColumns by register count: index r - 1 holds r registers. */
+using PoolFn = void (*)(const TableSlice &, const GatherRequest &,
+                        std::size_t, std::size_t, std::uint32_t, __mmask16,
+                        bool, float *);
+constexpr PoolFn kPoolByRegs[] = {
+    poolColumns<1>, poolColumns<2>, poolColumns<3>, poolColumns<4>,
+    poolColumns<5>, poolColumns<6>, poolColumns<7>, poolColumns<8>,
+};
+
+/** One pass over a bag for the column block starting at c0. */
+void
+poolBlock(const TableSlice &table, const GatherRequest &req,
+          std::size_t begin, std::size_t end, std::uint32_t c0,
+          bool prefetch, float *acc)
+{
+    const std::uint32_t cols = std::min(table.dim - c0, kBlockCols);
+    const std::uint32_t regs = (cols + kLanes - 1) / kLanes;
+    const auto tail = static_cast<__mmask16>(
+        (1u << (cols - (regs - 1) * kLanes)) - 1);
+    kPoolByRegs[regs - 1](table, req, begin, end, c0, tail, prefetch, acc);
 }
 
 /** One register tile of kBlocks*16 output columns starting at o0. */
@@ -93,26 +122,14 @@ class Avx512Backend final : public KernelBackend
     {
         ERC_CHECK(req.batch > 0, "gather needs at least one batch item");
         const std::uint32_t dim = table.dim;
+        detail::prefetchHead(table, req);
         for (std::size_t b = 0; b < req.batch; ++b) {
             const auto [begin, end] = detail::bagBounds(req, b);
             float *acc = out + b * static_cast<std::size_t>(dim);
-            std::uint32_t c0 = 0;
-            for (; c0 + 128 <= dim; c0 += 128)
-                poolColumns<8>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
-            for (; c0 + 16 <= dim; c0 += 16)
-                poolColumns<1>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
-            if (c0 < dim) {
-                std::memset(acc + c0, 0, (dim - c0) * sizeof(float));
-                for (std::size_t i = begin; i < end; ++i) {
-                    const float *src =
-                        table.rows +
-                        detail::resolveRow(table, req.indices[i]) * dim;
-                    for (std::uint32_t d = c0; d < dim; ++d)
-                        acc[d] += src[d];
-                }
-            }
+            // A dim of up to 128 floats pools in a single pass.
+            for (std::uint32_t c0 = 0; c0 < dim; c0 += kBlockCols)
+                poolBlock(table, req, begin, end, c0,
+                          /*prefetch=*/c0 == 0, acc);
         }
         return req.numIndices;
     }

@@ -26,6 +26,7 @@
  * gather, a GPU shard) plug into the same seam.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -112,21 +113,73 @@ resolveRow(const TableSlice &t, std::uint32_t index)
     return row;
 }
 
-/**
- * Row address for software prefetch only: never raises, returns null
- * for an out-of-range rank (the real access will fault through
- * resolveRow with a proper error instead).
+/** Request positions between a row's prefetch and its load. */
+inline constexpr std::size_t kRowPrefetchDistance = 16;
+/** Request positions between a remap entry's prefetch and its load,
+ *  which the row prefetch kRowPrefetchDistance positions ahead does. */
+inline constexpr std::size_t kRemapPrefetchDistance = 32;
+
+/*
+ * Software prefetch for the gather kernels. The positions run over the
+ * whole request, across bag boundaries. None of these raise: positions
+ * past the request and ranks or rows escaping the slice are skipped,
+ * so a bad index still fails through resolveRow with a proper error.
+ *
+ * Always inlined: GCC's IPA pass takes a function whose only effect is
+ * __builtin_prefetch for a `const` one and deletes every call to it.
  */
-inline const float *
-prefetchRow(const TableSlice &t, std::uint32_t index)
+
+/** Prefetch the remap entry of request position `pos`. */
+[[gnu::always_inline]] inline void
+prefetchRemapEntry(const TableSlice &t, const GatherRequest &req,
+                   std::size_t pos)
 {
-    const std::uint64_t rank = t.rankBase + index;
+    if (t.remap == nullptr || pos >= req.numIndices)
+        return;
+    const std::uint64_t rank = t.rankBase + req.indices[pos];
+    if (rank < t.rankBase + t.rankCount)
+        __builtin_prefetch(t.remap + rank);
+}
+
+/** Prefetch every cache line of the row at request position `pos`. */
+[[gnu::always_inline]] inline void
+prefetchRowLines(const TableSlice &t, const GatherRequest &req,
+                 std::size_t pos)
+{
+    if (pos >= req.numIndices)
+        return;
+    const std::uint64_t rank = t.rankBase + req.indices[pos];
     if (rank >= t.rankBase + t.rankCount)
-        return nullptr;
+        return;
     const std::uint64_t row = t.remap != nullptr ? t.remap[rank] : rank;
     if (row >= t.storageRows)
-        return nullptr;
-    return t.rows + row * t.dim;
+        return;
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(t.rows + row * t.dim);
+    const std::uintptr_t last = first + t.dim * sizeof(float) - 1;
+    for (std::uintptr_t line = first & ~(kLine - 1); line <= last;
+         line += kLine)
+        __builtin_prefetch(reinterpret_cast<const void *>(line));
+}
+
+/** Before pooling any position: the head of the request, which no
+ *  prefetchAhead call reaches. */
+[[gnu::always_inline]] inline void
+prefetchHead(const TableSlice &t, const GatherRequest &req)
+{
+    for (std::size_t pos = 0; pos < kRemapPrefetchDistance; ++pos)
+        prefetchRemapEntry(t, req, pos);
+    for (std::size_t pos = 0; pos < kRowPrefetchDistance; ++pos)
+        prefetchRowLines(t, req, pos);
+}
+
+/** Before pooling request position i: the row and the remap entry the
+ *  gather reaches a fixed distance later. */
+[[gnu::always_inline]] inline void
+prefetchAhead(const TableSlice &t, const GatherRequest &req, std::size_t i)
+{
+    prefetchRemapEntry(t, req, i + kRemapPrefetchDistance);
+    prefetchRowLines(t, req, i + kRowPrefetchDistance);
 }
 
 } // namespace detail

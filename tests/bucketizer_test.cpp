@@ -139,6 +139,65 @@ TEST(BucketizerTest, RoundTripPreservesEveryGather)
     }
 }
 
+/** A lookup of `batch` bags of `pooling` random IDs below `rows`. */
+workload::SparseLookup
+randomLookup(std::size_t batch, std::size_t pooling, std::uint64_t rows,
+             Rng &rng)
+{
+    workload::SparseLookup in;
+    for (std::size_t b = 0; b < batch; ++b) {
+        in.offsets.push_back(static_cast<std::uint32_t>(in.indices.size()));
+        for (std::size_t g = 0; g < pooling; ++g)
+            in.indices.push_back(
+                static_cast<std::uint32_t>(rng.uniformInt(rows)));
+    }
+    return in;
+}
+
+TEST(BucketizerTest, IntoReusedBufferMatchesBucketize)
+{
+    // Long lookups through an inverse permutation (the prefetching
+    // path), into one buffer reused across calls of varying shape.
+    const std::uint64_t rows = 1000;
+    std::vector<std::uint32_t> inv(rows);
+    std::iota(inv.begin(), inv.end(), 0u);
+    Rng rng(23);
+    for (std::uint64_t i = rows - 1; i > 0; --i)
+        std::swap(inv[i], inv[rng.uniformInt(i + 1)]);
+    const Bucketizer bucketizer({100, 350, 1000}, inv);
+
+    std::vector<workload::SparseLookup> buf;
+    for (const std::size_t pooling : {40, 3, 0, 128}) {
+        const auto in = randomLookup(/*batch=*/5, pooling, rows, rng);
+        bucketizer.bucketizeInto(in, &buf);
+        const auto expect = bucketizer.bucketize(in);
+        ASSERT_EQ(buf.size(), expect.size());
+        for (std::size_t s = 0; s < buf.size(); ++s) {
+            EXPECT_EQ(buf[s].indices, expect[s].indices) << pooling;
+            EXPECT_EQ(buf[s].offsets, expect[s].offsets) << pooling;
+        }
+    }
+}
+
+TEST(BucketizerTest, RejectsOutOfRangeIdAtEndOfLookup)
+{
+    // The prefetch runs ahead of the reads and must skip a bad ID; the
+    // read then rejects it, here in the last positions of the lookup.
+    const std::uint64_t rows = 1000;
+    std::vector<std::uint32_t> inv(rows);
+    std::iota(inv.begin(), inv.end(), 0u);
+    const Bucketizer bucketizer({100, 1000}, inv);
+    Rng rng(29);
+    for (const std::size_t from_end : {1, 2, 15}) {
+        auto in = randomLookup(/*batch=*/4, /*pooling=*/32, rows, rng);
+        in.indices[in.indices.size() - from_end] =
+            static_cast<std::uint32_t>(rows + from_end);
+        std::vector<workload::SparseLookup> buf;
+        EXPECT_THROW(bucketizer.bucketizeInto(in, &buf), ConfigError)
+            << from_end;
+    }
+}
+
 TEST(BucketizerTest, LocalIdsWithinShardRange)
 {
     Bucketizer bucketizer({100, 350, 1000});

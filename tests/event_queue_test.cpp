@@ -95,9 +95,10 @@ TEST(EventQueueTest, TieBreakIsScheduleOrderUnderPermutedInsertion)
         SimTime prev_time = -1;
         for (const auto &ev : sink.events) {
             EXPECT_GE(ev.time, prev_time);
-            if (ev.time == prev_time)
+            if (ev.time == prev_time) {
                 EXPECT_GT(ev.a, prev_call)
                     << "same-time events ran out of schedule order";
+            }
             prev_time = ev.time;
             prev_call = ev.a;
         }

@@ -52,6 +52,22 @@ TEST(FrequencyTrackerTest, InverseUndoesPermutation)
         EXPECT_EQ(inv[perm[rank]], rank);
 }
 
+TEST(FrequencyTrackerTest, InverseRejectsNonPermutations)
+{
+    // Out of range.
+    EXPECT_THROW(FrequencyTracker::invertPermutation({0, 3, 1}),
+                 ConfigError);
+    // A duplicate (so ID 1 is missing): without the check, ID 1 would
+    // keep inverse 0 and be routed to the hottest row.
+    EXPECT_THROW(FrequencyTracker::invertPermutation({2, 0, 2}),
+                 ConfigError);
+    EXPECT_THROW(FrequencyTracker::invertPermutation({0, 0}), ConfigError);
+    EXPECT_EQ(FrequencyTracker::invertPermutation({}),
+              std::vector<std::uint32_t>{});
+    EXPECT_EQ(FrequencyTracker::invertPermutation({2, 0, 1}),
+              (std::vector<std::uint32_t>{1, 2, 0}));
+}
+
 TEST(FrequencyTrackerTest, TopRowsCoverage)
 {
     FrequencyTracker t(10);

@@ -3,10 +3,11 @@
  * Tests for the kernel-backend registry (src/elasticrec/kernels): the
  * cross-backend bit-identity contract — every SIMD backend must match
  * the scalar reference byte for byte, including ragged bags, empty
- * bags, duplicate indices, remapped (hotness-sorted) slices and
- * dimensions that are not a multiple of any vector width — plus the
- * runtime dispatch rules (env selection, graceful ISA fallback,
- * rejection of unknown names).
+ * bags, duplicate indices, remapped (hotness-sorted) slices, requests
+ * shorter than the prefetch distance, dims on both sides of the
+ * single-pass limit and dims that are not a multiple of any vector
+ * width — plus the runtime dispatch rules (env selection, graceful ISA
+ * fallback, rejection of unknown names).
  */
 
 #include <gtest/gtest.h>
@@ -34,22 +35,25 @@ randomRows(std::uint64_t rows, std::uint32_t dim, std::uint64_t seed)
     return data;
 }
 
-/** Ragged per-item bags: sizes cycle 0, 1, 3, 17, ... (empty bags and
- *  duplicate indices included), indices random within `rankCount`. */
+/** Ragged per-item bags: sizes cycle through `bag_sizes` (by default
+ *  0, 1, 3, 17, 64, 5: empty bags, bags shorter than the prefetch
+ *  distance, and duplicate indices included), indices random within
+ *  `rankCount`. */
 struct RequestStorage
 {
     std::vector<std::uint32_t> indices;
     std::vector<std::uint32_t> offsets;
 
     RequestStorage(std::size_t batch, std::uint64_t rank_count,
-                   std::uint64_t seed)
+                   std::uint64_t seed,
+                   const std::vector<std::size_t> &bag_sizes = {0, 1, 3, 17,
+                                                                64, 5})
     {
         Rng rng(seed);
-        const std::size_t bag_sizes[] = {0, 1, 3, 17, 64, 5};
         for (std::size_t b = 0; b < batch; ++b) {
             offsets.push_back(
                 static_cast<std::uint32_t>(indices.size()));
-            const std::size_t bag = bag_sizes[b % 6];
+            const std::size_t bag = bag_sizes[b % bag_sizes.size()];
             for (std::size_t g = 0; g < bag; ++g)
                 indices.push_back(static_cast<std::uint32_t>(
                     rng.uniformInt(rank_count)));
@@ -71,9 +75,12 @@ bytesEqual(const std::vector<float> &a, const std::vector<float> &b)
 
 TEST(KernelBackendTest, GatherBitIdenticalAcrossBackends)
 {
-    // Dims cover vector-width multiples (32..256) and ugly tails (1,
-    // 7, 17, 100 — not a multiple of 8 or 16 lanes).
-    for (const std::uint32_t dim : {1u, 7u, 17u, 32u, 100u, 128u, 256u}) {
+    // Dims cover vector-width multiples (16..256) and ugly tails (1,
+    // 7, 17, 100 — not a multiple of 8 or 16 lanes). Up to 8 registers
+    // (64 floats AVX2, 128 AVX-512) pool in one pass; 112 and 144 sit
+    // on either side of the AVX-512 limit and past the AVX2 one.
+    for (const std::uint32_t dim :
+         {1u, 7u, 16u, 17u, 32u, 48u, 100u, 112u, 128u, 144u, 256u}) {
         const std::uint64_t rows = 512;
         const auto data = randomRows(rows, dim, /*seed=*/dim);
         TableSlice slice;
@@ -104,37 +111,51 @@ TEST(KernelBackendTest, GatherBitIdenticalAcrossBackends)
 TEST(KernelBackendTest, GatherBitIdenticalOnRemappedShardSlice)
 {
     // A hotness-sorted shard: ranks [100, 300) of a 512-row table,
-    // remapped through a reversing permutation.
-    const std::uint32_t dim = 96;
+    // remapped through a reversing permutation. Requests: the default
+    // ragged bags, then a whole request (5 rows) shorter than the
+    // prefetch distance, with an empty bag in front.
     const std::uint64_t rows = 512;
-    const auto data = randomRows(rows, dim, 4);
     std::vector<std::uint32_t> remap(rows);
     for (std::uint64_t r = 0; r < rows; ++r)
         remap[r] = static_cast<std::uint32_t>(rows - 1 - r);
+    const RequestStorage requests[] = {
+        RequestStorage(/*batch=*/7, /*rank_count=*/200, /*seed=*/5),
+        RequestStorage(/*batch=*/3, /*rank_count=*/200, /*seed=*/6,
+                       /*bag_sizes=*/{0, 2, 3}),
+    };
+    for (const std::uint32_t dim : {32u, 96u, 256u}) {
+        const auto data = randomRows(rows, dim, 4);
+        TableSlice slice;
+        slice.rows = data.data();
+        slice.dim = dim;
+        slice.rankBase = 100;
+        slice.rankCount = 200;
+        slice.remap = remap.data();
+        slice.storageRows = rows;
 
-    TableSlice slice;
-    slice.rows = data.data();
-    slice.dim = dim;
-    slice.rankBase = 100;
-    slice.rankCount = 200;
-    slice.remap = remap.data();
-    slice.storageRows = rows;
-
-    const RequestStorage req(/*batch=*/7, /*rank_count=*/200,
-                             /*seed=*/5);
-    std::vector<float> expect(7 * dim);
-    scalarBackend().gatherSumPool(slice, req.view(), expect.data());
-    // Spot-check the remap is actually exercised: item 1 gathers one
-    // rank i, whose storage row must be remap[100 + i].
-    const std::uint32_t i1 = req.indices[req.offsets[1]];
-    for (std::uint32_t d = 0; d < dim; ++d)
-        ASSERT_FLOAT_EQ(expect[dim + d],
+        for (const RequestStorage &req : requests) {
+            const std::size_t batch = req.offsets.size();
+            std::vector<float> expect(batch * dim);
+            scalarBackend().gatherSumPool(slice, req.view(),
+                                          expect.data());
+            // Spot-check the remap is actually exercised: where item 1
+            // is the single rank i, it pools storage row remap[100 + i].
+            if (req.offsets[2] - req.offsets[1] == 1) {
+                const std::uint32_t i1 = req.indices[req.offsets[1]];
+                for (std::uint32_t d = 0; d < dim; ++d)
+                    ASSERT_FLOAT_EQ(
+                        expect[dim + d],
                         data[std::size_t(remap[100 + i1]) * dim + d]);
+            }
 
-    for (const KernelBackend *backend : availableBackends()) {
-        std::vector<float> got(7 * dim, 1.0f);
-        backend->gatherSumPool(slice, req.view(), got.data());
-        EXPECT_TRUE(bytesEqual(got, expect)) << backend->name();
+            for (const KernelBackend *backend : availableBackends()) {
+                std::vector<float> got(batch * dim, 1.0f);
+                backend->gatherSumPool(slice, req.view(), got.data());
+                EXPECT_TRUE(bytesEqual(got, expect))
+                    << backend->name() << " at dim " << dim
+                    << " with " << req.indices.size() << " rows";
+            }
+        }
     }
 }
 
@@ -169,6 +190,37 @@ TEST(KernelBackendTest, GatherRejectsBadRequests)
                                             out.data()),
                      ConfigError)
             << backend->name();
+    }
+
+    // Bad ranks deep in a later bag, past the head of the request the
+    // remap lookahead covers: the prefetches skip them and the gather
+    // still raises. The remap holds exactly the slice's ranks, so a
+    // prefetch reading past it trips ASan.
+    std::vector<std::uint32_t> remap(16);
+    for (std::uint32_t r = 0; r < 16; ++r)
+        remap[r] = 15 - r;
+    TableSlice shard = slice;
+    shard.rankBase = 4;
+    shard.rankCount = 12;
+    shard.remap = remap.data();
+    std::vector<std::uint32_t> far_idx(40, 3);
+    const std::vector<std::uint32_t> four_bags = {0, 10, 20, 30};
+    std::vector<float> out4(4 * dim);
+    for (const KernelBackend *backend : availableBackends()) {
+        // Rank 4 + 12 escapes the slice.
+        far_idx[35] = 12;
+        EXPECT_THROW(backend->gatherSumPool(shard, {far_idx, four_bags},
+                                            out4.data()),
+                     ConfigError)
+            << backend->name();
+        // Rank 4 + 7 remaps past the backing table.
+        far_idx[35] = 7;
+        remap[11] = 16;
+        EXPECT_THROW(backend->gatherSumPool(shard, {far_idx, four_bags},
+                                            out4.data()),
+                     ConfigError)
+            << backend->name();
+        remap[11] = 4;
     }
 }
 

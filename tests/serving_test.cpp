@@ -10,6 +10,7 @@
 
 #include <numeric>
 
+#include "elasticrec/common/error.h"
 #include "elasticrec/embedding/frequency_tracker.h"
 #include "elasticrec/serving/monolithic_server.h"
 #include "elasticrec/serving/stack_builder.h"
@@ -122,6 +123,22 @@ TEST(ServingTest, PerTablePlansAndPerms)
     const auto got = stack.frontend->serve(q);
     for (std::size_t i = 0; i < expect.size(); ++i)
         EXPECT_NEAR(expect[i], got[i], 1e-5);
+}
+
+TEST(ServingTest, RejectsSortPermWithDuplicate)
+{
+    // A repeated ID would leave another ID unmapped, and the bucketizer
+    // would route it to rank 0 (another row's embedding). The builder
+    // must refuse the plan instead.
+    const auto config = tinyConfig(2);
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    std::vector<std::uint32_t> perm(config.rowsPerTable);
+    std::iota(perm.begin(), perm.end(), 0u);
+    perm[7] = perm[300];
+    EXPECT_THROW(buildElasticRecStack(
+                     dlrm, {TablePlan{.boundaries = {30, 500},
+                                      .sortPerm = perm}}),
+                 ConfigError);
 }
 
 TEST(ServingTest, SparseShardLoadAccounting)
