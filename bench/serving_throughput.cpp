@@ -29,7 +29,10 @@
  *                     trace_overhead_pct = (qps - qps_traced) / qps;
  *                     the CI gate pins it at <= 5% for N = 100 and
  *                     allocs_per_query (measured traced) at zero
- *   --metrics-out DIR dump the obs registry per sweep point
+ *   --metrics-out DIR dump the obs registry per sweep point as
+ *                     serving_t<N>.prom; with --trace-sample, the last
+ *                     (traced) window's spans go next to it as
+ *                     serving_t<N>_traces.jsonl and _perfetto.json
  */
 
 #include <algorithm>
@@ -238,13 +241,18 @@ runPoint(const std::shared_ptr<const model::Dlrm> &dlrm,
                        static_cast<double>(opts.queries);
     r.batchHist = stack.dispatcher->batchSizeHistogram();
 
+    // The drain joins the pumps, so every sampled query's spans have
+    // been recorded before the recorder is collected.
+    stack.dispatcher->drain();
     if (!opts.metricsOut.empty()) {
         stack.publishStats();
-        obs::writeMetricsFiles(opts.metricsOut,
-                               "serving_t" + std::to_string(t),
-                               *registry);
+        const std::vector<obs::SpanEvent> spans =
+            stack.recorder != nullptr ? stack.recorder->drain()
+                                      : std::vector<obs::SpanEvent>{};
+        obs::writeMetricsFiles(
+            opts.metricsOut, "serving_t" + std::to_string(t), *registry,
+            {.traces = spans.empty() ? nullptr : &spans});
     }
-    stack.dispatcher->drain();
     return r;
 }
 

@@ -9,7 +9,7 @@
 #   scripts/check.sh hotpath # ERC_HOT_PATH static allocation/blocking gate
 #   scripts/check.sh concurrency # lock-order / blocking-under-lock gate
 #   scripts/check.sh tsan-stress # TSan repeat-run of the concurrency tests
-#   scripts/check.sh smoke   # run example + fig bench, validate telemetry
+#   scripts/check.sh smoke   # example, fig bench + serving stack telemetry
 #   scripts/check.sh bench   # serving throughput sweep + benchdiff gate
 #   scripts/check.sh kernels # kernel-backend sweep + benchdiff gate
 #   scripts/check.sh sim     # simulator-core throughput + benchdiff gate
@@ -405,13 +405,15 @@ stage_tsan_stress() {
         --repeat until-fail:3
 }
 
-# End-to-end smoke: run the quickstart example and the Figure 19 bench
-# with --metrics-out and full causal tracing (--trace-sample 100 =
-# every 100th query), validate every emitted telemetry file
-# (Prometheus text, trace/alert JSON-lines against erec_trace/v1, and
-# the Perfetto export) with promcheck, then render the run report —
-# stage sketches plus the critical-path table — and gate on the
-# "lost-queries" alert — steady fig19 traffic must never lose a query.
+# End-to-end smoke: run the quickstart example, the Figure 19 bench
+# and the real serving stack (serving_throughput) with --metrics-out
+# and causal tracing (--trace-sample 100 = every 100th query),
+# validate every emitted telemetry file (Prometheus text, trace/alert
+# JSON-lines against erec_trace/v2, and the Perfetto export) with
+# promcheck, then render the run report — stage sketches plus the
+# critical-path table for the simulated and the real stack — and gate
+# on the "lost-queries" alert — steady fig19 traffic must never lose a
+# query.
 # (The SLA-ratio and p95 alerts legitimately fire during fig19's
 # traffic spike, so they don't gate.) Set ELASTICREC_SMOKE_OUT to keep
 # the telemetry + report (CI uploads it as an artifact, including the
@@ -422,7 +424,8 @@ stage_smoke() {
     cmake -B "$tree" -S "$repo_root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
     cmake --build "$tree" -j "$jobs" \
-        --target quickstart fig19_dynamic_traffic promcheck erec_report
+        --target quickstart fig19_dynamic_traffic serving_throughput \
+        promcheck erec_report
     local out
     if [ -n "${ELASTICREC_SMOKE_OUT:-}" ]; then
         out="$ELASTICREC_SMOKE_OUT"
@@ -434,6 +437,8 @@ stage_smoke() {
     "$tree/examples/quickstart" --metrics-out "$out"
     "$tree/bench/fig19_dynamic_traffic" --metrics-out "$out" \
         --trace-sample 100
+    "$tree/bench/serving_throughput" --quick --trace-sample 100 \
+        --metrics-out "$out" --out "$out/BENCH_serving.json"
     "$tree/tools/promcheck/promcheck" "$out"/*.prom "$out"/*.jsonl \
         "$out"/*_perfetto.json
     "$tree/tools/report/erec_report" "$out" \

@@ -8,22 +8,21 @@
  *    server serves to its scraper): HELP/TYPE headers, escaped label
  *    values, cumulative `_bucket{le=...}` histogram series plus `_sum`
  *    and `_count`.
- *  - JSON lines for query traces: one self-contained JSON object per
- *    line, with a strict reader so tooling (and tests) can round-trip
- *    what the writer emits.
+ *  - JSON lines for traces (`erec_trace/v2`): one SpanEvent per line,
+ *    with a strict reader so tooling (and tests) can round-trip what
+ *    the writer emits, plus the Chrome/Perfetto view of the same spans.
  *
  * Output ordering is deterministic (families and children are stored
  * in ordered maps), so two identical runs export byte-identical text.
  */
 
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "elasticrec/obs/flight_recorder.h"
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
 
 namespace erec::obs {
 
@@ -34,22 +33,29 @@ std::string escapeLabelValue(const std::string &value);
 void writePrometheusText(std::ostream &os, const Registry &registry);
 std::string toPrometheusText(const Registry &registry);
 
-/** Write traces as JSON lines (one object per trace). */
+/**
+ * Write span events as JSON lines, one event per line in the given
+ * order, with its name resolved from the interned table:
+ * `{"trace_id":..,"span_id":..,"parent_id":..,"kind":"span"|"link",
+ *   "name":"..","start_us":..,"end_us":..,"arg":..}`.
+ */
 void writeTraceJsonLines(std::ostream &os,
-                         const std::deque<QueryTrace> &traces);
-std::string toTraceJsonLines(const std::deque<QueryTrace> &traces);
+                         const std::vector<SpanEvent> &events);
+std::string toTraceJsonLines(const std::vector<SpanEvent> &events);
 
 /**
- * Parse JSON-lines traces as written by writeTraceJsonLines. Raises
- * ConfigError on malformed input.
+ * Parse JSON-lines span events as written by writeTraceJsonLines,
+ * interning each name. Raises ConfigError on malformed input (unknown
+ * or missing keys included).
  */
-std::vector<QueryTrace> readTraceJsonLines(const std::string &text);
+std::vector<SpanEvent> readTraceJsonLines(const std::string &text);
 
 /** Optional side artifacts bundled with a metrics dump. */
 struct ExportArtifacts
 {
-    /** Sampled query traces -> `<stem>_traces.jsonl` (null: skip). */
-    const std::deque<QueryTrace> *traces = nullptr;
+    /** Recorded spans -> `<stem>_traces.jsonl` and
+     *  `<stem>_perfetto.json` (null: skip both). */
+    const std::vector<SpanEvent> *traces = nullptr;
     /** Alert transitions -> `<stem>_alerts.jsonl` (null: skip). */
     const std::vector<AlertEvent> *alerts = nullptr;
 };

@@ -3,45 +3,34 @@
 /**
  * @file
  * Chrome/Perfetto trace-event JSON export ("JSON trace format",
- * loadable in ui.perfetto.dev or chrome://tracing) for both tracing
- * backends:
- *
- *  - the simulator's sampled QueryTraces (one track per traced query,
- *    one complete "X" event per span), and
- *  - the serving stack's drained SpanEvents, where batch->member
- *    fan-in links become flow events ("s" on the batch span, "f" on
- *    the member query's root) so the UI draws the arrow from a query
- *    to the coalesced batch it waited on.
+ * loadable in ui.perfetto.dev or chrome://tracing) of SpanEvents, from
+ * the serving stack's flight recorder and the simulator alike: one
+ * track per trace, one complete "X" event per span, and batch->member
+ * fan-in links as flow events ("s" on the batch span, "f" on the
+ * member query's root) so the UI draws the arrow from a query to the
+ * coalesced batch it waited on.
  *
  * The emitter writes one event per line, globally sorted by timestamp,
- * which is what the erec_trace/v1 perfetto profile (validatePerfetto)
+ * which is what the erec_trace/v2 perfetto profile (validatePerfetto)
  * checks: well-formed event lines, monotonic timestamps, and every
  * flow id resolving to a matched start/finish pair.
  */
 
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "elasticrec/obs/flight_recorder.h"
-#include "elasticrec/obs/trace.h"
 
 namespace erec::obs {
 
-/** Export simulator QueryTraces as Chrome trace-event JSON. */
-void writePerfettoJson(std::ostream &os,
-                       const std::deque<QueryTrace> &traces);
-
-/** Export drained FlightRecorder events as Chrome trace-event JSON. */
+/** Export span events as Chrome trace-event JSON. */
 void writePerfettoJson(std::ostream &os,
                        const std::vector<SpanEvent> &events);
-
-std::string toPerfettoJson(const std::deque<QueryTrace> &traces);
 std::string toPerfettoJson(const std::vector<SpanEvent> &events);
 
 /**
- * Validate text against the erec_trace/v1 perfetto profile. Returns
+ * Validate text against the erec_trace/v2 perfetto profile. Returns
  * one message per violation; empty means valid. Backs promcheck's
  * handling of `*_perfetto.json` artifacts.
  */

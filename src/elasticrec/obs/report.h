@@ -4,9 +4,14 @@
  * @file
  * Per-stage latency attribution and run reports.
  *
- * Folds sampled QueryTrace spans into the Fig. 3-style stage breakdown
- * the paper argues from — where does a query's latency go: queueing,
- * dense compute, the gather RPCs, or the sparse shards themselves?
+ * Folds sampled span trees (obs::buildSpanTrees over the simulator's
+ * spans, a drained FlightRecorder, or a re-read `_traces.jsonl`) into
+ * the Fig. 3-style stage breakdown the paper argues from — where does
+ * a query's latency go: queueing, dense compute, the gather RPCs, or
+ * the sparse shards themselves? A trace counts as completed when its
+ * root span was recorded; the root span's duration is its end-to-end
+ * latency and every other span is a stage. Batch trees are skipped:
+ * they are not queries.
  * Per-deployment span names are normalized to a small stable stage set
  * (`sparse/<dep>/queue` -> `sparse/queue`, `rpc/<dep>/request` ->
  * `rpc/request`, ...) so runs with many shards stay readable, and each
@@ -20,13 +25,12 @@
  */
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
+#include "elasticrec/obs/span_tree.h"
 
 namespace erec::obs {
 
@@ -51,15 +55,15 @@ struct AttributionReport
     std::vector<StageStats> stages;
     std::uint64_t tracedQueries = 0;
     std::uint64_t completedTraces = 0;
-    /** Traces whose query never completed (lost to a pod crash). */
+    /** Traces without a root span: the query was lost (pod crash) or
+     *  still in flight when the spans were collected. */
     std::uint64_t lostTraces = 0;
-    /** Spans excluded from the stage sketches because they never
-     *  closed: every span of a lost/in-flight trace, plus any span of
-     *  a completed trace whose end precedes its start (a stage that
-     *  was still open at export time). Mixing them into the stage
-     *  statistics would count bogus `end - start` durations. */
+    /** Spans excluded from the stage sketches: every span of a
+     *  lost/in-flight trace (its query never finished), plus any span
+     *  of a completed trace whose end precedes its start. Mixing them
+     *  into the stage statistics would count bogus durations. */
     std::uint64_t openSpans = 0;
-    /** Summed arrival->completion latency of completed traces. */
+    /** Summed root-span (end-to-end) latency of completed traces. */
     double endToEndTotalMs = 0.0;
     double meanEndToEndMs = 0.0;
     double p95EndToEndMs = 0.0;
@@ -69,8 +73,7 @@ struct AttributionReport
  *  segment from `sparse/<dep>/...` and `rpc/<dep>/...` spans. */
 std::string stageOf(const std::string &span_name);
 
-AttributionReport attributeStages(const std::deque<QueryTrace> &traces);
-AttributionReport attributeStages(const std::vector<QueryTrace> &traces);
+AttributionReport attributeStages(const std::vector<SpanTree> &trees);
 
 /** One aggregated critical-path chain: the stage sequence that
  *  bounded completion for `count` traced queries. */
@@ -94,16 +97,13 @@ struct CriticalPathReport
 };
 
 /**
- * Per traced query, walk the span tree from the root and follow the
- * child whose end time bounds its parent's completion; the visited
- * stage chain is the query's critical path. Chains are aggregated by
- * their normalized (stageOf) signature. Flat legacy traces (no span
- * ids) degrade to a one-hop chain through the latest-ending span.
+ * Per completed query trace, walk the span tree from the root and
+ * follow the child whose end time bounds its parent's completion; the
+ * visited stage chain is the query's critical path. Chains are
+ * aggregated by their normalized (stageOf) signature.
  */
 CriticalPathReport analyzeCriticalPaths(
-    const std::deque<QueryTrace> &traces);
-CriticalPathReport analyzeCriticalPaths(
-    const std::vector<QueryTrace> &traces);
+    const std::vector<SpanTree> &trees);
 
 /** Per-rule rollup of an alert log. */
 struct SloVerdict

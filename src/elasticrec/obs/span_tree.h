@@ -2,7 +2,8 @@
 
 /**
  * @file
- * Assembles the flat SpanEvents drained from a FlightRecorder into
+ * Assembles flat SpanEvents — drained from a FlightRecorder, recorded
+ * by the simulator, or read back from a `_traces.jsonl` file — into
  * per-trace hierarchical span trees, and serializes them into a
  * *canonical text* form used by the determinism gate: structure, span
  * names, slot-derived span ids and deterministic args only — no
@@ -33,7 +34,8 @@ struct SpanNode
 struct SpanTree
 {
     std::uint64_t traceId = 0;
-    /** Index of the root node in `nodes` (parentId == 0). */
+    /** Index of the kRootSpanId node in `nodes` (0 when the root span
+     *  was never recorded; see complete()). */
     std::size_t root = 0;
     /** Nodes sorted by span id (deterministic, slot-ordered). */
     std::vector<SpanNode> nodes;
@@ -41,6 +43,14 @@ struct SpanTree
     std::vector<SpanEvent> links;
 
     bool isBatch() const { return (traceId & kBatchTraceBit) != 0; }
+
+    /** True when the root span (kRootSpanId) was recorded: the trace
+     *  closed. A tree without one is lost or still in flight. */
+    bool complete() const
+    {
+        return !nodes.empty() &&
+               nodes[root].event.spanId == kRootSpanId;
+    }
 };
 
 /**

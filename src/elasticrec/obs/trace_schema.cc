@@ -1,95 +1,77 @@
 #include "elasticrec/obs/trace_schema.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+
+#include "elasticrec/obs/span_tree.h"
 
 namespace erec::obs {
 
 namespace {
 
 void
-validateOne(const QueryTrace &trace, std::vector<std::string> *errors)
+validateOne(const SpanTree &tree, std::vector<std::string> *errors)
 {
     const auto fail = [&](const std::string &what) {
         std::ostringstream oss;
-        oss << "trace query_id=" << trace.queryId << ": " << what;
+        oss << "trace " << (tree.traceId & ~kBatchTraceBit)
+            << (tree.isBatch() ? " (batch)" : "") << ": " << what;
         errors->push_back(oss.str());
     };
+    const auto named = [](const SpanEvent &e) {
+        return "span '" + spanName(e.name) + "'";
+    };
 
-    std::map<std::uint64_t, const Span *> by_id;
-    SimTime prev_start = 0;
-    SimTime max_end = 0;
-    bool first = true;
-    for (const Span &span : trace.spans) {
-        if (span.end < span.start)
-            fail("span '" + span.name + "' ends before it starts");
-        max_end = std::max(max_end, span.end);
-        if (trace.completed) {
-            // Open traces are exported mid-flight in whatever order
-            // their legs finished; only closed traces promise sorted
-            // spans.
-            if (!first && span.start < prev_start)
-                fail("span '" + span.name +
-                     "' breaks monotonic start order");
-            prev_start = span.start;
-            first = false;
-        }
-        if (span.spanId != 0) {
-            if (!by_id.emplace(span.spanId, &span).second)
-                fail("duplicate span id " +
-                     std::to_string(span.spanId));
-        }
-    }
-    for (const Span &span : trace.spans) {
+    if (tree.traceId == 0)
+        fail("zero trace id");
+    const bool complete = tree.complete();
+    const SpanEvent *root =
+        complete ? &tree.nodes[tree.root].event : nullptr;
+    for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+        const SpanEvent &span = tree.nodes[i].event;
+        if (span.spanId == 0)
+            fail(named(span) + " has a zero span id");
+        if (span.endUs < span.startUs)
+            fail(named(span) + " ends before it starts");
+        // Nodes are sorted by span id: duplicates sit side by side.
+        if (i > 0 && tree.nodes[i - 1].event.spanId == span.spanId)
+            fail("duplicate span id " + std::to_string(span.spanId));
+        if (root != nullptr &&
+            (span.startUs < root->startUs || span.endUs > root->endUs))
+            fail(named(span) + " lies outside the root span");
         if (span.parentId == 0)
             continue;
-        const auto parent = by_id.find(span.parentId);
-        if (parent == by_id.end()) {
-            // Open traces are exported mid-flight: enclosing spans
-            // (e.g. the root query span) only close at completion, so
-            // a dangling parent is legitimate there.
-            if (trace.completed)
-                fail("span '" + span.name +
-                     "' links to missing parent " +
+        const auto parent = std::lower_bound(
+            tree.nodes.begin(), tree.nodes.end(), span.parentId,
+            [](const SpanNode &n, std::uint64_t id) {
+                return n.event.spanId < id;
+            });
+        if (parent == tree.nodes.end() ||
+            parent->event.spanId != span.parentId) {
+            if (complete)
+                fail(named(span) + " links to missing parent " +
                      std::to_string(span.parentId));
             continue;
         }
-        if (parent->second->start > span.end)
-            fail("span '" + span.name +
-                 "' completes before its parent '" +
-                 parent->second->name + "' starts");
+        if (parent->event.startUs > span.endUs)
+            fail(named(span) + " completes before its parent " +
+                 named(parent->event) + " starts");
     }
-    if (trace.completed) {
-        if (trace.completion < trace.arrival)
-            fail("completion precedes arrival");
-        if (trace.completion < max_end)
-            fail("a span outlives the trace completion");
-    }
+    for (const SpanEvent &link : tree.links)
+        if (link.arg == 0)
+            fail("link '" + spanName(link.name) +
+                 "' names no member trace");
 }
 
 } // namespace
 
-template <typename Container>
-static std::vector<std::string>
-validateImpl(const Container &traces)
+std::vector<std::string>
+validateTraceSchema(const std::vector<SpanEvent> &events)
 {
     std::vector<std::string> errors;
-    for (const QueryTrace &trace : traces)
-        validateOne(trace, &errors);
+    for (const SpanTree &tree : buildSpanTrees(events))
+        validateOne(tree, &errors);
     return errors;
-}
-
-std::vector<std::string>
-validateTraceSchema(const std::vector<QueryTrace> &traces)
-{
-    return validateImpl(traces);
-}
-
-std::vector<std::string>
-validateTraceSchema(const std::deque<QueryTrace> &traces)
-{
-    return validateImpl(traces);
 }
 
 } // namespace erec::obs

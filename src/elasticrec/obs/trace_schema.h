@@ -2,40 +2,38 @@
 
 /**
  * @file
- * The `erec_trace/v1` schema: the contract every exported
+ * The `erec_trace/v2` schema: the contract every exported
  * `*_traces.jsonl` artifact must satisfy, validated by promcheck in
  * the CI smoke stage so a broken exporter (or a causality bug in span
  * id assignment) fails the build instead of silently producing
  * garbage traces.
  *
- * Per trace:
+ * A file is a bag of SpanEvents in any order; events group by trace id
+ * (obs::buildSpanTrees). A trace is complete when its root span
+ * (kRootSpanId) is recorded; without one it is lost or still in
+ * flight. Per trace:
+ *  - trace and span ids are non-zero, span ids are unique;
  *  - every span closes after it opens (end >= start);
- *  - completed traces list spans in monotonic start order, and the
- *    completion timestamp covers every span end;
- *  - non-zero span ids are unique within the trace;
- *  - every non-zero parent id resolves to a span in the same trace
- *    (parents are never dropped while a child survives), and a parent
- *    never starts after its child ends.
- *
- * Legacy flat traces (all ids zero) remain valid: the causal checks
- * only engage where ids are present.
+ *  - a parent that was recorded never starts after its child ends;
+ *  - complete traces only: every parent resolves, and every span lies
+ *    inside the root span (an open trace legitimately dangles: its
+ *    enclosing spans have not closed yet);
+ *  - every link names its member trace (arg != 0).
  */
 
-#include <deque>
 #include <string>
 #include <vector>
 
-#include "elasticrec/obs/trace.h"
+#include "elasticrec/obs/flight_recorder.h"
 
 namespace erec::obs {
 
 /** Schema identifier promcheck reports against. */
-inline constexpr const char *kTraceSchemaVersion = "erec_trace/v1";
+inline constexpr const char *kTraceSchemaVersion = "erec_trace/v2";
 
-/** Validate traces; returns one message per violation (empty = ok). */
+/** Validate span events; returns one message per violation (empty =
+ *  ok). */
 std::vector<std::string> validateTraceSchema(
-    const std::vector<QueryTrace> &traces);
-std::vector<std::string> validateTraceSchema(
-    const std::deque<QueryTrace> &traces);
+    const std::vector<SpanEvent> &events);
 
 } // namespace erec::obs

@@ -1,5 +1,7 @@
 #include "elasticrec/serving/dense_shard_server.h"
 
+#include <functional>
+
 #include "elasticrec/common/error.h"
 #include "elasticrec/kernels/registry.h"
 
@@ -7,7 +9,7 @@ namespace erec::serving {
 
 namespace {
 
-/** One fan-out unit of the concurrent path: (table, shard). */
+/** One gather fan-out unit: (table, shard). */
 struct GatherJob
 {
     std::uint32_t table;
@@ -23,16 +25,12 @@ struct GatherJob
  */
 struct ServeScratch
 {
-    /** Concurrent path: per-table bucketized lookups. */
+    /** Per-table bucketized lookups. */
     std::vector<std::vector<workload::SparseLookup>> buckets;
     std::vector<GatherJob> jobs;
-    /** Concurrent path: one pooled partial per gather job. */
+    /** One pooled partial per gather job. */
     std::vector<std::vector<float>> parts;
-    /** Serial path: one buckets buffer, reused table by table. */
-    std::vector<workload::SparseLookup> serialBuckets;
-    /** Serial path: one shard partial, reused shard by shard. */
-    std::vector<float> serialPart;
-    /** Both paths: per-table pooled embeddings. */
+    /** Per-table pooled embeddings. */
     std::vector<std::vector<float>> pooled;
 };
 
@@ -117,104 +115,66 @@ DenseShardServer::serve(const std::vector<float> &dense_in,
     std::vector<float> bottom;
     s.pooled.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
 
-    if (executor_ != nullptr && !executor_->serial()) {
-        // Concurrent path: bucketize sequentially (cheap and
-        // deterministic), then fan the bottom MLP plus every non-empty
-        // shard gather out over the executor. Partials land in
-        // per-shard buffers and are merged afterwards in fixed (table,
-        // shard) order, so the floating-point accumulation order — and
-        // therefore every output byte — matches the serial path.
-        s.buckets.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
-        s.jobs.clear();
-        for (std::uint32_t t = 0; t < config.numTables; ++t) {
-            bucketizers_[t].bucketizeInto(lookups[t], &s.buckets[t]);
-            for (std::uint32_t sh = 0; sh < s.buckets[t].size(); ++sh)
-                if (!s.buckets[t][sh].indices.empty())
-                    s.jobs.push_back({t, sh}); // ERC_HOT_PATH_ALLOW("bounded by total shard count; capacity reused across queries")
-        }
-        s.parts.resize(s.jobs.size()); // ERC_HOT_PATH_ALLOW("refit to job count; no-op for a warm thread")
-        executor_->parallelFor(s.jobs.size() + 1, [&](std::size_t i) {
-            if (i == 0) {
-                const std::int64_t t0 =
-                    traced ? recorder_->nowUs() : 0;
-                bottom = dlrm_->runBottom(dense_in, batch, *backend_);
-                if (traced)
-                    recorder_->recordSpan(ctx.child(kMlpBottomSlot),
-                                          kMlpBottomName, t0,
-                                          recorder_->nowUs());
-                return;
-            }
-            const GatherJob &job = s.jobs[i - 1];
-            // Gather job j gets child slot 1 + j, mirroring the serial
-            // path's enumeration exactly: the same query produces the
-            // same span ids under any worker count.
-            const bool span = traced && i - 1 < kMaxGatherSlots;
-            const obs::TraceContext rpc =
-                span ? ctx.child(1 + static_cast<unsigned>(i - 1))
-                     : obs::TraceContext{};
-            const std::int64_t t0 = span ? recorder_->nowUs() : 0;
-            shards_[job.table][job.shard]->gatherInto(
-                s.buckets[job.table][job.shard], &s.parts[i - 1], rpc);
-            if (span)
-                recorder_->recordSpan(rpc, kRpcGatherName, t0,
-                                      recorder_->nowUs(),
-                                      gatherArg(job.table, job.shard));
-        });
-        for (std::uint32_t t = 0; t < config.numTables; ++t)
-            s.pooled[t].assign(batch * dim, 0.0f);
-        for (std::size_t j = 0; j < s.jobs.size(); ++j) {
-            auto &dst = s.pooled[s.jobs[j].table];
-            for (std::size_t i = 0; i < dst.size(); ++i)
-                dst[i] += s.parts[j][i];
-        }
-        return dlrm_->interactAndPredict(bottom, s.pooled, batch,
-                                         *backend_);
-    }
-
-    // Serial path (no executor, or a serial one): same computation in
-    // the same order as the pre-executor code.
-    // (1) Bottom MLP runs concurrently with the gather RPCs in the real
-    // system; functionally it is just computed first here.
-    {
-        const std::int64_t t0 = traced ? recorder_->nowUs() : 0;
-        bottom = dlrm_->runBottom(dense_in, batch, *backend_);
-        if (traced)
-            recorder_->recordSpan(ctx.child(kMlpBottomSlot),
-                                  kMlpBottomName, t0,
-                                  recorder_->nowUs());
-    }
-
-    // (2)+(3) Bucketize, gather from every shard, and merge. Sum
-    // pooling distributes over the shard partition, so the per-table
-    // pooled output is the elementwise sum of the shard responses.
-    // Non-empty shards are visited in the same (table, shard) order the
-    // concurrent path enumerates its jobs, so gather span slots match.
-    std::size_t gather_slot = 0;
+    // Bucketize sequentially (cheap and deterministic) and enumerate
+    // every non-empty (table, shard) gather as a job.
+    s.buckets.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
+    s.jobs.clear();
     for (std::uint32_t t = 0; t < config.numTables; ++t) {
-        bucketizers_[t].bucketizeInto(lookups[t], &s.serialBuckets);
-        s.pooled[t].assign(batch * dim, 0.0f);
-        for (std::uint32_t sh = 0; sh < s.serialBuckets.size(); ++sh) {
-            if (s.serialBuckets[sh].indices.empty())
-                continue; // No gathers land in this shard: skip the RPC.
-            const bool span = traced && gather_slot < kMaxGatherSlots;
-            const obs::TraceContext rpc =
-                span ? ctx.child(
-                           1 + static_cast<unsigned>(gather_slot))
-                     : obs::TraceContext{};
-            const std::int64_t t0 = span ? recorder_->nowUs() : 0;
-            shards_[t][sh]->gatherInto(s.serialBuckets[sh],
-                                       &s.serialPart, rpc);
-            if (span)
-                recorder_->recordSpan(rpc, kRpcGatherName, t0,
-                                      recorder_->nowUs(),
-                                      gatherArg(t, sh));
-            ++gather_slot;
-            for (std::size_t i = 0; i < s.pooled[t].size(); ++i)
-                s.pooled[t][i] += s.serialPart[i];
+        bucketizers_[t].bucketizeInto(lookups[t], &s.buckets[t]);
+        for (std::uint32_t sh = 0; sh < s.buckets[t].size(); ++sh)
+            if (!s.buckets[t][sh].indices.empty())
+                s.jobs.push_back({t, sh}); // ERC_HOT_PATH_ALLOW("bounded by total shard count; capacity reused across queries")
+    }
+    s.parts.resize(s.jobs.size()); // ERC_HOT_PATH_ALLOW("refit to job count; no-op for a warm thread")
+
+    // Item 0 is the bottom MLP, item 1 + j is gather job j (its span
+    // takes child slot 1 + j). The bottom MLP overlaps the gather RPCs
+    // in the real system; here the items run concurrently on the
+    // executor, or in order without one.
+    const auto body = [&](std::size_t i) {
+        if (i == 0) {
+            const std::int64_t t0 = traced ? recorder_->nowUs() : 0;
+            bottom = dlrm_->runBottom(dense_in, batch, *backend_);
+            if (traced)
+                recorder_->recordSpan(ctx.child(kMlpBottomSlot),
+                                      kMlpBottomName, t0,
+                                      recorder_->nowUs());
+            return;
         }
+        const GatherJob &job = s.jobs[i - 1];
+        const bool span = traced && i - 1 < kMaxGatherSlots;
+        const obs::TraceContext rpc =
+            span ? ctx.child(1 + static_cast<unsigned>(i - 1))
+                 : obs::TraceContext{};
+        const std::int64_t t0 = span ? recorder_->nowUs() : 0;
+        shards_[job.table][job.shard]->gatherInto(
+            s.buckets[job.table][job.shard], &s.parts[i - 1], rpc);
+        if (span)
+            recorder_->recordSpan(rpc, kRpcGatherName, t0,
+                                  recorder_->nowUs(),
+                                  gatherArg(job.table, job.shard));
+    };
+    if (executor_ != nullptr) {
+        // std::cref: the std::function parameter wraps a reference
+        // instead of heap-copying the closure.
+        executor_->parallelFor(s.jobs.size() + 1, std::cref(body));
+    } else {
+        for (std::size_t i = 0; i <= s.jobs.size(); ++i)
+            body(i);
     }
 
-    // (4) Feature interaction + top MLP + sigmoid.
+    // Sum pooling distributes over the shard partition: merge the
+    // partials in job (table, shard) order, so the floating-point
+    // accumulation order is the same under any worker count.
+    for (std::uint32_t t = 0; t < config.numTables; ++t)
+        s.pooled[t].assign(batch * dim, 0.0f);
+    for (std::size_t j = 0; j < s.jobs.size(); ++j) {
+        auto &dst = s.pooled[s.jobs[j].table];
+        for (std::size_t i = 0; i < dst.size(); ++i)
+            dst[i] += s.parts[j][i];
+    }
+
+    // Feature interaction + top MLP + sigmoid.
     return dlrm_->interactAndPredict(bottom, s.pooled, batch, *backend_);
 }
 

@@ -73,10 +73,11 @@ class DenseShardServer
 
     /**
      * Run the bottom MLP and the per-shard gather fan-out of every
-     * query through an executor (null detaches). With a non-serial
-     * executor the bottom MLP and all shard gathers of one query run
-     * concurrently, but the shard partials are merged in fixed (table,
-     * shard) order, so outputs stay bit-identical to serial mode.
+     * query through an executor (null detaches: the jobs run in order
+     * on the caller). With a non-serial executor the bottom MLP and all
+     * shard gathers of one query run concurrently, but the shard
+     * partials are merged in fixed (table, shard) order, so outputs
+     * stay bit-identical to serial mode.
      * serve() itself is thread-safe either way; attach/detach is not
      * and must happen before serving starts.
      */
@@ -86,8 +87,8 @@ class DenseShardServer
      * Attach a flight recorder: traced serve() calls record the
      * bottom-MLP span and one `rpc/gather` span per non-empty shard
      * gather under the caller's serve span, with deterministic
-     * slot-derived span ids (identical job enumeration on the serial
-     * and concurrent paths). Not thread-safe; attach before serving.
+     * slot-derived span ids (one job enumeration under any executor).
+     * Not thread-safe; attach before serving.
      */
     void attachRecorder(std::shared_ptr<obs::FlightRecorder> recorder);
 

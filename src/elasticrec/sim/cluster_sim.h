@@ -54,10 +54,10 @@
 #include "elasticrec/common/rng.h"
 #include "elasticrec/common/stats.h"
 #include "elasticrec/core/planner.h"
+#include "elasticrec/obs/flight_recorder.h"
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/sketch.h"
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
 #include "elasticrec/rpc/channel.h"
 #include "elasticrec/sim/event_queue.h"
 #include "elasticrec/sim/pod.h"
@@ -120,9 +120,9 @@ struct SimOptions
     std::uint64_t seed = 2024;
     /**
      * Trace one query in every `traceSampleEvery` arrivals (0 = off,
-     * 100 = 1% sampling). Sampling is deterministic and consumes no
-     * randomness, so traced and untraced runs produce identical
-     * SimResults.
+     * 100 = 1% sampling) into ClusterSimulation::traces(). Sampling is
+     * deterministic and consumes no randomness, so traced and untraced
+     * runs produce identical SimResults.
      */
     std::uint32_t traceSampleEvery = 0;
     /** Telemetry publication mode of the sample tick. */
@@ -183,7 +183,12 @@ class ClusterSimulation final : private EventSink, private PodSink
     /** Queries whose in-flight work died with a crashed pod. */
     std::uint64_t lostQueries() const { return lostQueries_; }
 
-    /** Run for the given simulated duration and collect results. */
+    /**
+     * Run until simulated time `duration` and collect results. Calling
+     * run() again continues the same simulation to a later end time:
+     * the returned SimResult covers that call only, while the registry,
+     * the trace sampler and traces() carry over.
+     */
     SimResult run(SimTime duration);
 
     /** Total events the engine has executed since construction (all
@@ -199,12 +204,15 @@ class ClusterSimulation final : private EventSink, private PodSink
         return obs_;
     }
 
-    /** Sampled query traces collected by the last run. */
-    const obs::Tracer &tracer() const { return tracer_; }
-    const std::deque<obs::QueryTrace> &traces() const
-    {
-        return tracer_.traces();
-    }
+    /**
+     * Spans of the sampled queries, in record order, stamped in sim-µs
+     * (obs::buildSpanTrees assembles them per query; a query's root
+     * span closes at its completion). Like the registry counters, the
+     * sampling counter and this buffer carry over across run() calls,
+     * so a trace id (arrival index + 1) is never reused within one
+     * simulation object.
+     */
+    const std::vector<obs::SpanEvent> &traces() const { return spans_; }
 
     /**
      * SLO alert engine, evaluated once per sample tick. Three default
@@ -272,8 +280,10 @@ class ClusterSimulation final : private EventSink, private PodSink
     void workLost(const WorkItem &item) override;
 
     // Span recording for sampled queries (cold relative to the gated
-    // query path; the hot handlers call these only when a trace is
-    // attached).
+    // query path; the hot handlers call these only when the query's
+    // root context is sampled).
+    void recordSpan(const obs::TraceContext &ctx, obs::NameId name,
+                    SimTime start, SimTime end);
     void tracedWorkStarted(const WorkItem &item, SimTime start);
     void tracedMonoDone(const WorkItem &item, SimTime done);
     void tracedDenseDone(const WorkItem &item, SimTime done);
@@ -320,7 +330,10 @@ class ClusterSimulation final : private EventSink, private PodSink
     cluster::MetricsRegistry metrics_;
     cluster::Scheduler scheduler_;
     std::shared_ptr<obs::Registry> obs_;
-    obs::Tracer tracer_;
+    /** Arrivals seen by the trace sampler (all runs; counts only
+     *  while tracing is on). */
+    std::uint64_t samplerArrivals_ = 0;
+    std::vector<obs::SpanEvent> spans_;
     obs::SloTracker slo_;
     obs::Counter *obsArrivals_ = nullptr;
 

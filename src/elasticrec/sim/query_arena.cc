@@ -4,7 +4,7 @@ namespace erec::sim {
 
 std::uint32_t
 QueryArena::allocate(SimTime arrival, std::uint32_t outstanding,
-                     obs::QueryTrace *trace, obs::TraceContext root)
+                     obs::TraceContext root)
 {
     if (freeList_.empty())
         grow();
@@ -14,7 +14,6 @@ QueryArena::allocate(SimTime arrival, std::uint32_t outstanding,
     lastDone_[slot] = 0;
     outstanding_[slot] = outstanding;
     dead_[slot] = 0;
-    trace_[slot] = trace;
     root_[slot] = root;
     return slot;
 }
@@ -29,7 +28,6 @@ QueryArena::grow()
     lastDone_.resize(wider, 0);
     outstanding_.resize(wider, 0);
     dead_.resize(wider, 0);
-    trace_.resize(wider, nullptr);
     root_.resize(wider, obs::TraceContext{});
     // Reserve free-list capacity for every slot up front so release()
     // can push without ever allocating.

@@ -32,10 +32,6 @@
 #include "elasticrec/common/units.h"
 #include "elasticrec/obs/trace_context.h"
 
-namespace erec::obs {
-struct QueryTrace;
-}
-
 namespace erec::sim {
 
 class QueryArena
@@ -43,12 +39,11 @@ class QueryArena
   public:
     /**
      * Claim a slot for a query arriving at `arrival` with
-     * `outstanding` fan-out legs. `trace` is non-null only for
-     * sampled queries; `root` is its root span context.
+     * `outstanding` fan-out legs. `root` is its root span context,
+     * sampled() only for traced queries.
      */
     ERC_HOT_PATH
     std::uint32_t allocate(SimTime arrival, std::uint32_t outstanding,
-                           obs::QueryTrace *trace,
                            obs::TraceContext root);
 
     /** Fold a leg's completion time into the query's last-done time. */
@@ -77,10 +72,6 @@ class QueryArena
     SimTime lastDone(std::uint32_t slot) const
     {
         return lastDone_[slot];
-    }
-    obs::QueryTrace *trace(std::uint32_t slot) const
-    {
-        return trace_[slot];
     }
     obs::TraceContext root(std::uint32_t slot) const
     {
@@ -111,7 +102,6 @@ class QueryArena
     std::vector<SimTime> lastDone_;
     std::vector<std::uint32_t> outstanding_;
     std::vector<std::uint8_t> dead_;
-    std::vector<obs::QueryTrace *> trace_;
     std::vector<obs::TraceContext> root_;
     std::vector<std::uint32_t> freeList_;
 };

@@ -5,7 +5,7 @@
  * overflow-drops contract, the FlightRecorder's deterministic
  * every-Nth sampling and drain protocol, span-tree assembly with its
  * canonical (timestamp-free) text form, and the Perfetto exporter
- * against its own erec_trace/v1 validator.
+ * against its own erec_trace/v2 validator.
  */
 
 #include <gtest/gtest.h>

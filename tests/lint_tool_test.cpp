@@ -93,26 +93,6 @@ TEST(LintToolTest, UnseededRandomnessCaughtEverywhere)
                          "unseeded-random"));
 }
 
-TEST(LintToolTest, WindowedPercentileOnlyInItsStatsHome)
-{
-    const std::string use = "WindowedPercentile p(window);\n";
-    EXPECT_TRUE(hasRule(lintContent("src/elasticrec/x/a.cc", use),
-                        "windowed-percentile"));
-    EXPECT_TRUE(hasRule(lintContent("bench/b.cpp", use),
-                        "windowed-percentile"));
-    // Blessed home and its tests keep exercising the class directly.
-    EXPECT_FALSE(hasRule(lintContent("src/elasticrec/common/stats.cc",
-                                     use),
-                         "windowed-percentile"));
-    EXPECT_FALSE(hasRule(lintContent("tests/stats_test.cpp", use),
-                         "windowed-percentile"));
-    // Mentions in comments don't count.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.cc",
-                    "// replaces WindowedPercentile with a sketch\n"),
-        "windowed-percentile"));
-}
-
 TEST(LintToolTest, RawThreadOnlyInRuntimeModule)
 {
     const std::string bad = "std::thread t([] {});\n";
@@ -524,7 +504,7 @@ TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
                     "  r->recordSpan(c, \"serving/forward\", 0, 1);\n"
                     "}\n}\n"),
         "trace-name-literal"));
-    // std::string temporary selects the legacy allocating overload.
+    // A std::string temporary allocates per span.
     EXPECT_TRUE(hasRule(
         lintContent("src/elasticrec/sim/a.cc",
                     "namespace erec {\nvoid f(T *t) {\n"
@@ -552,13 +532,6 @@ TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
                     "namespace erec {\n"
                     "// Call recordSpan(ctx, \"name\", ...) here.\n"
                     "int x = 0;\n}\n"),
-        "trace-name-literal"));
-    // obs/trace.h declares the legacy string overload itself: exempt.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/obs/trace.h",
-                    "#pragma once\nnamespace erec {\nstruct T {\n"
-                    "  void addSpan(std::string n, int s, int e);\n"
-                    "};\n}\n"),
         "trace-name-literal"));
     // Tests and benches may use the string overload freely.
     EXPECT_FALSE(hasRule(

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the observability layer: metric registry semantics,
  * histogram bucket boundaries, Prometheus text rendering (escaping,
- * labels, cumulative buckets), trace JSON-lines round-trips and tracer
- * sampling invariants, and the erec_trace/v1 schema validator over
- * causal (span-id-carrying) traces.
+ * labels, cumulative buckets), span-event JSON-lines round-trips, and
+ * the erec_trace/v2 schema validator.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "elasticrec/obs/export.h"
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/span_name.h"
-#include "elasticrec/obs/trace.h"
 #include "elasticrec/obs/trace_schema.h"
 
 namespace erec::obs {
@@ -150,98 +148,6 @@ TEST(ExportTest, PrometheusHistogramIsCumulativeWithInf)
     EXPECT_NE(text.find("erec_lat_ms_sum 101\n"), std::string::npos);
 }
 
-TEST(TracerTest, SamplesEveryNthDeterministically)
-{
-    Tracer t(3);
-    ASSERT_TRUE(t.enabled());
-    int sampled = 0;
-    for (int i = 0; i < 10; ++i) {
-        QueryTrace *trace = t.maybeSample(i * 100);
-        if (i % 3 == 0) {
-            ASSERT_NE(trace, nullptr) << "arrival " << i;
-            EXPECT_EQ(trace->queryId, static_cast<std::uint64_t>(i));
-            ++sampled;
-        } else {
-            EXPECT_EQ(trace, nullptr) << "arrival " << i;
-        }
-    }
-    EXPECT_EQ(sampled, 4);
-    EXPECT_EQ(t.seen(), 10u);
-    EXPECT_EQ(t.traces().size(), 4u);
-}
-
-TEST(TracerTest, DisabledTracerSamplesNothing)
-{
-    Tracer t(0);
-    EXPECT_FALSE(t.enabled());
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(t.maybeSample(i), nullptr);
-    EXPECT_TRUE(t.traces().empty());
-}
-
-TEST(TracerTest, FinishStampsCompletionAndSortsSpans)
-{
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(100);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("late", 300, 400);
-    trace->addSpan("early", 100, 200);
-    t.finish(trace, 450);
-    EXPECT_TRUE(trace->completed);
-    EXPECT_EQ(trace->completion, 450);
-    ASSERT_EQ(trace->spans.size(), 2u);
-    EXPECT_EQ(trace->spans[0].name, "early");
-    EXPECT_EQ(trace->spans[1].name, "late");
-}
-
-TEST(TracerTest, ResetMidRunDropsTracesAndRestartsSampling)
-{
-    Tracer t(2);
-    for (int i = 0; i < 5; ++i) {
-        QueryTrace *trace = t.maybeSample(i * 10);
-        if (trace != nullptr)
-            t.finish(trace, i * 10 + 5);
-    }
-    ASSERT_EQ(t.traces().size(), 3u); // arrivals 0, 2, 4
-    t.reset();
-    EXPECT_EQ(t.seen(), 0u);
-    EXPECT_TRUE(t.traces().empty());
-    // The very next arrival is sampled again, as at a fresh start.
-    EXPECT_NE(t.maybeSample(1000), nullptr);
-    EXPECT_EQ(t.maybeSample(1010), nullptr);
-    EXPECT_EQ(t.traces().front().queryId, 0u);
-}
-
-TEST(TracerTest, UnfinishedTraceRecordsALostQuery)
-{
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(500);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("sparse/s0/queue", 500, 900);
-    // The pod crashed: finish() is never called.
-    EXPECT_FALSE(trace->completed);
-    EXPECT_EQ(trace->completion, 0);
-    ASSERT_EQ(trace->spans.size(), 1u);
-    EXPECT_EQ(trace->spans[0].end, 900);
-}
-
-TEST(TracerTest, FinishKeepsEqualStartSpanInsertionOrder)
-{
-    // Parallel fan-out spans start at the same instant; the sort must
-    // be stable so traced runs stay byte-reproducible.
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(0);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("rpc/s1/request", 100, 300);
-    trace->addSpan("rpc/s0/request", 100, 200);
-    trace->addSpan("dense/queue", 0, 100);
-    t.finish(trace, 400);
-    ASSERT_EQ(trace->spans.size(), 3u);
-    EXPECT_EQ(trace->spans[0].name, "dense/queue");
-    EXPECT_EQ(trace->spans[1].name, "rpc/s1/request");
-    EXPECT_EQ(trace->spans[2].name, "rpc/s0/request");
-}
-
 TEST(ExportTest, SkipsFamiliesWithNoChildren)
 {
     // remove() can empty a family (last pod gauge gone); the export
@@ -255,40 +161,52 @@ TEST(ExportTest, SkipsFamiliesWithNoChildren)
     EXPECT_NE(text.find("erec_done_total"), std::string::npos);
 }
 
+/** A span event; parentId follows the structural encoding. */
+SpanEvent
+span(std::uint64_t trace_id, std::uint64_t span_id, NameId name,
+     std::int64_t start_us, std::int64_t end_us, std::uint64_t arg = 0)
+{
+    return {.traceId = trace_id,
+            .spanId = span_id,
+            .parentId = parentSpanId(span_id),
+            .startUs = start_us,
+            .endUs = end_us,
+            .arg = arg,
+            .name = name};
+}
+
 TEST(ExportTest, TraceJsonLinesRoundTrip)
 {
-    std::deque<QueryTrace> traces;
-    QueryTrace a;
-    a.queryId = 7;
-    a.arrival = 1000;
-    a.completion = 5000;
-    a.completed = true;
-    a.addSpan("dense/queue", 1000, 1200);
-    a.addSpan("sparse/t0-s1/service", 1200, 4000);
-    traces.push_back(a);
-    QueryTrace b; // lost query: never completed, no spans
-    b.queryId = 8;
-    b.arrival = 2000;
-    traces.push_back(b);
+    const NameId queue = internSpanName("dense/queue");
+    const NameId service = internSpanName("sparse/t0-s1/service");
+    const NameId link_name = internSpanName("serving/batch_link");
+    const std::uint64_t batch = kBatchTraceBit | 3;
 
-    const std::string text = toTraceJsonLines(traces);
+    std::vector<SpanEvent> events;
+    events.push_back(span(7, (kRootSpanId << 8) | 1, queue, 1000, 1200));
+    events.push_back(
+        span(7, (kRootSpanId << 8) | 3, service, 1200, 4000, 0x10001));
+    SpanEvent link = span(batch, kRootSpanId, link_name, 1500, 1500, 7);
+    link.kind = EventKind::Link;
+    events.push_back(link);
+
+    const std::string text = toTraceJsonLines(events);
     const auto back = readTraceJsonLines(text);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].queryId, 7u);
-    EXPECT_EQ(back[0].arrival, 1000);
-    EXPECT_EQ(back[0].completion, 5000);
-    EXPECT_TRUE(back[0].completed);
-    ASSERT_EQ(back[0].spans.size(), 2u);
-    EXPECT_EQ(back[0].spans[0].name, "dense/queue");
-    EXPECT_EQ(back[0].spans[0].start, 1000);
-    EXPECT_EQ(back[0].spans[0].end, 1200);
-    EXPECT_EQ(back[0].spans[1].name, "sparse/t0-s1/service");
-    EXPECT_FALSE(back[1].completed);
-    EXPECT_TRUE(back[1].spans.empty());
+    ASSERT_EQ(back.size(), 3u);
+    EXPECT_EQ(back[0].traceId, 7u);
+    EXPECT_EQ(back[0].name, queue);
+    EXPECT_EQ(back[0].startUs, 1000);
+    EXPECT_EQ(back[0].endUs, 1200);
+    EXPECT_EQ(back[0].kind, EventKind::Span);
+    EXPECT_EQ(back[1].name, service);
+    EXPECT_EQ(back[1].arg, 0x10001u);
+    // Batch trace ids use the top bit: the reader keeps all 64.
+    EXPECT_EQ(back[2].traceId, batch);
+    EXPECT_EQ(back[2].kind, EventKind::Link);
+    EXPECT_EQ(back[2].arg, 7u);
 
-    // Writing the parsed traces again is byte-identical.
-    std::deque<QueryTrace> again(back.begin(), back.end());
-    EXPECT_EQ(toTraceJsonLines(again), text);
+    // Writing the parsed events again is byte-identical.
+    EXPECT_EQ(toTraceJsonLines(back), text);
 }
 
 TEST(ExportTest, CausalTraceRoundTripKeepsIdsAndValidates)
@@ -296,79 +214,80 @@ TEST(ExportTest, CausalTraceRoundTripKeepsIdsAndValidates)
     const NameId query = internSpanName("query");
     const NameId rpc = internSpanName("rpc/t0-s0/request");
 
-    std::deque<QueryTrace> traces;
-    QueryTrace t;
-    t.queryId = 4;
-    t.traceId = 5;
-    t.arrival = 1000;
-    t.completion = 9000;
-    t.completed = true;
-    t.addSpan(query, 1000, 9000, kRootSpanId, 0);
-    t.addSpan(rpc, 1500, 8000, (kRootSpanId << 8) | 3, kRootSpanId);
-    traces.push_back(t);
+    std::vector<SpanEvent> events;
+    // Spans land in close order: the root closes last.
+    events.push_back(span(5, (kRootSpanId << 8) | 3, rpc, 1500, 8000));
+    events.push_back(span(5, kRootSpanId, query, 1000, 9000));
 
     // The causal fields survive the JSON-lines round trip.
-    const auto back = readTraceJsonLines(toTraceJsonLines(traces));
-    ASSERT_EQ(back.size(), 1u);
+    const auto back = readTraceJsonLines(toTraceJsonLines(events));
+    ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].traceId, 5u);
-    ASSERT_EQ(back[0].spans.size(), 2u);
-    EXPECT_EQ(back[0].spans[0].spanId, kRootSpanId);
-    EXPECT_EQ(back[0].spans[0].parentId, 0u);
-    EXPECT_EQ(back[0].spans[1].spanId, (kRootSpanId << 8) | 3);
-    EXPECT_EQ(back[0].spans[1].parentId, kRootSpanId);
+    EXPECT_EQ(back[0].spanId, (kRootSpanId << 8) | 3);
+    EXPECT_EQ(back[0].parentId, kRootSpanId);
+    EXPECT_EQ(back[1].spanId, kRootSpanId);
+    EXPECT_EQ(back[1].parentId, 0u);
 
-    // And the round-tripped trace satisfies erec_trace/v1.
+    // And the round-tripped trace satisfies erec_trace/v2.
     EXPECT_EQ(validateTraceSchema(back), std::vector<std::string>{});
 }
 
 TEST(TraceSchemaTest, FlagsStructuralViolations)
 {
-    std::vector<QueryTrace> traces;
-    QueryTrace t;
-    t.queryId = 1;
-    t.arrival = 100;
-    t.completion = 50; // Completion precedes arrival.
-    t.completed = true;
-    t.addSpan("backwards", 400, 300);             // end < start
-    t.addSpan("late", 500, 600);                  // outlives completion
-    auto &orphan = t.spans.emplace_back();
-    orphan.name = "orphan";
-    orphan.spanId = 99;
-    orphan.parentId = 42; // Parent never recorded; trace is completed.
-    traces.push_back(t);
+    const NameId query = internSpanName("query");
+    const NameId backwards = internSpanName("backwards");
+    const NameId late = internSpanName("late");
+    const NameId orphan = internSpanName("orphan");
 
-    const auto errors = validateTraceSchema(traces);
-    EXPECT_GE(errors.size(), 4u);
+    std::vector<SpanEvent> events;
+    // The root span closes before it opens (completion precedes
+    // arrival).
+    events.push_back(span(1, kRootSpanId, query, 100, 50));
+    events.push_back(span(1, (kRootSpanId << 8) | 1, backwards, 400, 300));
+    // Outlives the root span.
+    events.push_back(span(1, (kRootSpanId << 8) | 2, late, 500, 600));
+    // Parent never recorded, though the trace is complete.
+    SpanEvent lost_parent = span(1, 99, orphan, 60, 70);
+    lost_parent.parentId = 42;
+    events.push_back(lost_parent);
+    // Zero span ids are invalid.
+    events.push_back(span(2, 0, orphan, 0, 1));
 
-    // The same dangling parent is legitimate on an *open* trace: the
-    // enclosing spans only close at completion, so mid-flight exports
-    // must not be rejected for them.
-    traces[0].completed = false;
-    traces[0].spans.erase(traces[0].spans.begin()); // Drop end<start.
-    const auto open_errors = validateTraceSchema(traces);
-    EXPECT_EQ(open_errors, std::vector<std::string>{});
+    const auto errors = validateTraceSchema(events);
+    EXPECT_GE(errors.size(), 5u);
+
+    // The same dangling parent is legitimate on an *open* trace (no
+    // root span): its enclosing spans only close at completion, so
+    // mid-flight exports must not be rejected for them.
+    const std::vector<SpanEvent> open = {events[2], events[3]};
+    EXPECT_EQ(validateTraceSchema(open), std::vector<std::string>{});
+
+    // Two root spans under one trace id are a duplicate span id.
+    const std::vector<SpanEvent> twice = {span(3, kRootSpanId, query, 0, 5),
+                                          span(3, kRootSpanId, query, 0, 5)};
+    EXPECT_EQ(validateTraceSchema(twice).size(), 1u);
 }
 
 TEST(ExportTest, TraceReaderRejectsMalformedInput)
 {
     EXPECT_THROW(readTraceJsonLines("not json\n"), ConfigError);
-    EXPECT_THROW(readTraceJsonLines("{\"query_id\":1\n"), ConfigError);
+    EXPECT_THROW(readTraceJsonLines("{\"trace_id\":1\n"), ConfigError);
     EXPECT_THROW(readTraceJsonLines("{\"mystery_key\":1}\n"),
+                 ConfigError);
+    // Every key is required.
+    EXPECT_THROW(readTraceJsonLines("{\"trace_id\":1,\"span_id\":1}\n"),
                  ConfigError);
 }
 
 TEST(ExportTest, JsonEscapesSpanNames)
 {
-    std::deque<QueryTrace> traces;
-    QueryTrace a;
-    a.queryId = 1;
-    a.addSpan("we\"ird\\name", 0, 1);
-    traces.push_back(a);
-    const std::string text = toTraceJsonLines(traces);
+    const NameId weird = internSpanName("we\"ird\\name");
+    const std::string text =
+        toTraceJsonLines({span(1, kRootSpanId, weird, 0, 1)});
     EXPECT_NE(text.find("we\\\"ird\\\\name"), std::string::npos);
     const auto back = readTraceJsonLines(text);
     ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].spans[0].name, "we\"ird\\name");
+    EXPECT_EQ(spanName(back[0].name), "we\"ird\\name");
 }
 
 } // namespace

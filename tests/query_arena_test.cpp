@@ -18,11 +18,11 @@ TEST(QueryArenaTest, AllocateInitializesEveryField)
 {
     QueryArena arena;
     const auto slot =
-        arena.allocate(123, 3, nullptr, obs::TraceContext{});
+        arena.allocate(123, 3, obs::TraceContext{});
     EXPECT_EQ(arena.arrival(slot), 123);
     EXPECT_EQ(arena.lastDone(slot), 0);
     EXPECT_FALSE(arena.dead(slot));
-    EXPECT_EQ(arena.trace(slot), nullptr);
+    EXPECT_FALSE(arena.root(slot).sampled());
     EXPECT_EQ(arena.liveCount(), 1u);
 }
 
@@ -30,7 +30,7 @@ TEST(QueryArenaTest, LegAccountingReleasesOnLastLeg)
 {
     QueryArena arena;
     const auto slot =
-        arena.allocate(10, 3, nullptr, obs::TraceContext{});
+        arena.allocate(10, 3, obs::TraceContext{});
     arena.noteDone(slot, 50);
     EXPECT_FALSE(arena.accountLeg(slot));
     arena.noteDone(slot, 40); // earlier leg must not regress lastDone
@@ -45,13 +45,13 @@ TEST(QueryArenaTest, LegAccountingReleasesOnLastLeg)
 TEST(QueryArenaTest, ReuseDoesNotAliasLiveSlots)
 {
     QueryArena arena;
-    const auto a = arena.allocate(1, 1, nullptr, obs::TraceContext{});
-    const auto b = arena.allocate(2, 2, nullptr, obs::TraceContext{});
+    const auto a = arena.allocate(1, 1, obs::TraceContext{});
+    const auto b = arena.allocate(2, 2, obs::TraceContext{});
     EXPECT_NE(a, b);
     arena.noteDone(a, 100);
     arena.release(a);
     // The recycled slot re-initializes; the live slot is untouched.
-    const auto c = arena.allocate(3, 1, nullptr, obs::TraceContext{});
+    const auto c = arena.allocate(3, 1, obs::TraceContext{});
     EXPECT_EQ(c, a); // LIFO free list hands the hot slot back
     EXPECT_EQ(arena.arrival(c), 3);
     EXPECT_EQ(arena.lastDone(c), 0);
@@ -64,7 +64,7 @@ TEST(QueryArenaTest, DeadSlotStaysDeadUntilReleased)
 {
     QueryArena arena;
     const auto slot =
-        arena.allocate(5, 2, nullptr, obs::TraceContext{});
+        arena.allocate(5, 2, obs::TraceContext{});
     arena.markDead(slot);
     EXPECT_FALSE(arena.accountLeg(slot));
     EXPECT_TRUE(arena.dead(slot));
@@ -72,7 +72,7 @@ TEST(QueryArenaTest, DeadSlotStaysDeadUntilReleased)
     arena.release(slot);
     // Recycled: the dead flag must not leak into the next query.
     const auto next =
-        arena.allocate(6, 1, nullptr, obs::TraceContext{});
+        arena.allocate(6, 1, obs::TraceContext{});
     EXPECT_EQ(next, slot);
     EXPECT_FALSE(arena.dead(next));
 }
@@ -85,7 +85,7 @@ TEST(QueryArenaTest, GrowthPreservesLiveSlots)
     // every slot stays live.
     for (SimTime i = 0; i < 1000; ++i)
         slots.push_back(
-            arena.allocate(i, 1, nullptr, obs::TraceContext{}));
+            arena.allocate(i, 1, obs::TraceContext{}));
     ASSERT_GE(arena.capacity(), 1000u);
     for (SimTime i = 0; i < 1000; ++i)
         EXPECT_EQ(arena.arrival(slots[static_cast<std::size_t>(i)]), i);
@@ -100,7 +100,7 @@ TEST(QueryArenaTest, SteadyStateRecyclingDoesNotAllocate)
     std::vector<std::uint32_t> warm;
     for (SimTime i = 0; i < 100; ++i)
         warm.push_back(
-            arena.allocate(i, 1, nullptr, obs::TraceContext{}));
+            arena.allocate(i, 1, obs::TraceContext{}));
     for (const auto s : warm)
         arena.release(s);
     region.reset();
@@ -112,7 +112,7 @@ TEST(QueryArenaTest, SteadyStateRecyclingDoesNotAllocate)
             live.clear();
             for (SimTime i = 0; i < 100; ++i)
                 live.push_back(arena.allocate(
-                    i, 1, nullptr, obs::TraceContext{}));
+                    i, 1, obs::TraceContext{}));
             for (const auto s : live)
                 arena.release(s);
         }

@@ -2,9 +2,10 @@
  * @file
  * Tests for per-stage latency attribution and report rendering
  * (elasticrec/obs/report): span-name normalization, stage aggregation
- * over hand-built traces, alert-log rollups, the text renderers, and a
+ * over hand-built span trees, alert-log rollups, the text renderers, a
  * full-simulation cross-check where every query is traced and the
- * attribution totals must match the run's own SimResult accounting.
+ * attribution totals must match the run's own SimResult accounting,
+ * and the same report over a real serving stack's flight recorder.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include "elasticrec/core/planner.h"
 #include "elasticrec/hw/platform.h"
 #include "elasticrec/obs/report.h"
+#include "elasticrec/obs/trace_schema.h"
+#include "elasticrec/runtime/executor.h"
+#include "elasticrec/serving/stack_builder.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
 
@@ -32,49 +36,61 @@ TEST(StageOfTest, StripsPerDeploymentSegment)
     EXPECT_EQ(stageOf("merge"), "merge");
 }
 
-QueryTrace
-completedTrace(std::uint64_t id, SimTime arrival, SimTime completion)
+constexpr std::uint64_t
+childId(std::uint64_t parent, unsigned slot)
 {
-    QueryTrace t;
-    t.queryId = id;
-    t.arrival = arrival;
-    t.completion = completion;
-    t.completed = true;
-    return t;
+    return (parent << 8) | (slot + 1);
+}
+
+/** One span of trace `trace_id`; parentId follows the structural
+ *  encoding of `span_id`. */
+SpanEvent
+span(std::uint64_t trace_id, std::uint64_t span_id,
+     const std::string &name, SimTime start, SimTime end)
+{
+    return {.traceId = trace_id,
+            .spanId = span_id,
+            .parentId = parentSpanId(span_id),
+            .startUs = start,
+            .endUs = end,
+            .name = internSpanName(name)};
+}
+
+/** The root span that closes a completed trace. */
+SpanEvent
+rootSpan(std::uint64_t trace_id, SimTime arrival, SimTime completion)
+{
+    return span(trace_id, kRootSpanId, "query", arrival, completion);
 }
 
 TEST(AttributeStagesTest, AggregatesNormalizedStages)
 {
-    std::vector<QueryTrace> traces;
-    // Query 0: 10 ms end to end; queue 2 ms, two shard RPCs 4 ms each.
-    auto a = completedTrace(0, 0, 10 * units::kMillisecond);
-    a.addSpan("dense/queue", 0, 2 * units::kMillisecond);
-    a.addSpan("rpc/s0/request", 2 * units::kMillisecond,
-              6 * units::kMillisecond);
-    a.addSpan("rpc/s1/request", 2 * units::kMillisecond,
-              6 * units::kMillisecond);
-    traces.push_back(a);
-    // Query 1: 20 ms end to end; queue 6 ms.
-    auto b = completedTrace(1, 100 * units::kMillisecond,
-                            120 * units::kMillisecond);
-    b.addSpan("dense/queue", 100 * units::kMillisecond,
-              106 * units::kMillisecond);
-    traces.push_back(b);
-    // Query 2: lost — spans must not contribute.
-    QueryTrace lost;
-    lost.queryId = 2;
-    lost.arrival = 200 * units::kMillisecond;
-    lost.addSpan("dense/queue", 200 * units::kMillisecond,
-                 201 * units::kMillisecond);
-    traces.push_back(lost);
+    const SimTime ms = units::kMillisecond;
+    std::vector<SpanEvent> events;
+    // Query 1: 10 ms end to end; queue 2 ms, two shard RPCs 4 ms each.
+    events.push_back(span(1, childId(kRootSpanId, 0), "dense/queue", 0,
+                          2 * ms));
+    events.push_back(span(1, childId(kRootSpanId, 2), "rpc/s0/request",
+                          2 * ms, 6 * ms));
+    events.push_back(span(1, childId(kRootSpanId, 4), "rpc/s1/request",
+                          2 * ms, 6 * ms));
+    events.push_back(rootSpan(1, 0, 10 * ms));
+    // Query 2: 20 ms end to end; queue 6 ms.
+    events.push_back(span(2, childId(kRootSpanId, 0), "dense/queue",
+                          100 * ms, 106 * ms));
+    events.push_back(rootSpan(2, 100 * ms, 120 * ms));
+    // Query 3: lost (no root span) — its spans must not contribute.
+    events.push_back(span(3, childId(kRootSpanId, 0), "dense/queue",
+                          200 * ms, 201 * ms));
 
-    const auto report = attributeStages(traces);
+    const auto report = attributeStages(buildSpanTrees(events));
     EXPECT_EQ(report.tracedQueries, 3u);
     EXPECT_EQ(report.completedTraces, 2u);
     EXPECT_EQ(report.lostTraces, 1u);
     EXPECT_DOUBLE_EQ(report.endToEndTotalMs, 30.0);
     EXPECT_DOUBLE_EQ(report.meanEndToEndMs, 15.0);
 
+    // The root span is the end-to-end latency above, not a stage row.
     ASSERT_EQ(report.stages.size(), 2u);
     // dense/queue: 2 + 6 = 8 ms total, rpc/request: 4 + 4 = 8 ms;
     // equal totals tie-break by name.
@@ -90,25 +106,23 @@ TEST(AttributeStagesTest, AggregatesNormalizedStages)
 
 TEST(AttributeStagesTest, OpenSpansStayOutOfSketchesButAreCounted)
 {
-    std::vector<QueryTrace> traces;
-    // A completed trace with one closed span and one span that was
-    // still open at export (end precedes start): the open span must
-    // not poison the stage statistics with a bogus duration.
-    auto a = completedTrace(0, 0, 10 * units::kMillisecond);
-    a.addSpan("dense/queue", 0, 2 * units::kMillisecond);
-    a.addSpan("dense/compute", 5 * units::kMillisecond, 0);
-    traces.push_back(a);
+    const SimTime ms = units::kMillisecond;
+    std::vector<SpanEvent> events;
+    // A completed trace with one closed span and one malformed span
+    // (end precedes start): the latter must not poison the stage
+    // statistics with a bogus duration.
+    events.push_back(rootSpan(1, 0, 10 * ms));
+    events.push_back(span(1, childId(kRootSpanId, 0), "dense/queue", 0,
+                          2 * ms));
+    events.push_back(span(1, childId(kRootSpanId, 1), "dense/compute",
+                          5 * ms, 0));
     // A lost trace: every one of its spans is open by definition.
-    QueryTrace lost;
-    lost.queryId = 1;
-    lost.arrival = 50 * units::kMillisecond;
-    lost.addSpan("dense/queue", 50 * units::kMillisecond,
-                 51 * units::kMillisecond);
-    lost.addSpan("rpc/s0/request", 51 * units::kMillisecond,
-                 53 * units::kMillisecond);
-    traces.push_back(lost);
+    events.push_back(span(2, childId(kRootSpanId, 0), "dense/queue",
+                          50 * ms, 51 * ms));
+    events.push_back(span(2, childId(kRootSpanId, 2), "rpc/s0/request",
+                          51 * ms, 53 * ms));
 
-    const auto report = attributeStages(traces);
+    const auto report = attributeStages(buildSpanTrees(events));
     EXPECT_EQ(report.lostTraces, 1u);
     // 1 open span on the completed trace + 2 on the lost trace.
     EXPECT_EQ(report.openSpans, 3u);
@@ -123,34 +137,24 @@ TEST(AttributeStagesTest, OpenSpansStayOutOfSketchesButAreCounted)
 
 TEST(CriticalPathTest, FollowsTheChildThatBoundsCompletion)
 {
-    const NameId query = internSpanName("query");
-    const NameId rpc = internSpanName("rpc/s0/request");
-    const NameId service = internSpanName("sparse/s0/service");
-    const NameId dense = internSpanName("dense/compute");
-
-    std::vector<QueryTrace> traces;
-    for (int i = 0; i < 2; ++i) {
-        auto t = completedTrace(static_cast<std::uint64_t>(i), 0,
-                                10 * units::kMillisecond);
-        t.traceId = static_cast<std::uint64_t>(i) + 1;
-        const std::uint64_t rpc_id = (kRootSpanId << 8) | 3;
-        t.addSpan(query, 0, 10 * units::kMillisecond, kRootSpanId, 0);
+    const SimTime ms = units::kMillisecond;
+    const std::uint64_t rpc_id = childId(kRootSpanId, 2);
+    std::vector<SpanEvent> events;
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        events.push_back(rootSpan(id, 0, 10 * ms));
         // The gather RPC (ends at 9 ms) bounds completion; dense
         // compute (5 ms) does not.
-        t.addSpan(rpc, 0, 9 * units::kMillisecond, rpc_id,
-                  kRootSpanId);
-        t.addSpan(service, 2 * units::kMillisecond,
-                  8 * units::kMillisecond, (rpc_id << 8) | 2, rpc_id);
-        t.addSpan(dense, 0, 5 * units::kMillisecond,
-                  (kRootSpanId << 8) | 2, kRootSpanId);
-        traces.push_back(t);
+        events.push_back(span(id, rpc_id, "rpc/s0/request", 0, 9 * ms));
+        events.push_back(span(id, childId(rpc_id, 1),
+                              "sparse/s0/service", 2 * ms, 8 * ms));
+        events.push_back(span(id, childId(kRootSpanId, 1),
+                              "dense/compute", 0, 5 * ms));
     }
-    // A lost trace contributes nothing to critical paths.
-    QueryTrace lost;
-    lost.queryId = 9;
-    traces.push_back(lost);
+    // A lost trace (no root span) contributes nothing to critical
+    // paths.
+    events.push_back(span(9, rpc_id, "rpc/s0/request", 0, 20 * ms));
 
-    const auto report = analyzeCriticalPaths(traces);
+    const auto report = analyzeCriticalPaths(buildSpanTrees(events));
     EXPECT_EQ(report.analyzedTraces, 2u);
     ASSERT_EQ(report.chains.size(), 1u);
     // Per-deployment segments normalize away, so many-shard runs
@@ -161,23 +165,9 @@ TEST(CriticalPathTest, FollowsTheChildThatBoundsCompletion)
     EXPECT_DOUBLE_EQ(report.chains[0].meanMs, 10.0);
 }
 
-TEST(CriticalPathTest, FlatLegacyTracesDegradeToOneHop)
-{
-    std::vector<QueryTrace> traces;
-    auto t = completedTrace(0, 0, 10 * units::kMillisecond);
-    t.addSpan("mono/queue", 0, 2 * units::kMillisecond);
-    t.addSpan("mono/service", 2 * units::kMillisecond,
-              9 * units::kMillisecond);
-    traces.push_back(t);
-
-    const auto report = analyzeCriticalPaths(traces);
-    ASSERT_EQ(report.chains.size(), 1u);
-    EXPECT_EQ(report.chains[0].chain, "mono/service");
-}
-
 TEST(AttributeStagesTest, EmptyInputYieldsEmptyReport)
 {
-    const auto report = attributeStages(std::vector<QueryTrace>{});
+    const auto report = attributeStages(std::vector<SpanTree>{});
     EXPECT_TRUE(report.stages.empty());
     EXPECT_EQ(report.tracedQueries, 0u);
     EXPECT_DOUBLE_EQ(report.endToEndTotalMs, 0.0);
@@ -207,13 +197,13 @@ TEST(SummarizeAlertsTest, RollsUpTransitionsPerAlert)
 TEST(ReportRenderTest, SectionsAreSelfDescribing)
 {
     std::ostringstream empty_table;
-    writeStageTable(empty_table, attributeStages(std::vector<QueryTrace>{}));
+    writeStageTable(empty_table, attributeStages(std::vector<SpanTree>{}));
     EXPECT_NE(empty_table.str().find("no completed traces"),
               std::string::npos);
 
     std::ostringstream empty_paths;
     writeCriticalPathTable(empty_paths,
-                           analyzeCriticalPaths(std::vector<QueryTrace>{}));
+                           analyzeCriticalPaths(std::vector<SpanTree>{}));
     EXPECT_NE(empty_paths.str().find("no completed traces"),
               std::string::npos);
 
@@ -252,10 +242,12 @@ TEST(ReportSimTest, StageSumsCrossCheckSimResult)
     const auto r = sim.run(2 * units::kMinute);
     ASSERT_GT(r.completed, 0u);
 
-    const auto report = attributeStages(sim.traces());
-    EXPECT_EQ(report.tracedQueries, r.arrivals);
+    const auto report = attributeStages(buildSpanTrees(sim.traces()));
     EXPECT_EQ(report.completedTraces, r.completed);
-    EXPECT_EQ(report.lostTraces, r.arrivals - r.completed);
+    // A query still in flight at the end is a lost trace once it has
+    // closed a span; before that it has no record at all.
+    EXPECT_LE(report.tracedQueries, r.arrivals);
+    EXPECT_LE(report.lostTraces, r.arrivals - r.completed);
 
     // Mean end-to-end latency of the traces is the run's mean latency.
     EXPECT_NEAR(report.meanEndToEndMs, r.meanLatencyMs,
@@ -283,6 +275,71 @@ TEST(ReportSimTest, StageSumsCrossCheckSimResult)
             << stage.stage;
     }
     EXPECT_TRUE(saw_frontend_stage);
+}
+
+TEST(ReportServingTest, ReportsARealStackDrain)
+{
+    // The same report over the real serving stack: spans drained from
+    // its flight recorder, no serving-specific code.
+    auto config = model::rm1();
+    config.name = "tiny";
+    config.rowsPerTable = 500;
+    config.numTables = 3;
+    config.poolingFactor = 6;
+    config.batchSize = 4;
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    serving::StackOptions options;
+    options.executor = std::make_shared<runtime::Executor>(
+        runtime::ExecutorOptions{.workers = 0});
+    options.traceSampleEvery = 1;
+    auto stack = serving::buildElasticRecStack(
+        dlrm, {serving::TablePlan{.boundaries = {10, 100, 500}}},
+        options);
+    ASSERT_NE(stack.recorder, nullptr);
+
+    workload::QueryShape shape;
+    shape.batchSize = config.batchSize;
+    shape.numTables = config.numTables;
+    shape.gathersPerItem = config.poolingFactor;
+    workload::QueryGenerator gen(
+        shape,
+        std::make_shared<workload::LocalityDistribution>(
+            config.rowsPerTable, 0.9),
+        /*seed=*/5);
+    constexpr std::uint64_t kQueries = 8;
+    for (std::uint64_t i = 0; i < kQueries; ++i)
+        stack.submit(gen.next()).get();
+    stack.dispatcher->drain();
+    // A batch trace on the same recorder is not a query.
+    const TraceContext batch = stack.recorder->startBatchTrace();
+    stack.recorder->recordSpan(batch, internSpanName("serving/batch"),
+                               0, 1, kQueries);
+    stack.recorder->recordLink(batch,
+                               internSpanName("serving/batch_link"), 1,
+                               0);
+
+    const std::vector<SpanEvent> events = stack.recorder->drain();
+    EXPECT_EQ(validateTraceSchema(events), std::vector<std::string>{});
+    const auto trees = buildSpanTrees(events);
+    const auto stages = attributeStages(trees);
+    EXPECT_EQ(stages.tracedQueries, kQueries);
+    EXPECT_EQ(stages.completedTraces, kQueries);
+    EXPECT_EQ(stages.lostTraces, 0u);
+    EXPECT_EQ(stages.openSpans, 0u);
+    for (const auto &stage : stages.stages)
+        EXPECT_NE(stage.stage, "serving/batch");
+
+    const auto paths = analyzeCriticalPaths(trees);
+    EXPECT_EQ(paths.analyzedTraces, kQueries);
+    ASSERT_EQ(paths.chains.size(), 1u);
+    // Serial mode runs the bottom MLP first, so the last shard gather
+    // bounds every query.
+    EXPECT_EQ(paths.chains[0].chain,
+              "serving/query > serving/serve > rpc/gather > "
+              "sparse/gather");
+    EXPECT_EQ(paths.chains[0].count, kQueries);
+    EXPECT_NEAR(paths.chains[0].meanMs, stages.meanEndToEndMs,
+                1e-9 * stages.meanEndToEndMs);
 }
 
 } // namespace

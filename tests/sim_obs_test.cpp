@@ -5,18 +5,24 @@
  * file that parse cleanly (via the promcheck parser) and cross-check
  * against the run's SimResult — completions, SLA violations and scale
  * events all match — while tracing itself never perturbs the
- * simulation or its determinism.
+ * simulation or its determinism, and a traced simulation re-entered
+ * through run() keeps one consistent span record.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "elasticrec/core/planner.h"
 #include "elasticrec/hw/platform.h"
 #include "elasticrec/obs/export.h"
+#include "elasticrec/obs/perfetto.h"
+#include "elasticrec/obs/span_tree.h"
+#include "elasticrec/obs/trace_schema.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
 #include "tools/promcheck/prom_parser.h"
@@ -114,10 +120,16 @@ TEST(SimObsTest, ExportedTelemetryCrossChecksSimResult)
                          {{"deployment", frontend}}),
               static_cast<double>(r.completed));
 
-    // The trace file re-reads and matches the in-memory traces.
-    const auto traces =
+    // The trace file re-reads and matches the in-memory spans, and the
+    // Perfetto view of them is written alongside.
+    const auto events =
         obs::readTraceJsonLines(readFile(dir / "run_traces.jsonl"));
-    EXPECT_EQ(traces.size(), sim.traces().size());
+    EXPECT_EQ(events.size(), sim.traces().size());
+    EXPECT_EQ(obs::validateTraceSchema(events),
+              std::vector<std::string>{});
+    EXPECT_EQ(obs::validatePerfettoJson(
+                  readFile(dir / "run_perfetto.json")),
+              std::vector<std::string>{});
     std::filesystem::remove_all(dir);
 }
 
@@ -129,28 +141,33 @@ TEST(SimObsTest, TracesObeySpanInvariants)
                           tracedOptions());
     const auto r = sim.run(5 * units::kMinute);
 
-    // 1% sampling: one trace per 100 arrivals, first arrival included.
+    // 1% sampling: at most one trace per 100 arrivals, first arrival
+    // included, and every trace id is the sampled arrival's index + 1.
     ASSERT_GT(r.arrivals, 100u);
-    EXPECT_EQ(sim.traces().size(), (r.arrivals - 1) / 100 + 1);
+    const auto trees = obs::buildSpanTrees(sim.traces());
+    EXPECT_LE(trees.size(), (r.arrivals - 1) / 100 + 1);
+    for (const auto &tree : trees)
+        EXPECT_EQ((tree.traceId - 1) % 100, 0u) << tree.traceId;
 
     std::size_t completed_traces = 0;
-    for (const auto &trace : sim.traces()) {
-        if (!trace.completed)
+    for (const auto &tree : trees) {
+        if (!tree.complete())
             continue;
         ++completed_traces;
-        EXPECT_GE(trace.completion, trace.arrival);
-        SimTime last_start = trace.arrival;
-        for (const auto &span : trace.spans) {
-            EXPECT_LE(span.start, span.end) << span.name;
-            EXPECT_GE(span.start, trace.arrival) << span.name;
-            EXPECT_LE(span.end, trace.completion) << span.name;
-            EXPECT_GE(span.start, last_start)
-                << span.name << ": spans not sorted by start";
-            last_start = span.start;
+        const obs::SpanEvent &root = tree.nodes[tree.root].event;
+        EXPECT_GE(root.endUs, root.startUs);
+        EXPECT_GT(tree.nodes.size(), 1u);
+        for (const auto &node : tree.nodes) {
+            const obs::SpanEvent &span = node.event;
+            const std::string &name = obs::spanName(span.name);
+            EXPECT_LE(span.startUs, span.endUs) << name;
+            EXPECT_GE(span.startUs, root.startUs) << name;
+            EXPECT_LE(span.endUs, root.endUs) << name;
         }
-        EXPECT_FALSE(trace.spans.empty());
     }
     EXPECT_GT(completed_traces, 0u);
+    EXPECT_EQ(obs::validateTraceSchema(sim.traces()),
+              std::vector<std::string>{});
 }
 
 TEST(SimObsTest, TracedRunsAreByteIdenticalForSameSeed)
@@ -168,6 +185,93 @@ TEST(SimObsTest, TracedRunsAreByteIdenticalForSameSeed)
               obs::toPrometheusText(b.observability()));
     EXPECT_EQ(obs::toTraceJsonLines(a.traces()),
               obs::toTraceJsonLines(b.traces()));
+}
+
+/** Root spans per trace id in a span record. */
+std::map<std::uint64_t, int>
+rootSpansByTrace(const std::vector<obs::SpanEvent> &spans)
+{
+    std::map<std::uint64_t, int> roots;
+    for (const auto &e : spans)
+        if (e.spanId == obs::kRootSpanId)
+            ++roots[e.traceId];
+    return roots;
+}
+
+/** Run `sim` in four equal slices up to `end`; returns the summed
+ *  arrivals and completions of the slices. */
+std::pair<std::uint64_t, std::uint64_t>
+runInSlices(ClusterSimulation &sim, SimTime end)
+{
+    std::uint64_t arrivals = 0;
+    std::uint64_t completed = 0;
+    for (int k = 1; k <= 4; ++k) {
+        const auto r = sim.run(end * k / 4);
+        arrivals += r.arrivals;
+        completed += r.completed;
+    }
+    return {arrivals, completed};
+}
+
+TEST(SimObsTest, ReenteredRunKeepsOneSpanRecord)
+{
+    // Every query traced, and queries in flight at each slice boundary
+    // keep recording into the next slice: spans must survive the
+    // re-entry, and no trace id may be reused.
+    const auto config = model::rm1();
+    const auto node = hw::cpuOnlyNode();
+    SimOptions opt;
+    opt.seed = 3;
+    opt.traceSampleEvery = 1;
+    ClusterSimulation sim(erPlan(config, node), node,
+                          workload::TrafficPattern::constant(200.0), opt);
+    const auto [arrivals, completed] =
+        runInSlices(sim, 20 * units::kSecond);
+    ASSERT_GT(completed, 0u);
+
+    std::uint64_t rooted = 0;
+    for (const auto &tree : obs::buildSpanTrees(sim.traces()))
+        rooted += tree.complete() ? 1 : 0;
+    EXPECT_EQ(rooted, completed);
+    EXPECT_EQ(obs::validateTraceSchema(sim.traces()),
+              std::vector<std::string>{});
+    for (const auto &[trace_id, roots] : rootSpansByTrace(sim.traces()))
+        EXPECT_EQ(roots, 1) << "trace " << trace_id;
+    EXPECT_LE(rooted, arrivals);
+}
+
+TEST(SimObsTest, DrainedSlicedRunTracesEveryQuery)
+{
+    // Traffic stops before the last slice ends, so every query has
+    // completed by then: the span record then holds exactly one
+    // complete trace per arrival.
+    const auto config = model::rm1();
+    const auto node = hw::cpuOnlyNode();
+    SimOptions opt;
+    opt.seed = 3;
+    opt.traceSampleEvery = 1;
+    ClusterSimulation sim(
+        erPlan(config, node), node,
+        workload::TrafficPattern({{0, 200.0}, {14 * units::kSecond, 0.0}}),
+        opt);
+    const auto [arrivals, completed] =
+        runInSlices(sim, 20 * units::kSecond);
+    ASSERT_GT(arrivals, 0u);
+    EXPECT_EQ(sim.lostQueries(), 0u);
+
+    const auto trees = obs::buildSpanTrees(sim.traces());
+    std::set<std::uint64_t> ids;
+    std::uint64_t rooted = 0;
+    for (const auto &tree : trees) {
+        ids.insert(tree.traceId);
+        rooted += tree.complete() ? 1 : 0;
+    }
+    EXPECT_EQ(ids.size(), arrivals);
+    EXPECT_EQ(completed, arrivals);
+    EXPECT_EQ(rooted, arrivals);
+    // Trace ids are the arrival indices + 1, with none skipped.
+    EXPECT_EQ(*ids.begin(), 1u);
+    EXPECT_EQ(*ids.rbegin(), arrivals);
 }
 
 TEST(SimObsTest, TracingDoesNotPerturbTheSimulation)
@@ -267,6 +371,7 @@ TEST(SimObsTest, SteadyRunKeepsLostQueriesAlertQuiet)
                           workload::TrafficPattern::constant(20.0),
                           opt);
     sim.run(2 * units::kMinute);
+    EXPECT_TRUE(sim.traces().empty()) << "tracing off records nothing";
     EXPECT_EQ(sim.lostQueries(), 0u);
     EXPECT_FALSE(sim.slo().firing("lost-queries"));
     for (const auto &e : sim.alertEvents())

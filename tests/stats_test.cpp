@@ -1,90 +1,15 @@
 /**
  * @file
- * Unit tests for the statistics primitives: running moments, exact and
- * windowed percentiles, rate windows, time series and histograms.
+ * Unit tests for the statistics primitives: rate windows and time
+ * series.
  */
 
 #include <gtest/gtest.h>
 
-#include "elasticrec/common/error.h"
 #include "elasticrec/common/stats.h"
 
 namespace erec {
 namespace {
-
-TEST(RunningStatTest, MomentsOfKnownSequence)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-    // Sample variance of this classic sequence is 32/7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStatTest, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, ResetClearsState)
-{
-    RunningStat s;
-    s.add(10.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(PercentileTrackerTest, ExactQuantiles)
-{
-    PercentileTracker t;
-    for (int i = 1; i <= 100; ++i)
-        t.add(static_cast<double>(i));
-    EXPECT_NEAR(t.quantile(0.0), 1.0, 1e-9);
-    EXPECT_NEAR(t.quantile(1.0), 100.0, 1e-9);
-    EXPECT_NEAR(t.p50(), 50.5, 1e-9);
-    EXPECT_NEAR(t.quantile(0.95), 95.05, 1e-9);
-    EXPECT_NEAR(t.mean(), 50.5, 1e-9);
-}
-
-TEST(PercentileTrackerTest, InterleavedAddAndQuery)
-{
-    PercentileTracker t;
-    t.add(5.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.5), 5.0);
-    t.add(1.0);
-    t.add(9.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.0), 1.0);
-}
-
-TEST(PercentileTrackerTest, EmptyReturnsZero)
-{
-    PercentileTracker t;
-    EXPECT_EQ(t.quantile(0.5), 0.0);
-    EXPECT_EQ(t.mean(), 0.0);
-}
-
-TEST(WindowedPercentileTest, ExpiresOldSamples)
-{
-    WindowedPercentile w(10 * units::kSecond);
-    w.add(0, 100.0);
-    w.add(5 * units::kSecond, 200.0);
-    w.add(12 * units::kSecond, 300.0);
-    // At t = 14s the window is [4s, 14s]: the sample at t = 0 is gone.
-    EXPECT_DOUBLE_EQ(w.quantile(14 * units::kSecond, 0.0), 200.0);
-    EXPECT_DOUBLE_EQ(w.quantile(14 * units::kSecond, 1.0), 300.0);
-    // At t = 30s everything has expired.
-    EXPECT_DOUBLE_EQ(w.quantile(30 * units::kSecond, 0.5), 0.0);
-}
 
 TEST(RateWindowTest, RateOverWindow)
 {
@@ -114,30 +39,6 @@ TEST(TimeSeriesTest, MaxAndMean)
     EXPECT_DOUBLE_EQ(s.maxValue(), 5.0);
     EXPECT_DOUBLE_EQ(s.meanValue(), 3.0);
     EXPECT_EQ(s.size(), 3u);
-}
-
-TEST(HistogramTest, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);  // underflow
-    h.add(0.0);   // bucket 0
-    h.add(9.99);  // bucket 9
-    h.add(10.0);  // overflow (hi is exclusive)
-    h.add(5.5);   // bucket 5
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(5), 6.0);
-}
-
-TEST(HistogramTest, RejectsEmptyRange)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), ConfigError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
 }
 
 } // namespace

@@ -145,19 +145,6 @@ lineRules()
             {},
         },
         {
-            "windowed-percentile",
-            std::regex(R"(\bWindowedPercentile\b)"),
-            "WindowedPercentile keeps every raw sample; monitoring "
-            "paths must use obs::WindowedQuantileSketch "
-            "(elasticrec/obs/sketch.h) for O(1) inserts and mergeable "
-            "state",
-            {FileClass::LibrarySource, FileClass::LibraryHeader,
-             FileClass::BenchSource, FileClass::ExampleSource},
-            {"common/stats.h", "common/stats.cc"},
-            {},
-            {},
-        },
-        {
             "raw-thread",
             std::regex(R"(\bstd\s*::\s*(thread|jthread)\b)"),
             "raw std::thread outside src/elasticrec/runtime/; serving "
@@ -444,16 +431,15 @@ checkHotPathAnnotation(const std::string &path,
 /**
  * trace-name-literal: span-recording calls in library code must be
  * handed interned NameIds, never an inline string literal or a
- * std::string temporary. The flight recorder's hot path stores a
- * 4-byte id per record; a string argument either allocates per span or
- * silently selects the legacy Tracer overload, and both defeat the
- * ERC_HOT_PATH allocation budget. Detection uses the RAW lines:
- * stripCommentsAndStrings blanks the quotes themselves, so the literal
- * is only visible in the original text. The call is located on the
- * stripped line first (so a prose mention in a comment can't trip the
- * rule), then the statement — joined across up to three continuation
- * lines, since formatters wrap the name argument — is scanned for a
- * quoted literal or a std::string construction.
+ * std::string temporary. Span records (the flight recorder's and the
+ * simulator's) store a 4-byte id; a string argument allocates per span
+ * and defeats the ERC_HOT_PATH allocation budget. Detection uses the
+ * RAW lines: stripCommentsAndStrings blanks the quotes themselves, so
+ * the literal is only visible in the original text. The call is located
+ * on the stripped line first (so a prose mention in a comment can't
+ * trip the rule), then the statement — joined across up to three
+ * continuation lines, since formatters wrap the name argument — is
+ * scanned for a quoted literal or a std::string construction.
  */
 void
 checkTraceNameLiteral(const std::string &path,
@@ -672,12 +658,9 @@ lintContent(const std::string &path, const std::string &content)
                                &diags);
     }
 
-    // obs/trace.h declares the legacy string-name Tracer overload the
-    // rule steers library code away from (tools and tests still use
-    // it); everywhere else in the library, trace names must be ids.
-    if ((cls == FileClass::LibrarySource ||
-         cls == FileClass::LibraryHeader) &&
-        !endsWith(path, "obs/trace.h")) {
+    // In library code, trace names must be interned ids.
+    if (cls == FileClass::LibrarySource ||
+        cls == FileClass::LibraryHeader) {
         checkTraceNameLiteral(path, raw_lines, stripped_lines, sup,
                               &diags);
     }

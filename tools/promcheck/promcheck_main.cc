@@ -8,12 +8,12 @@
  * format (including histogram invariants); `_alerts.jsonl` files are
  * re-read through the alert-log importer and other `.jsonl` files
  * through the trace importer, both of which reject malformed lines.
- * Trace files are additionally validated against the erec_trace/v1
- * schema (span ends after start, monotonic starts on completed
- * traces, unique span ids, parents resolve) and `_perfetto.json`
- * files against the Chrome trace-event envelope (sorted timestamps,
- * balanced flow-event pairs). Exit status is non-zero when any file
- * fails.
+ * Trace files are additionally validated against the erec_trace/v2
+ * schema (span ends after start, unique non-zero ids, parents resolve
+ * and the root span bounds every span on completed traces) and
+ * `_perfetto.json` files against the Chrome trace-event envelope
+ * (sorted timestamps, balanced flow-event pairs). Exit status is
+ * non-zero when any file fails.
  */
 
 #include <fstream>
@@ -54,8 +54,8 @@ bool
 checkTraceFile(const std::string &path, const std::string &text)
 {
     try {
-        const auto traces = erec::obs::readTraceJsonLines(text);
-        const auto errors = erec::obs::validateTraceSchema(traces);
+        const auto events = erec::obs::readTraceJsonLines(text);
+        const auto errors = erec::obs::validateTraceSchema(events);
         if (!errors.empty()) {
             for (const auto &e : errors)
                 std::cerr << path << ": "
@@ -63,7 +63,7 @@ checkTraceFile(const std::string &path, const std::string &text)
                           << "\n";
             return false;
         }
-        std::cout << path << ": OK (" << traces.size() << " traces, "
+        std::cout << path << ": OK (" << events.size() << " spans, "
                   << erec::obs::kTraceSchemaVersion << ")\n";
         return true;
     } catch (const std::exception &e) {

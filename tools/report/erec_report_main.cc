@@ -8,8 +8,8 @@
  * For every `<stem>.prom` in DIR (or just `--stem`), prints a run
  * summary from the Prometheus export, a per-stage latency attribution
  * table and a critical-path breakdown from `<stem>_traces.jsonl`
- * (when tracing was on), and the SLO verdict plus alert timeline from
- * `<stem>_alerts.jsonl`.
+ * (when tracing was on; simulator and serving-stack dumps alike), and
+ * the SLO verdict plus alert timeline from `<stem>_alerts.jsonl`.
  *
  * `--fail-on-alert` names alert rules that must not have fired in any
  * reported run; the exit status is 1 when one did (or when a telemetry
@@ -106,13 +106,13 @@ reportStem(const fs::path &dir, const std::string &stem,
     const fs::path traces_path = dir / (stem + "_traces.jsonl");
     if (fs::exists(traces_path)) {
         try {
-            const auto traces =
-                erec::obs::readTraceJsonLines(readFile(traces_path));
+            const auto trees = erec::obs::buildSpanTrees(
+                erec::obs::readTraceJsonLines(readFile(traces_path)));
             erec::obs::writeStageTable(
-                std::cout, erec::obs::attributeStages(traces));
+                std::cout, erec::obs::attributeStages(trees));
             std::cout << "\n";
             erec::obs::writeCriticalPathTable(
-                std::cout, erec::obs::analyzeCriticalPaths(traces));
+                std::cout, erec::obs::analyzeCriticalPaths(trees));
         } catch (const std::exception &e) {
             std::cerr << traces_path.filename().string() << ": "
                       << e.what() << "\n";
