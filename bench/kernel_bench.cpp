@@ -11,13 +11,15 @@
  *
  * `--json PATH`: the kernel-backend sweep feeding the CI perf gate.
  * Runs the gather-sum-pool at d in {32, 64, 128, 256} over a
- * cache-resident table, the blocked GEMM, and a DRAM-resident gather
- * (d = 32, a table of max(4 x LLC, 64 MiB) read at locality-P ranks
- * through a shuffled hotness permutation) on every backend the host
- * supports (scalar always; avx2/avx512 when usable) and writes
- * benchdiff-schema JSON: one sweep entry per (backend, kernel, dim)
- * point, keyed by a stable numeric "point" id (backend_index * 10 +
- * {0..3 gather by dim, 4 gemm, 5 DRAM gather}), with "qps" holding
+ * cache-resident table, the blocked GEMM on a 256 -> 128 layer, a
+ * DRAM-resident gather (d = 32, a table of max(4 x LLC, 64 MiB) read
+ * at locality-P ranks through a shuffled hotness permutation) and the
+ * GEMM on RM3's 2560 -> 512 first bottom layer (5 MiB of weights) on
+ * every backend the host supports (scalar always; avx2/avx512 when
+ * usable) and writes benchdiff-schema JSON: one sweep entry per
+ * (backend, kernel, dim) point, keyed by a stable numeric "point" id
+ * (backend_index * 10 + {0..3 gather by dim, 4 gemm, 5 DRAM gather,
+ * 6 RM3-layer gemm}), with "qps" holding
  * GB/s (gather) or GFLOP/s (GEMM) and "allocs_per_call" the heap
  * allocations inside the gather AllocGate regions. The gate only
  * checks the scalar points (0-4) against bench/baselines/
@@ -407,26 +409,38 @@ runDramGatherPoint(const DramGather &work,
     return r;
 }
 
-/** Blocked-GEMM rate for one backend through the MLP forward pass
- *  (batch 32, one 256 -> 128 layer). */
+/**
+ * Blocked-GEMM rate for one backend through the MLP forward pass at
+ * batch 32 over one `in` -> `out` layer: point backend*10 + 4 is a
+ * 256 -> 128 layer (128 KiB of weights, L2-resident), point
+ * backend*10 + 6 RM3's first bottom layer, 2560 -> 512 (5 MiB of
+ * weights, past L2).
+ */
 KernelResult
 runGemmPoint(const kernels::KernelBackend &backend,
-             std::size_t backend_index, const JsonOptions &opts)
+             std::size_t backend_index, std::size_t variant,
+             const char *kernel, std::size_t in_dim, std::size_t out_dim,
+             const JsonOptions &opts)
 {
-    constexpr std::size_t kBatch = 32, kIn = 256, kOut = 128;
-    model::Mlp mlp(model::MlpSpec{{kIn, kOut}}, /*seed=*/3);
-    std::vector<float> in(kBatch * kIn);
+    constexpr std::size_t kBatch = 32;
+    model::Mlp mlp(model::MlpSpec{{static_cast<std::uint32_t>(in_dim),
+                                   static_cast<std::uint32_t>(out_dim)}},
+                   /*seed=*/3);
+    std::vector<float> in(kBatch * in_dim);
     Rng rng(9);
     for (auto &v : in)
         v = static_cast<float>(rng.uniform()) - 0.5f;
-    std::vector<float> out(kBatch * kOut);
+    std::vector<float> out(kBatch * out_dim);
 
     for (int w = 0; w < 8; ++w)
         mlp.forward(in.data(), kBatch, out.data(), backend);
 
-    const std::size_t reps = opts.quick ? 200 : 2000;
     const double flops_per_call =
-        2.0 * static_cast<double>(kBatch) * kIn * kOut;
+        2.0 * static_cast<double>(kBatch) * in_dim * out_dim;
+    // Point 4's FLOPs per point whatever the layer size, at least 20
+    // calls.
+    const std::size_t reps = std::max<std::size_t>(
+        20, (opts.quick ? 200 : 2000) * (256 * 128) / (in_dim * out_dim));
     const auto [rate, allocs] =
         timedLoop(reps, opts.throttleUs, flops_per_call, [&] {
             mlp.forward(in.data(), kBatch, out.data(), backend);
@@ -434,9 +448,9 @@ runGemmPoint(const kernels::KernelBackend &backend,
         });
 
     KernelResult r;
-    r.point = backend_index * 10 + 4;
+    r.point = backend_index * 10 + variant;
     r.backend = backend.name();
-    r.kernel = "gemm";
+    r.kernel = kernel;
     r.dim = 0;
     r.rate = rate;
     r.allocsPerCall = allocs;
@@ -501,8 +515,11 @@ runJson(int argc, char **argv)
         for (std::size_t di = 0; di < 4; ++di)
             sweep.push_back(runGatherPoint(*backends[bi], bi, di,
                                            dims[di], opts));
-        sweep.push_back(runGemmPoint(*backends[bi], bi, opts));
+        sweep.push_back(runGemmPoint(*backends[bi], bi, 4, "gemm", 256, 128,
+                                     opts));
         sweep.push_back(runDramGatherPoint(dram, *backends[bi], bi, opts));
+        sweep.push_back(runGemmPoint(*backends[bi], bi, 6, "gemm_rm3", 2560,
+                                     512, opts));
     }
 
     TablePrinter table(
@@ -514,7 +531,7 @@ runJson(int argc, char **argv)
                              static_cast<std::int64_t>(r.dim))
                        : std::string("-"),
              TablePrinter::num(r.rate, 2) +
-                 (r.kernel == "gemm" ? " GFLOP/s" : " GB/s"),
+                 (r.kernel.starts_with("gemm") ? " GFLOP/s" : " GB/s"),
              TablePrinter::num(r.allocsPerCall, 3)});
     table.print(std::cout);
 

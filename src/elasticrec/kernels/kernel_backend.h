@@ -215,7 +215,9 @@ class KernelBackend
      * layout), bias of length n, and act = ReLU (v > 0 ? v : 0) when
      * `relu` is set, identity otherwise. Accumulation runs over k in
      * ascending order per output lane — the contract that keeps every
-     * backend bit-identical to the scalar reference.
+     * backend bit-identical to the scalar reference. C's prior
+     * contents are ignored (the blocked kernels keep partial sums
+     * there between k-blocks), so C must not overlap A, W or bias.
      */
     ERC_HOT_PATH
     virtual void gemmBiasAct(const float *a, const float *w,

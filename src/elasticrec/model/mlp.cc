@@ -1,6 +1,5 @@
 #include "elasticrec/model/mlp.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -67,24 +66,28 @@ Mlp::forward(const float *in, std::size_t batch, float *out,
              const kernels::KernelBackend &backend) const
 {
     const auto &widths = spec_.widths;
-    // Per-thread activation scratch, reused across calls: assign()
-    // only reallocates while a buffer is still growing toward the
-    // steady batch-times-width working set, so warm forward passes
-    // allocate nothing. Safe because forward() never calls itself.
-    static thread_local std::vector<float> cur;
-    static thread_local std::vector<float> next;
-    cur.assign(in, in + batch * widths.front());
-    for (std::size_t l = 0; l < spec_.numLayers(); ++l) {
-        const std::size_t fan_in = widths[l];
+    const std::size_t layers = spec_.numLayers();
+    // Layer 0 reads `in` and the last layer writes `out`; hidden
+    // activations alternate between two per-thread scratch buffers.
+    // A buffer is only assigned while it is smaller than the layer it
+    // must hold, so warm forward passes neither allocate nor fill it.
+    // Safe because forward() never calls itself.
+    static thread_local std::vector<float> scratch[2];
+    const float *x = in;
+    for (std::size_t l = 0; l < layers; ++l) {
         const std::size_t fan_out = widths[l + 1];
-        const bool last = (l + 1 == spec_.numLayers());
-        next.assign(batch * fan_out, 0.0f);
-        backend.gemmBiasAct(cur.data(), weights_[l].data(),
-                            biases_[l].data(), batch, fan_in, fan_out,
-                            /*relu=*/!last, next.data());
-        cur.swap(next);
+        const bool last = (l + 1 == layers);
+        float *y = out;
+        if (!last) {
+            auto &buf = scratch[l % 2];
+            if (buf.size() < batch * fan_out)
+                buf.assign(batch * fan_out, 0.0f);
+            y = buf.data();
+        }
+        backend.gemmBiasAct(x, weights_[l].data(), biases_[l].data(), batch,
+                            widths[l], fan_out, /*relu=*/!last, y);
+        x = y;
     }
-    std::copy(cur.begin(), cur.end(), out);
 }
 
 } // namespace erec::model

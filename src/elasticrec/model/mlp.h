@@ -55,9 +55,10 @@ class Mlp
     /**
      * Forward one batch on the given kernel backend (default: the
      * process-wide dispatched one). `in` is batch x inputDim, `out` is
-     * batch x outputDim. Uses per-thread activation scratch:
-     * allocation-free once a thread's buffers reached the steady
-     * working-set size.
+     * batch x outputDim, and the two must not overlap: the first layer
+     * reads `in` and the last writes `out` in place. Hidden layers use
+     * per-thread activation scratch: allocation-free once a thread's
+     * buffers reached the steady working-set size.
      */
     ERC_HOT_PATH
     void forward(const float *in, std::size_t batch, float *out,

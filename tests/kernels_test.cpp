@@ -6,13 +6,16 @@
  * bags, duplicate indices, remapped (hotness-sorted) slices, requests
  * shorter than the prefetch distance, dims on both sides of the
  * single-pass limit and dims that are not a multiple of any vector
- * width — plus the runtime dispatch rules (env selection, graceful ISA
- * fallback, rejection of unknown names).
+ * width; for the GEMM, shapes on every seam of the register tiles and
+ * k-blocks and every layer shape the serving path runs — plus the
+ * runtime dispatch rules (env selection, graceful ISA fallback,
+ * rejection of unknown names).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -224,39 +227,90 @@ TEST(KernelBackendTest, GatherRejectsBadRequests)
     }
 }
 
-TEST(KernelBackendTest, GemmBitIdenticalAcrossBackends)
+/** One GEMM shape: C is m x n, the inner dimension k. */
+struct GemmShape
 {
-    // Output widths cover tile multiples and tails; both activations.
-    for (const std::size_t n : {1ul, 5ul, 33ul, 100ul, 128ul}) {
-        const std::size_t m = 9, k = 37;
-        Rng rng(n);
-        std::vector<float> a(m * k), w(k * n), bias(n);
-        for (auto &v : a)
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        for (auto &v : w)
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        for (auto &v : bias)
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::size_t m, k, n;
+};
 
-        for (const bool relu : {false, true}) {
-            std::vector<float> expect(m * n, -9.0f);
-            scalarBackend().gemmBiasAct(a.data(), w.data(),
-                                        bias.data(), m, k, n, relu,
-                                        expect.data());
-            if (relu) {
-                for (const float v : expect)
-                    ASSERT_GE(v, 0.0f);
-            }
-            for (const KernelBackend *backend : availableBackends()) {
-                std::vector<float> got(m * n, 9.0f);
-                backend->gemmBiasAct(a.data(), w.data(), bias.data(),
-                                     m, k, n, relu, got.data());
-                EXPECT_TRUE(bytesEqual(got, expect))
-                    << backend->name() << " diverges at n=" << n
-                    << " relu=" << relu;
-            }
+/** Every registered backend matches scalar byte for byte on `shape`
+ *  under each activation in `relus`. */
+void
+expectGemmBitIdentical(const GemmShape &shape,
+                       std::initializer_list<bool> relus)
+{
+    const auto [m, k, n] = shape;
+    Rng rng(m * 1000003 + k * 1009 + n);
+    std::vector<float> a(m * k), w(k * n), bias(n);
+    for (auto &v : a)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto &v : w)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto &v : bias)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+    for (const bool relu : relus) {
+        std::vector<float> expect(m * n, -9.0f);
+        scalarBackend().gemmBiasAct(a.data(), w.data(), bias.data(), m, k,
+                                    n, relu, expect.data());
+        if (relu) {
+            for (const float v : expect)
+                ASSERT_GE(v, 0.0f);
+        }
+        for (const KernelBackend *backend : availableBackends()) {
+            std::vector<float> got(m * n, 9.0f);
+            backend->gemmBiasAct(a.data(), w.data(), bias.data(), m, k, n,
+                                 relu, got.data());
+            EXPECT_TRUE(bytesEqual(got, expect))
+                << backend->name() << " diverges at m=" << m << " k=" << k
+                << " n=" << n << " relu=" << relu;
         }
     }
+}
+
+TEST(KernelBackendTest, GemmBitIdenticalAcrossBackends)
+{
+    // Each shape sits on a seam of the SIMD blocking: 6-row register
+    // tiles with 1-row tiles for the rest (m around 1, 5, 6, 7, 32,
+    // 33), k-blocks of 256 inputs (k around 1, 255, 256, 257, 2560)
+    // and column tiles of 16 (AVX2) or 64 (AVX-512) floats ending in a
+    // masked register (n around 1, 15, 16, 17, 63, 64, 65, 512, 513);
+    // k = 0 still writes act(bias). A list rather than the cross
+    // product keeps the test fast enough for the sanitizer build.
+    const GemmShape shapes[] = {
+        {9, 37, 1},     {9, 37, 5},      {9, 37, 33},     {9, 37, 100},
+        {9, 37, 128},   {1, 1, 1},       {5, 255, 15},    {6, 256, 16},
+        {7, 257, 17},   {32, 1, 63},     {33, 255, 64},   {1, 257, 65},
+        {6, 2560, 17},  {7, 256, 512},   {5, 257, 513},   {33, 2560, 65},
+        {32, 256, 1},   {6, 1, 513},     {7, 255, 63},    {1, 2560, 16},
+        {33, 257, 15},  {5, 2560, 64},   {32, 255, 17},   {7, 0, 17},
+    };
+    for (const GemmShape &shape : shapes)
+        expectGemmBitIdentical(shape, {false, true});
+}
+
+TEST(KernelBackendTest, GemmBitIdenticalOnServingShapes)
+{
+    // Every layer the serving path runs at batch 32, with its own
+    // activation: ReLU on hidden layers, linear on each MLP's last.
+    const struct
+    {
+        GemmShape shape;
+        bool relu;
+    } layers[] = {
+        // RM3: bottom 2560-512-32, top 512-128-1.
+        {{32, 2560, 512}, true},
+        {{32, 512, 32}, false},
+        {{32, 512, 128}, true},
+        {{32, 128, 1}, false},
+        // RM1: bottom 256-128-32, top 256-64-1.
+        {{32, 256, 128}, true},
+        {{32, 128, 32}, false},
+        {{32, 256, 64}, true},
+        {{32, 64, 1}, false},
+    };
+    for (const auto &layer : layers)
+        expectGemmBitIdentical(layer.shape, {layer.relu});
 }
 
 TEST(KernelRegistryTest, ScalarAlwaysRegisteredFirst)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "elasticrec/common/error.h"
 #include "elasticrec/model/mlp.h"
 
@@ -72,23 +75,28 @@ TEST(MlpTest, HiddenReluClampsNegative)
 
 TEST(MlpTest, BatchForwardMatchesPerItem)
 {
-    Mlp m(MlpSpec{{6, 5, 3}}, 17);
-    std::vector<float> batch_in;
-    std::vector<std::vector<float>> items;
-    for (int b = 0; b < 4; ++b) {
-        std::vector<float> item(6);
-        for (int i = 0; i < 6; ++i)
-            item[i] = 0.1f * static_cast<float>(b + 1) *
-                      static_cast<float>(i - 3);
-        items.push_back(item);
-        batch_in.insert(batch_in.end(), item.begin(), item.end());
-    }
-    std::vector<float> batch_out(4 * 3);
-    m.forward(batch_in.data(), 4, batch_out.data());
-    for (int b = 0; b < 4; ++b) {
-        const auto single = forwardOne(m, items[b]);
-        for (int o = 0; o < 3; ++o)
-            EXPECT_NEAR(batch_out[b * 3 + o], single[o], 1e-5);
+    // A row's output must not depend on where it lands in the batch:
+    // at batch 32 rows 0-29 sit in 6-row register tiles and rows 30-31
+    // in 1-row tiles, while a single item always takes a 1-row tile.
+    // The first layer spans two k-blocks of 256 and both layers end in
+    // a partial column tile.
+    constexpr std::size_t kBatch = 32, kIn = 260, kOut = 3;
+    Mlp m(MlpSpec{{kIn, 70, kOut}}, 17);
+    std::vector<float> batch_in(kBatch * kIn);
+    for (std::size_t i = 0; i < batch_in.size(); ++i)
+        batch_in[i] = 0.01f * static_cast<float>(i % 97) - 0.4f;
+    for (const kernels::KernelBackend *backend :
+         kernels::availableBackends()) {
+        std::vector<float> batch_out(kBatch * kOut);
+        m.forward(batch_in.data(), kBatch, batch_out.data(), *backend);
+        for (std::size_t b = 0; b < kBatch; ++b) {
+            float single[kOut];
+            m.forward(&batch_in[b * kIn], 1, single, *backend);
+            EXPECT_EQ(std::memcmp(&batch_out[b * kOut], single,
+                                  sizeof(single)),
+                      0)
+                << backend->name() << " row " << b;
+        }
     }
 }
 

@@ -92,6 +92,11 @@ TEST(ThreadPoolTest, ConcurrentSubmittersAllComplete)
     for (auto &t : clients)
         t.join();
     EXPECT_EQ(ran.load(), 4 * 50);
+    // As above: the executed counter is bumped just after each future
+    // becomes ready, so the last worker may still be on its way there.
+    for (int spin = 0; pool.tasksExecuted() < 4u * 50u && spin < 1000;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(pool.tasksExecuted(), 4u * 50u);
     EXPECT_EQ(pool.queueDepth(), 0u);
 }
