@@ -4,10 +4,7 @@
 #   scripts/check.sh build   # RelWithDebInfo + -Werror, full ctest
 #   scripts/check.sh asan    # ASan+UBSan build, full ctest
 #   scripts/check.sh tsan    # TSan build, full ctest
-#   scripts/check.sh lint    # erec_lint + clang-tidy (if installed)
-#   scripts/check.sh arch    # include-graph / layer-DAG gate + header check
-#   scripts/check.sh hotpath # ERC_HOT_PATH static allocation/blocking gate
-#   scripts/check.sh concurrency # lock-order / blocking-under-lock gate
+#   scripts/check.sh analyze # erec_analyze + headers + clang-tidy + self-test
 #   scripts/check.sh tsan-stress # TSan repeat-run of the concurrency tests
 #   scripts/check.sh smoke   # example, fig bench + serving stack telemetry
 #   scripts/check.sh bench   # serving throughput sweep + benchdiff gate
@@ -60,41 +57,128 @@ stage_tsan() {
         -DELASTICREC_SANITIZE=thread
 }
 
-stage_lint() {
-    local tree="$repo_root/build-check-release"
-    cmake -B "$tree" -S "$repo_root" "${cmake_launcher_args[@]}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
-    cmake --build "$tree" -j "$jobs" --target lint
-}
-
-# Architecture gate: extract the include graph of all first-party
-# code, enforce the layer DAG in tools/archlint/layers.conf (plus
-# acyclicity), and compile every src/elasticrec header standalone
-# (archlint_headers). Runs from the repo root so quoted includes
-# resolve. Set ELASTICREC_ARCH_OUT to keep the JSON report (CI
-# uploads archlint.json as an artifact next to the bench/telemetry
-# ones); by default a temp dir is used and removed.
-stage_arch() {
+# Static-analysis gate: erec_analyze runs its four rule packs (lint,
+# arch, hotpath, conc; DESIGN.md sections 9, 10 and 14) over all
+# first-party code, the standalone_headers target compiles every
+# src/elasticrec header on its own, and clang-tidy (when installed)
+# checks src/. Then the analyzer is self-tested on a seeded tree with
+# one violation per pack: it must exit 1 and report exactly the
+# seeded findings, each rule at its file:line, so an unrelated finding
+# can neither satisfy the test nor hide a seeded one — a gate that
+# cannot fail is not a gate. Set ELASTICREC_ANALYZE_OUT to keep
+# analyze.json (CI uploads it as the analyze-report artifact); by
+# default a temp dir is used and removed.
+stage_analyze() {
     local tree="$repo_root/build-check-release"
     cmake -B "$tree" -S "$repo_root" "${cmake_launcher_args[@]}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
     cmake --build "$tree" -j "$jobs" \
-        --target erec_archlint archlint_headers
+        --target erec_analyze standalone_headers
     local out
-    if [ -n "${ELASTICREC_ARCH_OUT:-}" ]; then
-        out="$ELASTICREC_ARCH_OUT"
+    if [ -n "${ELASTICREC_ANALYZE_OUT:-}" ]; then
+        out="$ELASTICREC_ANALYZE_OUT"
         mkdir -p "$out"
     else
         out="$(mktemp -d)"
         trap 'rm -rf "$out"' RETURN
     fi
-    local archlint=("$tree/tools/archlint/erec_archlint"
+    local config="$repo_root/tools/analyze/layers.conf"
+    local analyze=("$tree/tools/analyze/erec_analyze"
         --root src --root tools --root bench --root tests
-        --root examples
-        --config "$repo_root/tools/archlint/layers.conf")
-    (cd "$repo_root" && "${archlint[@]}" --format text)
-    (cd "$repo_root" && "${archlint[@]}" --format json) \
-        > "$out/archlint.json"
+        --root examples --config "$config")
+    (cd "$repo_root" && "${analyze[@]}" --format text)
+    (cd "$repo_root" && "${analyze[@]}" --format json) \
+        > "$out/analyze.json"
+    "$repo_root/scripts/run_clang_tidy.sh" "$tree"
+
+    # Seeded self-test, one violation per pack under the real layer
+    # DAG: lint (a raw throw), arch (common including serving),
+    # hotpath (a push_back two calls from a hot root) and conc (a
+    # two-lock inversion, one order through a helper: one finding per
+    # edge direction).
+    local seed="$out/analyze-selftest"
+    rm -rf "$seed"
+    mkdir -p "$seed/src/elasticrec/common" \
+        "$seed/src/elasticrec/serving" "$seed/src/elasticrec/cluster"
+    cat > "$seed/src/elasticrec/common/hotpath.h" <<'SEED'
+#pragma once
+#define ERC_HOT_PATH
+namespace erec {}
+SEED
+    cat > "$seed/src/elasticrec/common/seeded_up.h" <<'SEED'
+#pragma once
+#include "elasticrec/serving/seeded.h"
+namespace erec {}
+SEED
+    cat > "$seed/src/elasticrec/serving/seeded.h" <<'SEED'
+#pragma once
+#include "elasticrec/common/hotpath.h"
+namespace erec {
+ERC_HOT_PATH
+void serve(int n);
+} // namespace erec
+SEED
+    cat > "$seed/src/elasticrec/serving/seeded.cc" <<'SEED'
+#include "elasticrec/serving/seeded.h"
+#include <vector>
+namespace erec {
+static std::vector<int> sink;
+void helper(int n) { sink.push_back(n); }
+void serve(int n) { helper(n); }
+void cold() { throw 1; }
+} // namespace erec
+SEED
+    cat > "$seed/src/elasticrec/cluster/inverted.cc" <<'SEED'
+#include <mutex>
+namespace erec {
+std::mutex a_;
+std::mutex b_;
+void lockAB()
+{
+    std::lock_guard<std::mutex> ga(a_);
+    std::lock_guard<std::mutex> gb(b_);
+}
+void lockA()
+{
+    std::lock_guard<std::mutex> ga(a_);
+}
+void lockBA()
+{
+    std::lock_guard<std::mutex> gb(b_);
+    lockA();
+}
+} // namespace erec
+SEED
+    local expected=(
+        "src/elasticrec/cluster/inverted.cc:7: [lock-order-inversion]"
+        "src/elasticrec/cluster/inverted.cc:16: [lock-order-inversion]"
+        "src/elasticrec/common/seeded_up.h:2: [layer-edge]"
+        "src/elasticrec/serving/seeded.cc:5: [container-growth]"
+        "src/elasticrec/serving/seeded.cc:7: [raw-throw]"
+    )
+    local rc=0
+    (cd "$seed" && "$tree/tools/analyze/erec_analyze" --root src \
+        --config "$config") > "$seed/report.txt" 2>&1 || rc=$?
+    local found
+    found="$(grep -cE '^(layers\.conf|[^ ]+:[0-9]+): \[' \
+        "$seed/report.txt" || true)"
+    local failure=""
+    if [ "$rc" -ne 1 ]; then
+        failure="expected exit 1 on the seeded tree, got $rc"
+    elif [ "$found" -ne "${#expected[@]}" ]; then
+        failure="expected ${#expected[@]} findings, got $found"
+    fi
+    local want
+    for want in "${expected[@]}"; do
+        if ! grep -qF "$want" "$seed/report.txt"; then
+            failure="${failure:+$failure; }missing: $want"
+        fi
+    done
+    if [ -n "$failure" ]; then
+        echo "analyze self-test: $failure" >&2
+        cat "$seed/report.txt" >&2
+        exit 1
+    fi
 }
 
 # Perf-regression gate: run the concurrent serving throughput sweep
@@ -249,143 +333,6 @@ stage_sim() {
     fi
 }
 
-# Hot-path discipline gate: erec_hotpath extracts the ERC_HOT_PATH
-# roots and the intra-repo call graph and flags heap allocation,
-# blocking I/O, throw and non-try locking in every transitively
-# reachable function (DESIGN.md section 10). Also self-tests the
-# analyzer against a seeded violation: a gate that cannot fail is not
-# a gate. Set ELASTICREC_HOTPATH_OUT to keep the JSON report (CI
-# uploads hotpath.json as an artifact); by default a temp dir is used
-# and removed.
-stage_hotpath() {
-    local tree="$repo_root/build-check-release"
-    cmake -B "$tree" -S "$repo_root" "${cmake_launcher_args[@]}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
-    cmake --build "$tree" -j "$jobs" --target erec_hotpath
-    local out
-    if [ -n "${ELASTICREC_HOTPATH_OUT:-}" ]; then
-        out="$ELASTICREC_HOTPATH_OUT"
-        mkdir -p "$out"
-    else
-        out="$(mktemp -d)"
-        trap 'rm -rf "$out"' RETURN
-    fi
-    local hotpath="$tree/tools/hotpath/erec_hotpath"
-    (cd "$repo_root" && "$hotpath" --root src --format text)
-    (cd "$repo_root" && "$hotpath" --root src --format json) \
-        > "$out/hotpath.json"
-
-    # Seeded-violation self-test: a hot root reaching a push_back two
-    # calls away must fail with a concrete call path.
-    local seed="$out/hotpath-selftest"
-    mkdir -p "$seed/src"
-    cat > "$seed/src/seeded.h" <<'SEED'
-#pragma once
-#define ERC_HOT_PATH
-namespace seeded {
-ERC_HOT_PATH
-void serve(int n);
-}
-SEED
-    cat > "$seed/src/seeded.cc" <<'SEED'
-#include "seeded.h"
-#include <vector>
-namespace seeded {
-static std::vector<int> sink;
-void helper(int n) { sink.push_back(n); }
-void serve(int n) { helper(n); }
-} // namespace seeded
-SEED
-    local rc=0
-    (cd "$seed" && "$hotpath" --root src) > "$seed/report.txt" 2>&1 \
-        || rc=$?
-    if [ "$rc" -ne 1 ]; then
-        echo "hotpath self-test: expected exit 1 on seeded violation," \
-            "got $rc" >&2
-        cat "$seed/report.txt" >&2
-        exit 1
-    fi
-    if ! grep -q "serve -> helper" "$seed/report.txt"; then
-        echo "hotpath self-test: report lacks the call path" >&2
-        cat "$seed/report.txt" >&2
-        exit 1
-    fi
-}
-
-# Static concurrency-discipline gate: erec_conclint builds the
-# lock-acquisition graph from every scoped-lock site, reports
-# lock-order inversion cycles with both concrete acquisition paths,
-# flags blocking calls (sleeps, I/O, predicate-less cv waits, future
-# joins, transitively blocking callees) inside held-lock scopes, and
-# enforces ERC_GUARDED_BY annotation coverage (DESIGN.md section 14).
-# Also self-tests the analyzer against a seeded two-lock inversion: a
-# gate that cannot fail is not a gate. Set ELASTICREC_CONCLINT_OUT to
-# keep the JSON report (CI uploads conclint.json as the
-# concurrency-report artifact); by default a temp dir is used and
-# removed.
-stage_concurrency() {
-    local tree="$repo_root/build-check-release"
-    cmake -B "$tree" -S "$repo_root" "${cmake_launcher_args[@]}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
-    cmake --build "$tree" -j "$jobs" --target erec_conclint
-    local out
-    if [ -n "${ELASTICREC_CONCLINT_OUT:-}" ]; then
-        out="$ELASTICREC_CONCLINT_OUT"
-        mkdir -p "$out"
-    else
-        out="$(mktemp -d)"
-        trap 'rm -rf "$out"' RETURN
-    fi
-    local conclint="$tree/tools/conclint/erec_conclint"
-    (cd "$repo_root" && "$conclint" --root src --format text)
-    (cd "$repo_root" && "$conclint" --root src --format json) \
-        > "$out/conclint.json"
-
-    # Seeded-violation self-test: two functions acquiring the same
-    # mutex pair in opposite orders — one of them through a helper —
-    # must fail and print both acquisition call paths.
-    local seed="$out/conclint-selftest"
-    mkdir -p "$seed/src"
-    cat > "$seed/src/inverted.cc" <<'SEED'
-#include <mutex>
-namespace seeded {
-std::mutex a_;
-std::mutex b_;
-void lockAB()
-{
-    std::lock_guard<std::mutex> ga(a_);
-    std::lock_guard<std::mutex> gb(b_);
-}
-void helper()
-{
-    std::lock_guard<std::mutex> ga(a_);
-}
-void lockBA()
-{
-    std::lock_guard<std::mutex> gb(b_);
-    helper();
-}
-} // namespace seeded
-SEED
-    local rc=0
-    (cd "$seed" && "$conclint" --root src) > "$seed/report.txt" 2>&1 \
-        || rc=$?
-    if [ "$rc" -ne 1 ]; then
-        echo "conclint self-test: expected exit 1 on seeded" \
-            "inversion, got $rc" >&2
-        cat "$seed/report.txt" >&2
-        exit 1
-    fi
-    if ! grep -q "lockAB" "$seed/report.txt" ||
-        ! grep -q "lockBA" "$seed/report.txt" ||
-        ! grep -q "helper" "$seed/report.txt"; then
-        echo "conclint self-test: report lacks one of the two" \
-            "acquisition call paths" >&2
-        cat "$seed/report.txt" >&2
-        exit 1
-    fi
-}
-
 # Dynamic counterpart of the concurrency gate: rebuild the concurrency
 # test subset under ThreadSanitizer and run it repeatedly
 # (--repeat until-fail:3) with zero suppressions, so real interleaved
@@ -450,10 +397,7 @@ case "$stage" in
   build) stage_build ;;
   asan) stage_asan ;;
   tsan) stage_tsan ;;
-  lint) stage_lint ;;
-  arch) stage_arch ;;
-  hotpath) stage_hotpath ;;
-  concurrency) stage_concurrency ;;
+  analyze) stage_analyze ;;
   tsan-stress) stage_tsan_stress ;;
   smoke) stage_smoke ;;
   bench) stage_bench ;;
@@ -463,10 +407,7 @@ case "$stage" in
     stage_build
     stage_asan
     stage_tsan
-    stage_lint
-    stage_arch
-    stage_hotpath
-    stage_concurrency
+    stage_analyze
     stage_tsan_stress
     stage_smoke
     stage_bench
@@ -474,7 +415,7 @@ case "$stage" in
     stage_sim
     ;;
   *)
-    echo "usage: check.sh [build|asan|tsan|lint|arch|hotpath|concurrency|tsan-stress|smoke|bench|kernels|sim|all]" >&2
+    echo "usage: check.sh [build|asan|tsan|analyze|tsan-stress|smoke|bench|kernels|sim|all]" >&2
     exit 2
     ;;
 esac

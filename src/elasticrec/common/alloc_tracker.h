@@ -2,7 +2,7 @@
 
 /**
  * @file
- * Dynamic counterpart of the `erec_hotpath` static pass: thread-local
+ * Dynamic counterpart of `erec_analyze`'s hotpath pack: thread-local
  * operator-new/delete counting plus a scoped RAII gate that charges the
  * allocations a code region performs to a named AllocRegion.
  *

@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Hot-path discipline annotations, consumed by the `erec_hotpath`
- * static pass (tools/hotpath). Both macros expand to nothing: the
+ * Hot-path discipline annotations, consumed by `erec_analyze`'s
+ * hotpath pack (tools/analyze). Both macros expand to nothing: the
  * annotations carry zero runtime cost and exist purely as tokens the
  * analyzer can see.
  *
@@ -23,7 +23,7 @@
  *    function definition it exempts the whole function and stops
  *    traversal into it. The reason string is mandatory and must say
  *    *why* the violation is acceptable (e.g. "reserve-once at worker
- *    startup", "bounded by maxBatchSize"); erec_lint's
+ *    startup", "bounded by maxBatchSize"); erec_analyze's
  *    hot-path-annotation rule rejects empty reasons.
  *
  * DESIGN.md section 10 documents what counts as steady state and when
@@ -36,5 +36,5 @@
 /** Marks a function declaration as a hot-path root. */
 #define ERC_HOT_PATH
 
-/** Suppresses erec_hotpath findings; see file comment for scope. */
+/** Suppresses hotpath-pack findings; see file comment for scope. */
 #define ERC_HOT_PATH_ALLOW(reason)

@@ -56,12 +56,12 @@
     ERC_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 /**
- * Waiver marker for the static concurrency gate (`erec_conclint`,
- * scripts/check.sh concurrency). Expands to nothing — the analyzer
- * reads it lexically from the raw source:
+ * Waiver marker for the static concurrency gate (`erec_analyze`'s
+ * conc pack, scripts/check.sh analyze). Expands to nothing — the
+ * analyzer reads it lexically from the raw source:
  *
  *  - On a line (or the line directly above a statement) inside a
- *    function body it suppresses conclint findings reported at that
+ *    function body it suppresses conc-pack findings reported at that
  *    line, and on a mutex member declaration it waives the
  *    ERC_GUARDED_BY coverage requirement for that member.
  *  - Directly before a function definition it exempts the whole

@@ -23,7 +23,7 @@
  * construction and popBatch() fills a caller-owned batch vector, so
  * the steady state allocates nothing — push/pop are wrapped in
  * AllocGate scopes charged to the "batch-queue" region, and the
- * `erec_hotpath` static pass treats both as roots.
+ * `erec_analyze` hotpath pack treats both as roots.
  */
 
 #include <chrono>

@@ -33,7 +33,7 @@
  * kRpcArrive, kStageDone, kComponentDone) whose payloads are query
  * arena slots and deployment ordinals, never captured closures. The
  * steady query path performs zero heap allocations (AllocGate-pinned
- * by the sim throughput gate and walked statically by erec_hotpath);
+ * by the sim throughput gate and walked statically by erec_analyze);
  * sampling, HPA reconciliation, SLO evaluation and failure injection
  * are events of the same queue. DESIGN.md §13 documents the taxonomy
  * and the arena lifetime rules.

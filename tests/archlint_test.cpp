@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the architecture gate's engine (tools/archlint/arch_core):
+ * Tests for the arch pack of erec_analyze (tools/analyze/arch_pack.cc):
  * include extraction must ignore comments and string literals, the
  * layer check must honor the transitive closure of layers.conf,
  * cycles must be reported with a concrete path, malformed configs
@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "elasticrec/common/error.h"
-#include "tools/archlint/arch_core.h"
+#include "tools/analyze/analyze.h"
 
-namespace erec::archlint {
+namespace erec::analyze {
 namespace {
 
 /**
@@ -41,6 +41,16 @@ lib(const std::string &module, const std::string &name)
     return "src/elasticrec/" + module + "/" + name;
 }
 
+/** A full analyzer run, keeping only the arch pack's findings. */
+Report
+analyzeArch(const FileSet &files, const LayerConfig &config)
+{
+    Report report = analyze(files, config);
+    std::erase_if(report.findings,
+                  [](const Finding &f) { return f.pack != "arch"; });
+    return report;
+}
+
 TEST(ArchLintTest, ExtractIncludesIgnoresCommentsAndStrings)
 {
     const std::string content =
@@ -53,7 +63,8 @@ TEST(ArchLintTest, ExtractIncludesIgnoresCommentsAndStrings)
         "const char *r = R\"(\n"
         "#include \"elasticrec/sim/csv.h\"\n"
         ")\";\n";
-    const auto includes = extractIncludes(content);
+    const auto includes =
+        extractIncludes(parseSource("src/elasticrec/x/a.h", content));
     ASSERT_EQ(includes.size(), 2u);
     EXPECT_EQ(includes[0].path, "elasticrec/common/units.h");
     EXPECT_EQ(includes[0].line, 4);
@@ -66,7 +77,7 @@ TEST(ArchLintTest, ModuleOfMapsLibraryAndTopLevelPaths)
 {
     EXPECT_EQ(moduleOf("src/elasticrec/core/planner.h"), "core");
     EXPECT_EQ(moduleOf("src/elasticrec/obs/slo.cc"), "obs");
-    EXPECT_EQ(moduleOf("tools/archlint/arch_core.cc"), "tools");
+    EXPECT_EQ(moduleOf("tools/analyze/arch_pack.cc"), "tools");
     EXPECT_EQ(moduleOf("tests/planner_test.cpp"), "tests");
     EXPECT_EQ(moduleOf("bench/bench_util.h"), "bench");
     EXPECT_EQ(moduleOf("./src/elasticrec/hw/network.h"), "hw");
@@ -124,10 +135,10 @@ TEST(ArchLintTest, TransitiveClosureEdgesPassTheGate)
          "#include \"elasticrec/runtime/executor.h\"\n"
          "#include \"elasticrec/common/units.h\"\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
     EXPECT_TRUE(analysis.pass()) << renderText(analysis);
-    EXPECT_EQ(analysis.fileCount, 4u);
-    EXPECT_EQ(analysis.edgeCount, 4u);
+    EXPECT_EQ(analysis.files, 4u);
+    EXPECT_EQ(analysis.includeEdges, 4u);
 }
 
 TEST(ArchLintTest, InvertedLayerEdgeFailsTheGate)
@@ -139,15 +150,14 @@ TEST(ArchLintTest, InvertedLayerEdgeFailsTheGate)
         {lib("common", "units.h"),
          "#pragma once\n#include \"elasticrec/cluster/hpa.h\"\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
     ASSERT_FALSE(analysis.pass());
-    ASSERT_EQ(analysis.violations.size(), 1u);
-    const Violation &v = analysis.violations[0];
-    EXPECT_EQ(v.kind, "layer-edge");
+    ASSERT_EQ(analysis.findings.size(), 1u);
+    const Finding &v = analysis.findings[0];
+    EXPECT_EQ(v.rule, "layer-edge");
     EXPECT_EQ(v.file, lib("common", "units.h"));
     EXPECT_EQ(v.line, 2);
-    EXPECT_EQ(v.fromModule, "common");
-    EXPECT_EQ(v.toModule, "cluster");
+    EXPECT_EQ(v.path, (std::vector<std::string>{"common", "cluster"}));
     // The offending include path is printed in the report.
     EXPECT_NE(renderText(analysis).find("elasticrec/cluster/hpa.h"),
               std::string::npos);
@@ -161,7 +171,7 @@ TEST(ArchLintTest, WildcardModulesAreUnconstrained)
         {"tests/hpa_test.cpp",
          "#include \"elasticrec/cluster/hpa.h\"\n"},
     };
-    EXPECT_TRUE(analyze(files, parseLayerConfig(kConf)).pass());
+    EXPECT_TRUE(analyzeArch(files, parseLayerConfig(kConf)).pass());
 }
 
 TEST(ArchLintTest, UndeclaredModuleFlagged)
@@ -169,10 +179,10 @@ TEST(ArchLintTest, UndeclaredModuleFlagged)
     const FileSet files = {
         {lib("mystery", "new_thing.h"), "#pragma once\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
-    ASSERT_EQ(analysis.violations.size(), 1u);
-    EXPECT_EQ(analysis.violations[0].kind, "undeclared-module");
-    EXPECT_NE(analysis.violations[0].message.find("mystery"),
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
+    ASSERT_EQ(analysis.findings.size(), 1u);
+    EXPECT_EQ(analysis.findings[0].rule, "undeclared-module");
+    EXPECT_NE(analysis.findings[0].message.find("mystery"),
               std::string::npos);
 }
 
@@ -186,11 +196,11 @@ TEST(ArchLintTest, TwoNodeCycleReportedWithPath)
         {lib("common", "b.h"),
          "#pragma once\n#include \"elasticrec/common/a.h\"\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
     ASSERT_FALSE(analysis.pass());
-    ASSERT_EQ(analysis.violations.size(), 1u);
-    const Violation &v = analysis.violations[0];
-    EXPECT_EQ(v.kind, "include-cycle");
+    ASSERT_EQ(analysis.findings.size(), 1u);
+    const Finding &v = analysis.findings[0];
+    EXPECT_EQ(v.rule, "include-cycle");
     EXPECT_NE(v.message.find("src/elasticrec/common/a.h -> "
                              "src/elasticrec/common/b.h -> "
                              "src/elasticrec/common/a.h"),
@@ -205,9 +215,9 @@ TEST(ArchLintTest, ThreeNodeCycleReportedOnce)
         {lib("common", "b.h"), "#include \"elasticrec/common/c.h\"\n"},
         {lib("common", "c.h"), "#include \"elasticrec/common/a.h\"\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
-    ASSERT_EQ(analysis.violations.size(), 1u);
-    const std::string &msg = analysis.violations[0].message;
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
+    ASSERT_EQ(analysis.findings.size(), 1u);
+    const std::string &msg = analysis.findings[0].message;
     // The path walks all three members and returns to its start.
     for (const char *member : {"common/a.h", "common/b.h", "common/c.h"})
         EXPECT_NE(msg.find(member), std::string::npos) << msg;
@@ -226,7 +236,7 @@ TEST(ArchLintTest, AcyclicDiamondIsNotACycle)
          "#include \"elasticrec/common/b.h\"\n"
          "#include \"elasticrec/common/c.h\"\n"},
     };
-    EXPECT_TRUE(analyze(files, parseLayerConfig(kConf)).pass());
+    EXPECT_TRUE(analyzeArch(files, parseLayerConfig(kConf)).pass());
 }
 
 TEST(ArchLintTest, RelativeAndRootIncludesResolve)
@@ -237,14 +247,14 @@ TEST(ArchLintTest, RelativeAndRootIncludesResolve)
         // an unresolvable include (ignored, never an edge).
         {"bench/fig.cpp",
          "#include \"bench_util.h\"\n"
-         "#include \"tools/archlint/arch_core.h\"\n"
+         "#include \"tools/analyze/analyze.h\"\n"
          "#include \"no/such/file.h\"\n"},
-        {"tools/archlint/arch_core.h", "#pragma once\n"},
+        {"tools/analyze/analyze.h", "#pragma once\n"},
     };
-    const auto analysis = analyze(
+    const auto analysis = analyzeArch(
         files, parseLayerConfig("bench: *\ntools: *\n"));
     EXPECT_TRUE(analysis.pass());
-    EXPECT_EQ(analysis.edgeCount, 2u);
+    EXPECT_EQ(analysis.includeEdges, 2u);
 }
 
 TEST(ArchLintTest, JsonRenderingMatchesGolden)
@@ -254,20 +264,27 @@ TEST(ArchLintTest, JsonRenderingMatchesGolden)
         {lib("common", "units.h"),
          "#pragma once\n#include \"elasticrec/cluster/hpa.h\"\n"},
     };
-    const auto analysis = analyze(files, parseLayerConfig(kConf));
+    const auto analysis = analyzeArch(files, parseLayerConfig(kConf));
     const std::string expected =
         "{\n"
-        "  \"schema\": \"erec_archlint/v1\",\n"
-        "  \"files\": 2,\n"
-        "  \"edges\": 1,\n"
+        "  \"schema\": \"erec_analyze/v1\",\n"
         "  \"pass\": false,\n"
-        "  \"violations\": [\n"
+        "  \"files\": 2,\n"
+        "  \"include_edges\": 1,\n"
+        "  \"functions\": 0,\n"
+        "  \"hot_roots\": 0,\n"
+        "  \"reachable\": 0,\n"
+        "  \"mutexes\": 0,\n"
+        "  \"lock_sites\": 0,\n"
+        "  \"lock_edges\": 0,\n"
+        "  \"findings\": [\n"
         "    {\n"
-        "      \"kind\": \"layer-edge\",\n"
+        "      \"pack\": \"arch\",\n"
+        "      \"rule\": \"layer-edge\",\n"
         "      \"file\": \"src/elasticrec/common/units.h\",\n"
         "      \"line\": 2,\n"
-        "      \"from\": \"common\",\n"
-        "      \"to\": \"cluster\",\n"
+        "      \"function\": \"\",\n"
+        "      \"path\": [\"common\", \"cluster\"],\n"
         "      \"message\": \"`common` may not include `cluster` "
         "(elasticrec/cluster/hpa.h); allowed for `common`: <nothing> "
         "— add the edge to layers.conf only if the DAG stays acyclic, "
@@ -278,14 +295,14 @@ TEST(ArchLintTest, JsonRenderingMatchesGolden)
     EXPECT_EQ(renderJson(analysis), expected);
 
     // Clean trees close the array inline and carry pass=true.
-    const auto clean = analyze(
+    const auto clean = analyzeArch(
         {{lib("common", "units.h"), "#pragma once\n"}},
         parseLayerConfig(kConf));
     EXPECT_NE(renderJson(clean).find("\"pass\": true"),
               std::string::npos);
-    EXPECT_NE(renderJson(clean).find("\"violations\": []"),
+    EXPECT_NE(renderJson(clean).find("\"findings\": []"),
               std::string::npos);
 }
 
 } // namespace
-} // namespace erec::archlint
+} // namespace erec::analyze

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine tests for the static concurrency gate (tools/conclint):
+ * Tests for the conc pack of erec_analyze (tools/analyze/conc_pack.cc):
  * lock-order inversion cycles with both acquisition paths,
  * blocking-under-lock (direct, interprocedural, and the runtime/
  * reporting exemption), annotation coverage, and the false-positive
@@ -15,38 +15,46 @@
 #include <string>
 #include <vector>
 
-#include "tools/conclint/concl_core.h"
+#include "tools/analyze/analyze.h"
 
-namespace cl = erec::conclint;
+namespace an = erec::analyze;
 
 namespace {
 
 bool
-hasKind(const cl::Analysis &a, const std::string &kind)
+hasKind(const an::Report &a, const std::string &kind)
 {
-    return std::any_of(a.violations.begin(), a.violations.end(),
-                       [&kind](const cl::Violation &v) {
-                           return v.kind == kind;
+    return std::any_of(a.findings.begin(), a.findings.end(),
+                       [&kind](const an::Finding &v) {
+                           return v.rule == kind;
                        });
 }
 
-std::vector<cl::Violation>
-ofKind(const cl::Analysis &a, const std::string &kind)
+std::vector<an::Finding>
+ofKind(const an::Report &a, const std::string &kind)
 {
-    std::vector<cl::Violation> out;
-    for (const auto &v : a.violations)
-        if (v.kind == kind)
+    std::vector<an::Finding> out;
+    for (const auto &v : a.findings)
+        if (v.rule == kind)
             out.push_back(v);
     return out;
 }
 
-cl::Analysis
+/** A full analyzer run, keeping only the conc pack's findings. */
+an::Report
+analyzeConc(const an::FileSet &files)
+{
+    an::Report report = an::analyze(files, an::LayerConfig{});
+    std::erase_if(report.findings,
+                  [](const an::Finding &f) { return f.pack != "conc"; });
+    return report;
+}
+
+an::Report
 analyzeOne(const std::string &source,
            const std::string &path = "src/demo.cc")
 {
-    cl::FileSet files;
-    files[path] = source;
-    return cl::analyze(files);
+    return analyzeConc({{path, source}});
 }
 
 TEST(ConclintTool, CleanSingleLockPasses)
@@ -61,10 +69,10 @@ void set(int v)
     value_ = v;
 }
 )");
-    EXPECT_TRUE(a.pass()) << cl::renderText(a);
-    EXPECT_EQ(a.mutexCount, 1u);
-    EXPECT_EQ(a.lockSiteCount, 1u);
-    EXPECT_TRUE(a.edges.empty());
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
+    EXPECT_EQ(a.mutexes, 1u);
+    EXPECT_EQ(a.lockSites, 1u);
+    EXPECT_TRUE(a.lockEdges.empty());
 }
 
 TEST(ConclintTool, InversionReportsBothAcquisitionPaths)
@@ -89,17 +97,17 @@ void lockBA()
 }
 )");
     const auto inv = ofKind(a, "lock-order-inversion");
-    ASSERT_EQ(inv.size(), 2u) << cl::renderText(a);
+    ASSERT_EQ(inv.size(), 2u) << an::renderText(a);
     // One violation per direction, each with its own concrete path —
     // the direct a_->b_ order in lockAB, the interprocedural b_->a_
     // order through lockBA -> helper.
-    const std::string text = cl::renderText(a);
+    const std::string text = an::renderText(a);
     EXPECT_NE(text.find("lockAB"), std::string::npos);
     EXPECT_NE(text.find("lockBA"), std::string::npos);
     EXPECT_NE(text.find("helper"), std::string::npos);
     for (const auto &v : inv)
         EXPECT_FALSE(v.path.empty());
-    EXPECT_EQ(a.edges.size(), 2u);
+    EXPECT_EQ(a.lockEdges.size(), 2u);
 }
 
 TEST(ConclintTool, ConsistentNestingIsNotACycle)
@@ -119,9 +127,9 @@ void second()
     std::lock_guard<std::mutex> gb(b_);
 }
 )");
-    EXPECT_EQ(a.edges.size(), 1u); // a_ -> b_ only, deduplicated.
+    EXPECT_EQ(a.lockEdges.size(), 1u); // a_ -> b_ only, deduplicated.
     EXPECT_FALSE(hasKind(a, "lock-order-inversion"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, TryLockAndDeferLockAreNotAcquisitions)
@@ -149,7 +157,7 @@ void deferred()
     // Only the forward a_ -> b_ edge exists: try_to_lock cannot
     // deadlock and defer_lock does not lock, so neither contributes
     // the reverse edge that would close a cycle.
-    ASSERT_EQ(a.edges.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(a.lockEdges.size(), 1u) << an::renderText(a);
     EXPECT_FALSE(hasKind(a, "lock-order-inversion"));
 }
 
@@ -170,9 +178,9 @@ void bothReversed()
 )");
     // std::lock's deadlock-avoidance makes the argument order of one
     // scoped_lock meaningless: no edges between its own arguments.
-    EXPECT_TRUE(a.edges.empty()) << cl::renderText(a);
+    EXPECT_TRUE(a.lockEdges.empty()) << an::renderText(a);
     EXPECT_FALSE(hasKind(a, "lock-order-inversion"));
-    EXPECT_EQ(a.lockSiteCount, 4u);
+    EXPECT_EQ(a.lockSites, 4u);
 }
 
 TEST(ConclintTool, ScopedLockHoldsAgainstLaterAcquisitions)
@@ -189,7 +197,7 @@ void stacked()
 }
 )");
     // Both scoped_lock members order against the later c_ guard.
-    EXPECT_EQ(a.edges.size(), 2u) << cl::renderText(a);
+    EXPECT_EQ(a.lockEdges.size(), 2u) << an::renderText(a);
 }
 
 TEST(ConclintTool, SleepUnderLockFlagged)
@@ -204,7 +212,7 @@ void f()
 }
 )");
     const auto blocks = ofKind(a, "blocking-under-lock");
-    ASSERT_EQ(blocks.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(blocks.size(), 1u) << an::renderText(a);
     EXPECT_NE(blocks[0].message.find("sleeps"), std::string::npos);
 }
 
@@ -222,7 +230,7 @@ void f()
 }
 )");
     EXPECT_FALSE(hasKind(a, "blocking-under-lock"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, ManualUnlockEndsTheHeldScope)
@@ -239,7 +247,7 @@ void f()
 }
 )");
     EXPECT_FALSE(hasKind(a, "blocking-under-lock"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, FutureJoinUnderLockFlagged)
@@ -256,7 +264,7 @@ void f(std::future<int> &fut)
 }
 )");
     const auto blocks = ofKind(a, "blocking-under-lock");
-    ASSERT_EQ(blocks.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(blocks.size(), 1u) << an::renderText(a);
     EXPECT_NE(blocks[0].message.find("future"), std::string::npos);
 }
 
@@ -277,7 +285,7 @@ int *f(int i)
     // `slots_[i].get()` has a bracketed receiver, not a plain
     // identifier: smart-pointer access, not a blocking join.
     EXPECT_FALSE(hasKind(a, "blocking-under-lock"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, PredicatelessCvWaitFlagged)
@@ -295,7 +303,7 @@ void bad()
 }
 )");
     const auto blocks = ofKind(a, "blocking-under-lock");
-    ASSERT_EQ(blocks.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(blocks.size(), 1u) << an::renderText(a);
     EXPECT_NE(blocks[0].message.find("predicate"), std::string::npos);
 }
 
@@ -314,12 +322,12 @@ void good()
 }
 )");
     EXPECT_FALSE(hasKind(a, "blocking-under-lock"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, RuntimeFilesExemptFromReportsButSummariesFlow)
 {
-    cl::FileSet files;
+    an::FileSet files;
     // The blessed queue blocks under its own lock: no report there.
     files["src/elasticrec/runtime/queue.h"] = R"(
 #include <condition_variable>
@@ -349,9 +357,9 @@ void fanout(Queue &q)
     q.push(table_);
 }
 )";
-    const auto a = cl::analyze(files);
+    const auto a = analyzeConc(files);
     const auto blocks = ofKind(a, "blocking-under-lock");
-    ASSERT_EQ(blocks.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(blocks.size(), 1u) << an::renderText(a);
     EXPECT_EQ(blocks[0].file, "src/elasticrec/serving/fanout.cc");
     EXPECT_NE(blocks[0].message.find("push"), std::string::npos);
     // The witness path reaches through push into the actual wait.
@@ -376,7 +384,7 @@ void f()
     // is reported against f (the over-approximation the gate
     // documents), not against a phantom anonymous function.
     const auto blocks = ofKind(a, "blocking-under-lock");
-    ASSERT_EQ(blocks.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(blocks.size(), 1u) << an::renderText(a);
     EXPECT_EQ(blocks[0].function, "f");
 }
 
@@ -393,7 +401,7 @@ void f()
 }
 )");
     EXPECT_FALSE(hasKind(a, "blocking-under-lock"))
-        << cl::renderText(a);
+        << an::renderText(a);
 }
 
 TEST(ConclintTool, FunctionLevelAllowExemptsBodyAndSummaries)
@@ -421,8 +429,8 @@ void caller()
 )");
     // The exempt function contributes neither direct edges nor
     // summaries through the call in caller().
-    ASSERT_EQ(a.edges.size(), 1u) << cl::renderText(a);
-    EXPECT_EQ(a.edges[0].from.find("a_") != std::string::npos, true);
+    ASSERT_EQ(a.lockEdges.size(), 1u) << an::renderText(a);
+    EXPECT_EQ(a.lockEdges[0].from.find("a_") != std::string::npos, true);
     EXPECT_FALSE(hasKind(a, "lock-order-inversion"));
 }
 
@@ -438,7 +446,7 @@ struct Counter {
 )",
                               "src/elasticrec/x/counter.h");
     const auto cov = ofKind(a, "unannotated-mutex");
-    ASSERT_EQ(cov.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(cov.size(), 1u) << an::renderText(a);
     EXPECT_NE(cov[0].message.find("ERC_GUARDED_BY"),
               std::string::npos);
 }
@@ -456,7 +464,7 @@ struct Counter {
 )",
                                       "src/elasticrec/x/counter.h");
     EXPECT_FALSE(hasKind(annotated, "unannotated-mutex"))
-        << cl::renderText(annotated);
+        << an::renderText(annotated);
 
     // ERC_CONCLINT_ALLOW on the declaration waives coverage.
     const auto waived = analyzeOne(R"(
@@ -469,7 +477,7 @@ struct Standalone {
 )",
                                    "src/elasticrec/x/standalone.h");
     EXPECT_FALSE(hasKind(waived, "unannotated-mutex"))
-        << cl::renderText(waived);
+        << an::renderText(waived);
 
     // Non-library files are out of scope for coverage.
     const auto test_file = analyzeOne(R"(
@@ -497,7 +505,7 @@ struct Counter {
 )",
                               "src/elasticrec/x/counter.h");
     const auto cov = ofKind(a, "unguarded-access");
-    ASSERT_EQ(cov.size(), 1u) << cl::renderText(a);
+    ASSERT_EQ(cov.size(), 1u) << an::renderText(a);
     EXPECT_EQ(cov[0].function, "racy");
 }
 
@@ -514,7 +522,7 @@ struct Counter {
 };
 )",
                               "src/elasticrec/x/counter.h");
-    EXPECT_FALSE(hasKind(a, "unguarded-access")) << cl::renderText(a);
+    EXPECT_FALSE(hasKind(a, "unguarded-access")) << an::renderText(a);
 }
 
 TEST(ConclintTool, JsonRenderingCarriesSchemaAndFindings)
@@ -528,12 +536,90 @@ void f()
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 )");
-    const std::string json = cl::renderJson(a);
-    EXPECT_NE(json.find("\"schema\": \"erec_conclint/v1\""),
+    const std::string json = an::renderJson(a);
+    EXPECT_NE(json.find("\"schema\": \"erec_analyze/v1\""),
               std::string::npos);
     EXPECT_NE(json.find("\"pass\": false"), std::string::npos);
     EXPECT_NE(json.find("blocking-under-lock"), std::string::npos);
     EXPECT_NE(json.find("\"path\""), std::string::npos);
+}
+
+// The three tests below come from the retired lint-side copy of
+// unannotated-mutex; the one rule lives in the conc pack now.
+
+TEST(ConclintTool, UnannotatedMutexCaughtInLibraryHeaders)
+{
+    const std::string hdr = "#pragma once\nnamespace erec {\n";
+    const auto a = analyzeOne(
+        hdr + "class C {\n  mutable std::mutex mutex_;\n"
+              "  int v_ = 0;\n};\n}\n",
+        "src/elasticrec/x/a.h");
+    const auto cov = ofKind(a, "unannotated-mutex");
+    ASSERT_FALSE(cov.empty()) << an::renderText(a);
+    for (const auto &d : cov) {
+        EXPECT_EQ(d.line, 4);
+        EXPECT_NE(d.message.find("mutex_"), std::string::npos);
+    }
+    EXPECT_TRUE(hasKind(
+        analyzeOne(hdr + "class C {\n  std::shared_mutex lock_;\n};\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
+}
+
+TEST(ConclintTool, UnannotatedMutexQuietWhenGuarded)
+{
+    const std::string hdr = "#pragma once\nnamespace erec {\n";
+    EXPECT_FALSE(hasKind(
+        analyzeOne(hdr + "class C {\n  mutable std::mutex mutex_;\n"
+                         "  int v_ ERC_GUARDED_BY(mutex_) = 0;\n"
+                         "};\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
+    // ERC_PT_GUARDED_BY (pointee guarded) satisfies the rule too.
+    EXPECT_FALSE(hasKind(
+        analyzeOne(hdr + "class C {\n  std::mutex m_;\n"
+                         "  int *p_ ERC_PT_GUARDED_BY(m_) = nullptr;\n"
+                         "};\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
+    // A GUARDED_BY tied to a *different* mutex does not cover this one.
+    EXPECT_TRUE(hasKind(
+        analyzeOne(hdr + "class C {\n  std::mutex a_;\n  std::mutex b_;\n"
+                         "  int v_ ERC_GUARDED_BY(a_) = 0;\n"
+                         "};\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
+}
+
+TEST(ConclintTool, UnannotatedMutexScopeAndExemptions)
+{
+    const std::string body =
+        "class C {\n  mutable std::mutex mutex_;\n};\n";
+    const std::string hdr = "#pragma once\nnamespace erec {\n";
+    // Lock holders are not mutex members.
+    EXPECT_FALSE(hasKind(
+        analyzeOne(hdr + "inline void f() {\n"
+                         "  std::unique_lock<std::mutex> lock(m);\n"
+                         "}\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
+    // Headers only; .cc internals and non-library code are free.
+    EXPECT_FALSE(hasKind(analyzeOne(body, "src/elasticrec/x/a.cc"),
+                         "unannotated-mutex"));
+    EXPECT_FALSE(hasKind(analyzeOne(body, "tests/a_test.cpp"),
+                         "unannotated-mutex"));
+    // runtime/ gets no exemption: its queues annotate like everyone.
+    EXPECT_TRUE(hasKind(
+        analyzeOne(hdr + body + "}\n", "src/elasticrec/runtime/a.h"),
+        "unannotated-mutex"));
+    // ERC_CONCLINT_ALLOW on the member's line waives it.
+    EXPECT_FALSE(hasKind(
+        analyzeOne(hdr + "class C {\n"
+                         "  std::mutex m_; "
+                         "// ERC_CONCLINT_ALLOW(\"test: external state\")\n"
+                         "};\n}\n",
+                   "src/elasticrec/x/a.h"),
+        "unannotated-mutex"));
 }
 
 } // namespace

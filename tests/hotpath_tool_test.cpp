@@ -1,19 +1,32 @@
 /**
  * @file
- * Engine tests for the hot-path discipline gate (tools/hotpath):
- * annotation parsing, call-graph reachability with concrete paths,
- * ALLOW suppression at both line and function level, false-positive
- * guards for comments/strings/preprocessor text, the runtime/ mutex
- * exemption, and the JSON rendering contract CI consumes.
+ * Tests for the hotpath pack of erec_analyze
+ * (tools/analyze/hotpath_pack.cc): annotation parsing, call-graph
+ * reachability with concrete paths, ALLOW suppression at both line and
+ * function level, false-positive guards for comments/strings/
+ * preprocessor text, the runtime/ mutex exemption, the src/-only scope
+ * of the call graph, and the JSON rendering contract CI consumes.
  */
 
 #include <gtest/gtest.h>
 
-#include "tools/hotpath/hotpath_core.h"
+#include <algorithm>
 
-namespace hp = erec::hotpath;
+#include "tools/analyze/analyze.h"
+
+namespace an = erec::analyze;
 
 namespace {
+
+/** A full analyzer run, keeping only the hotpath pack's findings. */
+an::Report
+analyzeHot(const an::FileSet &files)
+{
+    an::Report report = an::analyze(files, an::LayerConfig{});
+    std::erase_if(report.findings,
+                  [](const an::Finding &f) { return f.pack != "hotpath"; });
+    return report;
+}
 
 /** Minimal annotated header: push/popBatch style hot roots. */
 const char *kHotHeader = R"(#pragma once
@@ -25,13 +38,13 @@ void serve(int n);
 }
 )";
 
-hp::Analysis
+an::Report
 analyzeSource(const std::string &source)
 {
-    hp::FileSet files;
+    an::FileSet files;
     files["src/demo.h"] = kHotHeader;
     files["src/demo.cc"] = source;
-    return hp::analyze(files);
+    return analyzeHot(files);
 }
 
 TEST(HotpathTool, CleanHotFunctionPasses)
@@ -47,8 +60,8 @@ void serve(int n)
 }
 }
 )");
-    EXPECT_EQ(a.rootCount, 1u);
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_EQ(a.hotRoots, 1u);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, DirectAllocationFlagged)
@@ -62,9 +75,9 @@ void serve(int n)
 }
 }
 )");
-    ASSERT_EQ(a.violations.size(), 1u) << hp::renderText(a);
-    EXPECT_EQ(a.violations[0].kind, "heap-alloc");
-    EXPECT_EQ(a.violations[0].function, "serve");
+    ASSERT_EQ(a.findings.size(), 1u) << an::renderText(a);
+    EXPECT_EQ(a.findings[0].rule, "heap-alloc");
+    EXPECT_EQ(a.findings[0].function, "serve");
 }
 
 TEST(HotpathTool, TransitiveReachabilityReportsCallPath)
@@ -82,10 +95,10 @@ void middle(int v) { leaf(v); }
 void serve(int n) { middle(n); }
 }
 )");
-    ASSERT_EQ(a.violations.size(), 1u) << hp::renderText(a);
-    const auto &v = a.violations[0];
-    EXPECT_EQ(v.kind, "throw");
-    EXPECT_EQ(v.root, "serve");
+    ASSERT_EQ(a.findings.size(), 1u) << an::renderText(a);
+    const auto &v = a.findings[0];
+    EXPECT_EQ(v.rule, "throw");
+    EXPECT_EQ(v.path.front(), "serve"); // The root.
     ASSERT_EQ(v.path.size(), 3u);
     EXPECT_EQ(v.path[0], "serve");
     EXPECT_EQ(v.path[1], "middle");
@@ -101,7 +114,7 @@ void coldSetup(std::vector<int> *v) { v->push_back(1); }
 void serve(int n) { (void)n; }
 }
 )");
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, TrailingCommentAllowSuppressesLine)
@@ -117,7 +130,7 @@ void serve(int n)
 }
 }
 )");
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, PrecedingLineAllowSuppressesNextLine)
@@ -132,7 +145,7 @@ void serve(std::vector<int> *out)
 }
 }
 )");
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, AllowDoesNotLeakPastTheNextLine)
@@ -150,8 +163,8 @@ void serve(std::vector<int> *out)
 )");
     // The marker covers its own line and the next; the second
     // push_back still fails.
-    ASSERT_EQ(a.violations.size(), 1u) << hp::renderText(a);
-    EXPECT_EQ(a.violations[0].kind, "container-growth");
+    ASSERT_EQ(a.findings.size(), 1u) << an::renderText(a);
+    EXPECT_EQ(a.findings[0].rule, "container-growth");
 }
 
 TEST(HotpathTool, FunctionLevelAllowExemptsAndStopsTraversal)
@@ -171,7 +184,7 @@ void serve(int n)
 )");
     // serve is exempt and traversal stops there, so helper (only
     // reachable through serve) is never scanned either.
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, CommentsAndStringsDoNotFlag)
@@ -188,12 +201,12 @@ void serve(int n)
 }
 }
 )");
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, AnnotationInCommentCreatesNoRoot)
 {
-    hp::FileSet files;
+    an::FileSet files;
     files["src/demo.h"] = R"(#pragma once
 #define ERC_HOT_PATH
 namespace demo {
@@ -211,9 +224,9 @@ void notHot(int n)
 }
 }
 )";
-    const auto a = hp::analyze(files);
-    EXPECT_EQ(a.rootCount, 0u);
-    EXPECT_TRUE(a.pass()) << hp::renderText(a);
+    const auto a = analyzeHot(files);
+    EXPECT_EQ(a.hotRoots, 0u);
+    EXPECT_TRUE(a.pass()) << an::renderText(a);
 }
 
 TEST(HotpathTool, MutexLockExemptInRuntimeOnly)
@@ -233,15 +246,15 @@ void serve(int n)
     const std::string with_macros =
         std::string("#define ERC_HOT_PATH\n") + body;
 
-    hp::FileSet runtime_files;
+    an::FileSet runtime_files;
     runtime_files["src/elasticrec/runtime/q.cc"] = with_macros;
-    EXPECT_TRUE(hp::analyze(runtime_files).pass());
+    EXPECT_TRUE(analyzeHot(runtime_files).pass());
 
-    hp::FileSet serving_files;
+    an::FileSet serving_files;
     serving_files["src/elasticrec/serving/q.cc"] = with_macros;
-    const auto a = hp::analyze(serving_files);
-    ASSERT_EQ(a.violations.size(), 1u) << hp::renderText(a);
-    EXPECT_EQ(a.violations[0].kind, "mutex-lock");
+    const auto a = analyzeHot(serving_files);
+    ASSERT_EQ(a.findings.size(), 1u) << an::renderText(a);
+    EXPECT_EQ(a.findings[0].rule, "mutex-lock");
 }
 
 TEST(HotpathTool, BlockingIoAndStringAllocFlagged)
@@ -255,17 +268,19 @@ void serve(int n)
     std::cout << n;
     std::string label = std::to_string(n);
     (void)label;
+    fflush(stdout);
 }
 }
 )");
-    ASSERT_EQ(a.violations.size(), 2u) << hp::renderText(a);
-    EXPECT_EQ(a.violations[0].kind, "blocking-io");
-    EXPECT_EQ(a.violations[1].kind, "string-alloc");
+    ASSERT_EQ(a.findings.size(), 3u) << an::renderText(a);
+    EXPECT_EQ(a.findings[0].rule, "blocking-io");
+    EXPECT_EQ(a.findings[1].rule, "string-alloc");
+    EXPECT_EQ(a.findings[2].rule, "blocking-io");
 }
 
 TEST(HotpathTool, ExtractorHandlesCtorInitListAndTrailingTokens)
 {
-    const auto defs = hp::extractFunctions("src/x.cc", R"(
+    const auto defs = an::parseSource("src/x.cc", R"(
 struct Widget
 {
     explicit Widget(int n) : size_(n), data_{n, n} {}
@@ -279,7 +294,7 @@ int freeFn(int v)
     auto lambda = [v](int x) { return x + v; };
     return lambda(v);
 }
-)");
+)").functions;
     ASSERT_EQ(defs.size(), 4u);
     EXPECT_EQ(defs[0].name, "Widget");
     EXPECT_EQ(defs[1].name, "size");
@@ -290,12 +305,12 @@ int freeFn(int v)
 
 TEST(HotpathTool, QualifiedDefinitionNamesAreReported)
 {
-    const auto defs = hp::extractFunctions("src/x.cc", R"(
+    const auto defs = an::parseSource("src/x.cc", R"(
 namespace outer {
 struct S { void method(); };
 void S::method() {}
 }
-)");
+)").functions;
     ASSERT_EQ(defs.size(), 1u);
     EXPECT_EQ(defs[0].name, "method");
     EXPECT_EQ(defs[0].display, "S::method");
@@ -308,11 +323,12 @@ namespace demo {
 void serve(int n) { int *p = new int[n]; delete[] p; }
 }
 )");
-    const std::string json = hp::renderJson(a);
-    EXPECT_NE(json.find("\"schema\": \"erec_hotpath/v1\""),
+    const std::string json = an::renderJson(a);
+    EXPECT_NE(json.find("\"schema\": \"erec_analyze/v1\""),
               std::string::npos);
     EXPECT_NE(json.find("\"pass\": false"), std::string::npos);
-    EXPECT_NE(json.find("\"kind\": \"heap-alloc\""), std::string::npos);
+    EXPECT_NE(json.find("\"pack\": \"hotpath\""), std::string::npos);
+    EXPECT_NE(json.find("\"rule\": \"heap-alloc\""), std::string::npos);
     EXPECT_NE(json.find("\"path\": [\"serve\"]"),
               std::string::npos);
 
@@ -321,7 +337,7 @@ namespace demo {
 void serve(int n) { (void)n; }
 }
 )");
-    EXPECT_NE(hp::renderJson(clean).find("\"pass\": true"),
+    EXPECT_NE(an::renderJson(clean).find("\"pass\": true"),
               std::string::npos);
 }
 
@@ -332,9 +348,78 @@ namespace demo {
 void serve(int n) { (void)n; }
 }
 )");
-    const std::string text = hp::renderText(a);
+    const std::string text = an::renderText(a);
     EXPECT_NE(text.find("PASS"), std::string::npos);
     EXPECT_NE(text.find("1 hot roots"), std::string::npos);
+}
+
+TEST(HotpathTool, OnlySrcJoinsTheCallGraph)
+{
+    // A tests/ helper that allocates, locks two mutexes in one order
+    // and sleeps under them, sharing its name with a hot callee.
+    const char *violating = R"(
+#include <mutex>
+#include <thread>
+#include <vector>
+std::mutex a_;
+std::mutex b_;
+std::vector<int> sink;
+void helper(int n)
+{
+    std::lock_guard<std::mutex> ga(a_);
+    std::lock_guard<std::mutex> gb(b_);
+    sink.push_back(n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(n));
+}
+)";
+    an::FileSet files;
+    files["src/demo.h"] = kHotHeader;
+    files["src/demo.cc"] = R"(
+namespace demo {
+void helper(int n);
+void serve(int n) { helper(n); }
+}
+)";
+    files["tests/demo_test.cpp"] = violating;
+    const auto clean = an::analyze(files, an::LayerConfig{});
+    for (const auto &f : clean.findings)
+        EXPECT_TRUE(f.pack != "hotpath" && f.pack != "conc")
+            << an::renderText(clean);
+    EXPECT_EQ(clean.functions, 1u);
+    EXPECT_EQ(clean.reachable, 1u);
+    EXPECT_EQ(clean.mutexes, 0u);
+
+    // Control: the same helper under src/ is reachable and flagged.
+    files["src/helper.cc"] = files["tests/demo_test.cpp"];
+    const auto flagged = an::analyze(files, an::LayerConfig{});
+    const auto packHits = [&flagged](const std::string &pack) {
+        return std::count_if(
+            flagged.findings.begin(), flagged.findings.end(),
+            [&pack](const an::Finding &f) { return f.pack == pack; });
+    };
+    EXPECT_GT(packHits("hotpath"), 0) << an::renderText(flagged);
+    EXPECT_GT(packHits("conc"), 0) << an::renderText(flagged);
+}
+
+TEST(HotpathTool, MultiLineMacroKeepsLineNumbers)
+{
+    // Every continuation line of a macro is blanked in place, so the
+    // definitions after it keep their own line numbers.
+    const auto defs = an::parseSource("src/x.cc", R"(#define CHECK(c) \
+    do {               \
+        if (!(c)) {    \
+            fail();    \
+        }              \
+    } while (0)
+int after(int v)
+{
+    return v;
+}
+)").functions;
+    ASSERT_EQ(defs.size(), 1u);
+    EXPECT_EQ(defs[0].name, "after");
+    EXPECT_EQ(defs[0].line, 7);
+    EXPECT_EQ(defs[0].bodyBeginLine, 8);
 }
 
 } // namespace

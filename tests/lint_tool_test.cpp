@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the repo linter's rule engine (tools/lint/lint_core): each
- * rule must fire on a seeded violation, stay quiet on the blessed
+ * Tests for the lint pack of erec_analyze (tools/analyze/lint_pack.cc):
+ * each rule must fire on a seeded violation, stay quiet on the blessed
  * idioms, respect file classes and honor allow() suppressions.
  */
 
@@ -11,26 +11,42 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint/lint_core.h"
+#include "elasticrec/common/error.h"
+#include "tools/analyze/analyze.h"
 
-namespace erec::lint {
+namespace erec::analyze {
 namespace {
 
-bool
-hasRule(const std::vector<Diagnostic> &diags, const std::string &rule)
+/** The lint pack's findings for one file. */
+std::vector<Finding>
+lintContent(const std::string &path, const std::string &content)
 {
-    return std::any_of(diags.begin(), diags.end(),
-                       [&rule](const Diagnostic &d) {
-                           return d.rule == rule;
-                       });
+    Report report;
+    lintPack({parseSource(path, content)}, &report);
+    return report.findings;
+}
+
+bool
+hasRule(const std::vector<Finding> &findings, const std::string &rule)
+{
+    return std::any_of(findings.begin(), findings.end(),
+                       [&rule](const Finding &f) { return f.rule == rule; });
 }
 
 TEST(LintToolTest, ClassifiesPathsByTopLevelDirectory)
 {
     EXPECT_EQ(classifyPath("src/elasticrec/core/planner.cc"),
               FileClass::LibrarySource);
-    EXPECT_EQ(classifyPath("/root/repo/src/elasticrec/core/planner.h"),
-              FileClass::LibraryHeader);
+    // The first component relative to the current directory decides,
+    // never a `src` component of the checkout path above it.
+    const std::string cwd = "/home/u/src/repo";
+    EXPECT_EQ(classifyPath(repoRelative("tests/a_test.cpp", cwd)),
+              FileClass::TestSource);
+    EXPECT_EQ(classifyPath(repoRelative(cwd + "/tests/a_test.cpp", cwd)),
+              FileClass::TestSource);
+    // A root outside the current directory is a usage error (exit 2).
+    EXPECT_THROW(readTree({"/home/u/elsewhere"}, cwd), erec::ConfigError);
+    EXPECT_THROW(readTree({"../elsewhere"}, cwd), erec::ConfigError);
     EXPECT_EQ(classifyPath("tests/planner_test.cpp"),
               FileClass::TestSource);
     EXPECT_EQ(classifyPath("bench/bench_util.h"), FileClass::BenchSource);
@@ -349,82 +365,6 @@ TEST(LintToolTest, ExcessDefaultParamsSuppressible)
         "excess-default-params"));
 }
 
-TEST(LintToolTest, UnannotatedMutexCaughtInLibraryHeaders)
-{
-    const std::string hdr = "#pragma once\nnamespace erec {\n";
-    const auto diags = lintContent(
-        "src/elasticrec/x/a.h",
-        hdr + "class C {\n  mutable std::mutex mutex_;\n"
-              "  int v_ = 0;\n};\n}\n");
-    ASSERT_TRUE(hasRule(diags, "unannotated-mutex"));
-    for (const auto &d : diags) {
-        if (d.rule == "unannotated-mutex") {
-            EXPECT_EQ(d.line, 4);
-            EXPECT_NE(d.message.find("mutex_"), std::string::npos);
-        }
-    }
-    EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/x/a.h",
-                    hdr + "class C {\n  std::shared_mutex lock_;\n};\n}\n"),
-        "unannotated-mutex"));
-}
-
-TEST(LintToolTest, UnannotatedMutexQuietWhenGuarded)
-{
-    const std::string hdr = "#pragma once\nnamespace erec {\n";
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.h",
-                    hdr + "class C {\n  mutable std::mutex mutex_;\n"
-                          "  int v_ ERC_GUARDED_BY(mutex_) = 0;\n"
-                          "};\n}\n"),
-        "unannotated-mutex"));
-    // ERC_PT_GUARDED_BY (pointee guarded) satisfies the rule too.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.h",
-                    hdr + "class C {\n  std::mutex m_;\n"
-                          "  int *p_ ERC_PT_GUARDED_BY(m_) = nullptr;\n"
-                          "};\n}\n"),
-        "unannotated-mutex"));
-    // A GUARDED_BY tied to a *different* mutex does not cover this one.
-    EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/x/a.h",
-                    hdr + "class C {\n  std::mutex a_;\n  std::mutex b_;\n"
-                          "  int v_ ERC_GUARDED_BY(a_) = 0;\n"
-                          "};\n}\n"),
-        "unannotated-mutex"));
-}
-
-TEST(LintToolTest, UnannotatedMutexScopeAndExemptions)
-{
-    const std::string body =
-        "class C {\n  mutable std::mutex mutex_;\n};\n";
-    const std::string hdr = "#pragma once\nnamespace erec {\n";
-    // Lock holders are not mutex members.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.h",
-                    hdr + "inline void f() {\n"
-                          "  std::unique_lock<std::mutex> lock(m);\n"
-                          "}\n}\n"),
-        "unannotated-mutex"));
-    // Headers only; .cc internals and non-library code are free.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.cc", body), "unannotated-mutex"));
-    EXPECT_FALSE(hasRule(lintContent("tests/a_test.cpp", body),
-                         "unannotated-mutex"));
-    // runtime/ pool internals are the blessed concurrency module.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/runtime/a.h", hdr + body + "}\n"),
-        "unannotated-mutex"));
-    // allow() suppression on the member's line.
-    EXPECT_FALSE(hasRule(
-        lintContent(
-            "src/elasticrec/x/a.h",
-            hdr + "class C {\n"
-                  "  std::mutex m_; // erec-lint: allow(unannotated-mutex)\n"
-                  "};\n}\n"),
-        "unannotated-mutex"));
-}
-
 TEST(LintToolTest, HotPathAnnotationMustPrecedeDeclarator)
 {
     const std::string hdr = "#pragma once\nnamespace erec {\n";
@@ -550,14 +490,18 @@ TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
 
 TEST(LintToolTest, DiagnosticsCarryLocation)
 {
-    const auto diags = lintContent("src/elasticrec/x/a.cc",
-                                   "int a;\nthrow 1;\n");
+    Report report;
+    lintPack({parseSource("src/elasticrec/x/a.cc", "int a;\nthrow 1;\n")},
+             &report);
+    const auto &diags = report.findings;
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].line, 2);
     EXPECT_EQ(diags[0].rule, "raw-throw");
-    EXPECT_NE(formatDiagnostic(diags[0]).find("a.cc:2: [raw-throw]"),
+    EXPECT_EQ(diags[0].pack, "lint");
+    EXPECT_NE(renderText(report).find(
+                  "src/elasticrec/x/a.cc:2: [raw-throw]"),
               std::string::npos);
 }
 
 } // namespace
-} // namespace erec::lint
+} // namespace erec::analyze

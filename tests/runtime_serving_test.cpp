@@ -125,7 +125,7 @@ TEST(RuntimeServingTest, SteadyStateServingDoesNotAllocateInGates)
 
     // Steady state: every AllocGate region (queue push/pop, pool
     // dequeue, dispatcher pump bookkeeping, embedding gathers) must
-    // observe zero allocations — the dynamic form of the erec_hotpath
+    // observe zero allocations — the dynamic form of the erec_analyze hotpath
     // static contract, and the claim behind the bench's
     // allocs_per_query=0 perf-gate override.
     resetAllocRegionStats();
