@@ -33,8 +33,8 @@ ResourceRequest resourceRequestFor(const core::ShardSpec &spec);
  * requested CPU core (so a replica actually exploits the cores the
  * scheduler bin-packs for it), with the default batching knobs. This
  * is the bridge between the planner's per-shard resource math and the
- * functional runtime — bench/serving_throughput uses it to run a
- * planned deployment on real threads.
+ * functional runtime; only runtime_serving_test calls it so far — the
+ * serving benches size their executors by hand.
  */
 runtime::ExecutorOptions executorOptionsFor(const core::ShardSpec &spec);
 

@@ -9,7 +9,8 @@
  * way DeepRecSys-style serving stacks batch inference queries.
  *
  * Coalescing policy, per popBatch() call:
- *  - block until at least one item (or close()) is available;
+ *  - block until at least one item (or close()) is available — or,
+ *    with a ForkJoinBoard, until the board has an index to claim;
  *  - take everything queued, up to maxBatchSize;
  *  - if the batch is still short and maxBatchDelay is non-zero, keep
  *    waiting up to the delay for more items before returning.
@@ -37,6 +38,7 @@
 #include "elasticrec/common/error.h"
 #include "elasticrec/common/hotpath.h"
 #include "elasticrec/common/thread_annotations.h"
+#include "elasticrec/runtime/fork_join.h"
 
 namespace erec::runtime {
 
@@ -66,7 +68,14 @@ template <typename T>
 class BatchQueue
 {
   public:
-    explicit BatchQueue(BatchQueueOptions options) : opts_(options)
+    /**
+     * @param board When set, consumers waiting for an item also wake
+     *        for the board's fork-join work (see popBatch()); it must
+     *        outlive the queue.
+     */
+    explicit BatchQueue(BatchQueueOptions options,
+                        ForkJoinBoard *board = nullptr)
+        : opts_(options), sleeper_(board, mutex_, notEmpty_)
     {
         ERC_CHECK(opts_.capacity >= 1, "queue capacity must be >= 1");
         ERC_CHECK(opts_.maxBatchSize >= 1, "max batch size must be >= 1");
@@ -99,19 +108,24 @@ class BatchQueue
     /**
      * Dequeue the next coalesced batch (1..maxBatchSize items, FIFO)
      * into `batch`, which is cleared first and whose capacity is
-     * reused across calls (hence allocation-free once warm). An empty
-     * result means the queue is closed and fully drained.
+     * reused across calls (hence allocation-free once warm). Returns
+     * false once the queue is closed and fully drained (the batch is
+     * then empty). With a board, it also returns true with an *empty*
+     * batch when no item is queued but the board has an index to
+     * claim: the consumer runs ForkJoinBoard::helpOne() — outside its
+     * own gates — and pops again. A queued item always goes first.
      *
      * Shutdown contract (drain-then-empty): items queued before
      * close() are never lost. Every popBatch() call after close()
      * returns residual items in FIFO order — without lingering for
      * maxBatchDelay, since no more producers can arrive — until the
-     * queue is empty, and from then on returns an empty batch
-     * immediately. "Empty batch" is therefore the one and only
-     * termination signal a consumer needs.
+     * queue is empty, and from then on returns false (and an empty
+     * batch) immediately.
+     * A false return is therefore the one and only termination signal
+     * a consumer needs.
      */
     ERC_HOT_PATH
-    void popBatch(std::vector<T> *batch)
+    bool popBatch(std::vector<T> *batch)
     {
         batch->clear();
         // No-op once the buffer ever reached maxBatchSize capacity.
@@ -119,24 +133,27 @@ class BatchQueue
         const AllocGate gate(batchQueueRegion());
         std::unique_lock<std::mutex> lock(mutex_);
         while (size_ == 0 && !closed_)
-            notEmpty_.wait(lock);
+            if (sleeper_.idleWait(lock))
+                return true; // Nothing queued: go help the board.
         if (size_ == 0)
-            return; // Closed and drained.
+            return false; // Closed and drained.
         takeAvailable(batch);
         if (batch->size() < opts_.maxBatchSize &&
             opts_.maxBatchDelay.count() > 0) {
             const auto deadline =
                 std::chrono::steady_clock::now() + opts_.maxBatchDelay;
             while (batch->size() < opts_.maxBatchSize && !closed_) {
-                if (notEmpty_.wait_until(lock, deadline) ==
-                    std::cv_status::timeout) {
-                    takeAvailable(batch);
-                    break;
-                }
+                const bool timeout = notEmpty_.wait_until(lock, deadline) ==
+                                     std::cv_status::timeout;
+                if (size_ == 0)
+                    sleeper_.passOn(); // Not ours: maybe a board wake.
                 takeAvailable(batch);
+                if (timeout)
+                    break;
             }
         }
         notFull_.notify_all();
+        return true;
     }
 
     /**
@@ -196,6 +213,9 @@ class BatchQueue
     std::size_t size_ ERC_GUARDED_BY(mutex_) = 0;
     bool closed_ ERC_GUARDED_BY(mutex_) = false;
     std::uint64_t totalPushed_ ERC_GUARDED_BY(mutex_) = 0;
+    /** Consumers wait for an item here; registered on the board, if
+     *  any. */
+    ForkJoinBoard::Sleeper sleeper_;
 };
 
 } // namespace erec::runtime

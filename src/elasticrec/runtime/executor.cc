@@ -1,8 +1,5 @@
 #include "elasticrec/runtime/executor.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "elasticrec/common/error.h"
 
 namespace erec::runtime {
@@ -12,39 +9,19 @@ Executor::Executor(ExecutorOptions options) : opts_(options)
     ERC_CHECK(opts_.maxBatchSize >= 1, "max batch size must be >= 1");
     ERC_CHECK(opts_.queueCapacity >= 1, "queue capacity must be >= 1");
     if (opts_.workers > 0)
-        pool_ = std::make_unique<ThreadPool>(opts_.workers);
+        pool_ = std::make_unique<ThreadPool>(opts_.workers, &board_);
 }
 
 void
 Executor::parallelFor(std::size_t n,
                       const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (pool_ == nullptr || n == 1 || ThreadPool::onWorkerThread()) {
+    if (pool_ == nullptr || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    // Stride the index space over the workers plus the calling thread;
-    // the caller takes stride 0 so it always participates and the call
-    // cannot deadlock on a busy pool unless the pool is wedged by
-    // unrelated long-running tasks.
-    // External fork-join only: calls from pump workers degrade inline
-    // above, so the steady serving path never reaches this fan-out.
-    const std::size_t strides = std::min(n, pool_->numThreads() + 1);
-    std::vector<std::future<void>> pending;
-    pending.reserve(strides - 1); // ERC_HOT_PATH_ALLOW("external fork-join callers only; pump workers take the inline path above")
-    for (std::size_t s = 1; s < strides; ++s) {
-        pending.push_back(pool_->submit([&body, s, strides, n] { // ERC_HOT_PATH_ALLOW("external fork-join callers only; pump workers take the inline path above")
-            for (std::size_t i = s; i < n; i += strides)
-                body(i);
-        }));
-    }
-    for (std::size_t i = 0; i < n; i += strides)
-        body(i);
-    for (auto &f : pending)
-        f.get();
+    board_.parallelFor(n, body);
 }
 
 ExecutorStats
@@ -57,6 +34,7 @@ Executor::stats() const
         s.busyWorkers = pool_->busyWorkers();
         s.tasksExecuted = pool_->tasksExecuted();
     }
+    s.helpedItems = board_.helpedItems();
     return s;
 }
 
@@ -84,6 +62,12 @@ Executor::publishStats(obs::Registry &registry,
                "Tasks completed by the executor's pool since start.",
                labels)
         .set(static_cast<double>(s.tasksExecuted));
+    registry
+        .gauge("erec_executor_helped_items",
+               "parallelFor indices run by a thread other than their "
+               "caller (idle workers, pumps and joining callers).",
+               labels)
+        .set(static_cast<double>(s.helpedItems));
 }
 
 } // namespace erec::runtime

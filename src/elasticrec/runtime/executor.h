@@ -14,23 +14,24 @@
  *    code path, which is what the byte-determinism tests pin.
  *  - workers > 0: callables run concurrently, but consumers that need
  *    reproducible floats keep them by construction — the serving layer
- *    computes per-shard partials in parallel and merges them in fixed
- *    shard order, so per-query outputs stay bit-identical to serial
- *    mode. Only cross-query interleaving (stat counter ordering, batch
- *    composition) is scheduling-dependent.
+ *    computes per-(table, shard) partials in per-table jobs and merges
+ *    them in fixed (table, shard) order, so per-query outputs stay
+ *    bit-identical to serial mode. Only cross-query interleaving (stat
+ *    counter ordering, batch composition) is scheduling-dependent.
  *  - Causal tracing inherits both halves: span ids are slot-derived
  *    from TraceContext (never from a counter) and sampling follows
  *    submission order, so the canonical span forest of a traced run
- *    is byte-identical between serial and concurrent mode. Because a
- *    pump worker's nested parallelFor() degrades inline, only pump
- *    threads and the caller ever record spans — the recorder's
- *    per-thread ring count stays bounded by workers + 1.
+ *    is byte-identical between serial and concurrent mode, whichever
+ *    thread ran an index and recorded its spans.
  *
- * Nesting: parallelFor() called from a pool worker (e.g. a query
- * batch handler fanning out per-shard gathers) degrades to inline
- * execution instead of deadlocking on its own pool. Do not block an
- * external thread on parallelFor() while long-running pump tasks
- * occupy every worker (serving::QueryDispatcher documents this).
+ * Nesting: parallelFor() is one fork-join path for every caller. It
+ * publishes the call on the executor's ForkJoinBoard and the caller
+ * works through the indices itself; pool workers idle in their task
+ * wait, dispatcher pumps waiting for a query and other callers waiting
+ * in their own join claim the rest. A call from a pool worker (a
+ * query batch handler fanning out per-table jobs) therefore cannot
+ * deadlock on its own pool, and an external thread may call it while
+ * pump loops occupy every worker: with nobody idle it runs inline.
  */
 
 #include <cstddef>
@@ -41,6 +42,7 @@
 #include <string>
 
 #include "elasticrec/obs/metric.h"
+#include "elasticrec/runtime/fork_join.h"
 #include "elasticrec/runtime/thread_pool.h"
 
 namespace erec::runtime {
@@ -65,6 +67,8 @@ struct ExecutorStats
     std::size_t queueDepth = 0;
     std::size_t busyWorkers = 0;
     std::uint64_t tasksExecuted = 0;
+    /** parallelFor indices run by a thread other than their caller. */
+    std::uint64_t helpedItems = 0;
 };
 
 class Executor
@@ -99,11 +103,12 @@ class Executor
     }
 
     /**
-     * Run body(0..n-1), fork-join. Serial mode, n == 1, or a call from
-     * a pool worker runs inline; otherwise the index space is strided
-     * across the pool with the caller working too, and the call
-     * returns after every index completed. The body must only write
-     * disjoint state per index.
+     * Run body(0..n-1), fork-join, and return after every index
+     * completed. Serial mode and n == 1 run inline; otherwise the
+     * caller and idle threads share the indices through the board
+     * (see "Nesting" above). A throwing body fails only this call: the
+     * first exception is rethrown once every claimed index finished.
+     * The body must only write disjoint state per index.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
@@ -114,8 +119,8 @@ class Executor
     /**
      * Publish the stats() snapshot as labelled gauges
      * (erec_executor_workers / _queue_depth / _busy_workers /
-     * _tasks_executed). Call from one thread at a time — obs::Registry
-     * handles are not internally synchronized.
+     * _tasks_executed / _helped_items). Call from one thread at a time
+     * — obs::Registry handles are not internally synchronized.
      */
     void publishStats(obs::Registry &registry,
                       const obs::Labels &labels = {}) const;
@@ -123,8 +128,14 @@ class Executor
     /** The underlying pool; null in serial mode. */
     ThreadPool *pool() { return pool_.get(); }
 
+    /** The fork-join board idle threads claim parallelFor indices
+     *  from; a QueryDispatcher's queue registers its pumps on it. */
+    ForkJoinBoard &board() { return board_; }
+
   private:
     ExecutorOptions opts_;
+    /** Declared before pool_: the workers leave it before it dies. */
+    ForkJoinBoard board_;
     std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -20,7 +20,8 @@ threadPoolRegion()
 
 } // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads)
+ThreadPool::ThreadPool(std::size_t num_threads, ForkJoinBoard *board)
+    : sleeper_(board, mutex_, cv_)
 {
     ERC_CHECK(num_threads >= 1, "thread pool needs at least one worker");
     workers_.reserve(num_threads);
@@ -88,8 +89,16 @@ ThreadPool::workerLoop() ERC_NO_THREAD_SAFETY_ANALYSIS
     t_onPoolWorker = true;
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        while (tasks_.empty() && !stopping_)
-            cv_.wait(lock);
+        if (tasks_.empty() && !stopping_) {
+            if (sleeper_.idleWait(lock)) {
+                // No task queued: run one fork-join index, then look
+                // at the task queue again.
+                lock.unlock();
+                sleeper_.board()->helpOne();
+                lock.lock();
+            }
+            continue;
+        }
         if (tasks_.empty())
             return; // Stopping and fully drained.
         std::function<void()> task;

@@ -14,10 +14,12 @@
  *    task before joining the workers.
  *  - submit() returns a std::future, so exceptions thrown by a task
  *    surface at future.get() instead of terminating a worker.
- *  - onWorkerThread() lets nested fork-join code (Executor::
- *    parallelFor) detect that it already runs on a pool worker and
- *    degrade to inline execution rather than deadlock waiting for a
- *    slot on the pool it occupies.
+ *  - Given a ForkJoinBoard, a worker waiting for a task claims open
+ *    parallelFor indices instead (a queued task always goes first), so
+ *    fork-join calls use every worker no task occupies.
+ *  - onWorkerThread() tells code whether it runs on a pool worker.
+ *    Executor::parallelFor no longer branches on it: a worker's
+ *    fork-join call publishes on the board like any other caller.
  */
 
 #include <condition_variable>
@@ -34,14 +36,20 @@
 
 #include "elasticrec/common/hotpath.h"
 #include "elasticrec/common/thread_annotations.h"
+#include "elasticrec/runtime/fork_join.h"
 
 namespace erec::runtime {
 
 class ThreadPool
 {
   public:
-    /** @param num_threads Worker count; must be at least 1. */
-    explicit ThreadPool(std::size_t num_threads);
+    /**
+     * @param num_threads Worker count; must be at least 1.
+     * @param board When set, idle workers help its fork-join records;
+     *        it must outlive the pool.
+     */
+    explicit ThreadPool(std::size_t num_threads,
+                        ForkJoinBoard *board = nullptr);
 
     /** Drains all queued tasks, then joins every worker. */
     ~ThreadPool();
@@ -60,7 +68,7 @@ class ThreadPool
         using R = std::invoke_result_t<std::decay_t<F>>;
         // One task handle per submission: steady-state serving submits
         // long-lived pump loops once, not per-query tasks.
-        auto task = std::make_shared<std::packaged_task<R()>>( // ERC_HOT_PATH_ALLOW("one handle per submission; pumps are submitted once, fork-join degrades inline on pool workers")
+        auto task = std::make_shared<std::packaged_task<R()>>( // ERC_HOT_PATH_ALLOW("one handle per submission; pumps are submitted once and parallelFor never submits")
             std::forward<F>(fn));
         std::future<R> future = task->get_future();
         post([task] { (*task)(); });
@@ -78,7 +86,12 @@ class ThreadPool
     /** Tasks completed since construction. */
     std::uint64_t tasksExecuted() const;
 
-    /** True when called from one of this process' pool workers. */
+    /**
+     * True when called from one of this process' pool workers (of any
+     * pool). A worker that blocks — on a future, say — holds one of
+     * the threads the work it waits for may need; code that must not
+     * do that can check here first.
+     */
     static bool onWorkerThread();
 
   private:
@@ -93,6 +106,8 @@ class ThreadPool
     bool stopping_ ERC_GUARDED_BY(mutex_) = false;
     std::size_t busy_ ERC_GUARDED_BY(mutex_) = 0;
     std::uint64_t executed_ ERC_GUARDED_BY(mutex_) = 0;
+    /** Idle workers wait here; registered on the board, if any. */
+    ForkJoinBoard::Sleeper sleeper_;
     std::vector<std::thread> workers_;
 };
 

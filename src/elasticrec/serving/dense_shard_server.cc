@@ -9,32 +9,53 @@ namespace erec::serving {
 
 namespace {
 
-/** One gather fan-out unit: (table, shard). */
-struct GatherJob
-{
-    std::uint32_t table;
-    std::uint32_t shard;
-};
-
 /**
- * Per-thread reusable serve() buffers. Buckets, jobs and partial-merge
- * buffers keep their capacity across queries, so a warm serving
- * thread's bucketize/gather/merge machinery allocates nothing; only
- * the model-compute calls (runBottom, interactAndPredict) and the
- * returned prediction vector still own allocations.
+ * Reusable serve() buffers. Buckets and partial/merge buffers keep
+ * their capacity across queries, so a warm serving thread's
+ * bucketize/gather/merge machinery allocates nothing; only the
+ * model-compute calls (runBottom, interactAndPredict) and the returned
+ * prediction vector still own allocations. Table jobs that run on a
+ * helper thread write into the *calling* thread's scratch, each into
+ * its own table's buckets and (table, shard) slots.
  */
 struct ServeScratch
 {
     /** Per-table bucketized lookups. */
     std::vector<std::vector<workload::SparseLookup>> buckets;
-    std::vector<GatherJob> jobs;
-    /** One pooled partial per gather job. */
+    /** One pooled partial per (table, shard), at the table's shard
+     *  offset + shard. */
     std::vector<std::vector<float>> parts;
     /** Per-table pooled embeddings. */
     std::vector<std::vector<float>> pooled;
+    /** A serve() on this thread is using it. */
+    bool busy = false;
 };
 
 thread_local ServeScratch t_scratch;
+
+/**
+ * Lends this thread's scratch to one serve() call. A serve() nested in
+ * another on the same thread (a joining caller that runs a foreign
+ * parallelFor index which serves a whole query) gets a call-local
+ * arena instead of clobbering the outer call's buffers.
+ */
+class ScratchLease
+{
+  public:
+    ScratchLease() : s_(t_scratch.busy ? &local_ : &t_scratch)
+    {
+        s_->busy = true;
+    }
+    ~ScratchLease() { s_->busy = false; }
+    ScratchLease(const ScratchLease &) = delete;
+    ScratchLease &operator=(const ScratchLease &) = delete;
+
+    ServeScratch &get() { return *s_; }
+
+  private:
+    ServeScratch local_;
+    ServeScratch *s_;
+};
 
 // Interned once at static-init time; hot-path records carry the ids.
 const obs::NameId kMlpBottomName =
@@ -42,9 +63,9 @@ const obs::NameId kMlpBottomName =
 const obs::NameId kRpcGatherName = obs::internSpanName("rpc/gather");
 
 /** Child slots under the serving/serve span: slot 0 = bottom MLP,
- *  slot 1+j = gather job j. Slots above the encoding's 254-child
- *  budget are not recorded (they would alias); real configurations
- *  stay far below it. */
+ *  slot 1 + the table's shard offset + shard = that shard's gather.
+ *  Slots above the encoding's 254-child budget are not recorded (they
+ *  would alias); real configurations stay far below it. */
 constexpr unsigned kMlpBottomSlot = 0;
 constexpr unsigned kMaxGatherSlots = 253;
 
@@ -80,6 +101,10 @@ DenseShardServer::DenseShardServer(
         for (const auto &s : shards_[t])
             ERC_CHECK(s != nullptr, "null shard server for table " << t);
     }
+    shardOffset_.assign(tables + 1, 0);
+    for (std::uint32_t t = 0; t < tables; ++t)
+        shardOffset_[t + 1] =
+            shardOffset_[t] + static_cast<std::uint32_t>(shards_[t].size());
 }
 
 void
@@ -109,28 +134,20 @@ DenseShardServer::serve(const std::vector<float> &dense_in,
     served_.fetch_add(1, std::memory_order_relaxed);
     const bool traced = recorder_ != nullptr && ctx.sampled();
 
-    // Arena-style per-thread scratch (refit to this model's table
-    // count each call): allocation-free once warm.
-    ServeScratch &s = t_scratch;
+    // Arena-style per-thread scratch (refit to this model's table and
+    // shard counts each call): allocation-free once warm.
+    ScratchLease lease;
+    ServeScratch &s = lease.get();
     std::vector<float> bottom;
+    s.buckets.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
+    s.parts.resize(shardOffset_.back()); // ERC_HOT_PATH_ALLOW("refit to shard count; no-op for a warm thread")
     s.pooled.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
 
-    // Bucketize sequentially (cheap and deterministic) and enumerate
-    // every non-empty (table, shard) gather as a job.
-    s.buckets.resize(config.numTables); // ERC_HOT_PATH_ALLOW("refit to table count; no-op for a warm thread")
-    s.jobs.clear();
-    for (std::uint32_t t = 0; t < config.numTables; ++t) {
-        bucketizers_[t].bucketizeInto(lookups[t], &s.buckets[t]);
-        for (std::uint32_t sh = 0; sh < s.buckets[t].size(); ++sh)
-            if (!s.buckets[t][sh].indices.empty())
-                s.jobs.push_back({t, sh}); // ERC_HOT_PATH_ALLOW("bounded by total shard count; capacity reused across queries")
-    }
-    s.parts.resize(s.jobs.size()); // ERC_HOT_PATH_ALLOW("refit to job count; no-op for a warm thread")
-
-    // Item 0 is the bottom MLP, item 1 + j is gather job j (its span
-    // takes child slot 1 + j). The bottom MLP overlaps the gather RPCs
-    // in the real system; here the items run concurrently on the
-    // executor, or in order without one.
+    // Item 0 is the bottom MLP; item 1 + t is table t's job: bucketize
+    // the table, then gather each non-empty shard into its (table,
+    // shard) slot. Jobs touch disjoint buffers, so they run
+    // concurrently on the executor (the bottom MLP overlapping the
+    // gather RPCs, as in the real system), or in order without one.
     const auto body = [&](std::size_t i) {
         if (i == 0) {
             const std::int64_t t0 = traced ? recorder_->nowUs() : 0;
@@ -141,37 +158,46 @@ DenseShardServer::serve(const std::vector<float> &dense_in,
                                       recorder_->nowUs());
             return;
         }
-        const GatherJob &job = s.jobs[i - 1];
-        const bool span = traced && i - 1 < kMaxGatherSlots;
-        const obs::TraceContext rpc =
-            span ? ctx.child(1 + static_cast<unsigned>(i - 1))
-                 : obs::TraceContext{};
-        const std::int64_t t0 = span ? recorder_->nowUs() : 0;
-        shards_[job.table][job.shard]->gatherInto(
-            s.buckets[job.table][job.shard], &s.parts[i - 1], rpc);
-        if (span)
-            recorder_->recordSpan(rpc, kRpcGatherName, t0,
-                                  recorder_->nowUs(),
-                                  gatherArg(job.table, job.shard));
+        const auto t = static_cast<std::uint32_t>(i - 1);
+        auto &buckets = s.buckets[t];
+        bucketizers_[t].bucketizeInto(lookups[t], &buckets);
+        for (std::uint32_t sh = 0; sh < buckets.size(); ++sh) {
+            if (buckets[sh].indices.empty())
+                continue;
+            const std::uint32_t slot = shardOffset_[t] + sh;
+            const bool span = traced && slot < kMaxGatherSlots;
+            const obs::TraceContext rpc =
+                span ? ctx.child(1 + slot) : obs::TraceContext{};
+            const std::int64_t t0 = span ? recorder_->nowUs() : 0;
+            shards_[t][sh]->gatherInto(buckets[sh], &s.parts[slot], rpc);
+            if (span)
+                recorder_->recordSpan(rpc, kRpcGatherName, t0,
+                                      recorder_->nowUs(), gatherArg(t, sh));
+        }
     };
     if (executor_ != nullptr) {
         // std::cref: the std::function parameter wraps a reference
         // instead of heap-copying the closure.
-        executor_->parallelFor(s.jobs.size() + 1, std::cref(body));
+        executor_->parallelFor(config.numTables + 1, std::cref(body));
     } else {
-        for (std::size_t i = 0; i <= s.jobs.size(); ++i)
+        for (std::size_t i = 0; i <= config.numTables; ++i)
             body(i);
     }
 
     // Sum pooling distributes over the shard partition: merge the
-    // partials in job (table, shard) order, so the floating-point
-    // accumulation order is the same under any worker count.
-    for (std::uint32_t t = 0; t < config.numTables; ++t)
-        s.pooled[t].assign(batch * dim, 0.0f);
-    for (std::size_t j = 0; j < s.jobs.size(); ++j) {
-        auto &dst = s.pooled[s.jobs[j].table];
-        for (std::size_t i = 0; i < dst.size(); ++i)
-            dst[i] += s.parts[j][i];
+    // non-empty partials in (table, shard) order, so the
+    // floating-point accumulation order is the same under any worker
+    // count.
+    for (std::uint32_t t = 0; t < config.numTables; ++t) {
+        auto &dst = s.pooled[t];
+        dst.assign(batch * dim, 0.0f);
+        for (std::uint32_t sh = 0; sh < s.buckets[t].size(); ++sh) {
+            if (s.buckets[t][sh].indices.empty())
+                continue;
+            const auto &part = s.parts[shardOffset_[t] + sh];
+            for (std::size_t i = 0; i < dst.size(); ++i)
+                dst[i] += part[i];
+        }
     }
 
     // Feature interaction + top MLP + sigmoid.

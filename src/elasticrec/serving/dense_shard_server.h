@@ -72,12 +72,14 @@ class DenseShardServer
     std::vector<float> serve(const workload::Query &query) const;
 
     /**
-     * Run the bottom MLP and the per-shard gather fan-out of every
-     * query through an executor (null detaches: the jobs run in order
-     * on the caller). With a non-serial executor the bottom MLP and all
-     * shard gathers of one query run concurrently, but the shard
-     * partials are merged in fixed (table, shard) order, so outputs
-     * stay bit-identical to serial mode.
+     * Run each query's bottom MLP and per-table jobs (bucketize one
+     * table, then gather its non-empty shards) through the executor's
+     * parallelFor (null detaches: the jobs run in order on the
+     * caller). With a non-serial executor the jobs of one query run
+     * concurrently on the serving thread plus any idle worker — even
+     * when serve() itself runs on a dispatcher pump — but the
+     * (table, shard) partials are merged in fixed order, so outputs
+     * stay bit-identical to serial mode at any worker count.
      * serve() itself is thread-safe either way; attach/detach is not
      * and must happen before serving starts.
      */
@@ -85,10 +87,10 @@ class DenseShardServer
 
     /**
      * Attach a flight recorder: traced serve() calls record the
-     * bottom-MLP span and one `rpc/gather` span per non-empty shard
-     * gather under the caller's serve span, with deterministic
-     * slot-derived span ids (one job enumeration under any executor).
-     * Not thread-safe; attach before serving.
+     * bottom-MLP span (slot 0) and one `rpc/gather` span per non-empty
+     * shard gather (slot 1 + the table's shard offset + shard) under
+     * the caller's serve span, so span ids do not depend on which
+     * thread ran a job. Not thread-safe; attach before serving.
      */
     void attachRecorder(std::shared_ptr<obs::FlightRecorder> recorder);
 
@@ -104,6 +106,8 @@ class DenseShardServer
     std::shared_ptr<const model::Dlrm> dlrm_;
     std::vector<core::Bucketizer> bucketizers_;
     std::vector<std::vector<std::shared_ptr<SparseShardServer>>> shards_;
+    /** shardOffset_[t]: shards of tables before t; back() = total. */
+    std::vector<std::uint32_t> shardOffset_;
     const kernels::KernelBackend *backend_;
     std::shared_ptr<runtime::Executor> executor_;
     std::shared_ptr<obs::FlightRecorder> recorder_;

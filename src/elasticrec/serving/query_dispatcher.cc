@@ -47,7 +47,8 @@ QueryDispatcher::QueryDispatcher(
     qopts.capacity = opts.queueCapacity;
     qopts.maxBatchSize = opts.maxBatchSize;
     qopts.maxBatchDelay = std::chrono::microseconds(opts.maxBatchDelayUs);
-    queue_ = std::make_unique<runtime::BatchQueue<Job>>(qopts);
+    queue_ = std::make_unique<runtime::BatchQueue<Job>>(
+        qopts, &executor_->board());
     pumps_.reserve(executor_->workers());
     for (std::size_t w = 0; w < executor_->workers(); ++w)
         pumps_.push_back(executor_->submit([this] { pumpLoop(); }));
@@ -205,15 +206,22 @@ QueryDispatcher::pumpLoop()
     std::vector<Job> batch;
     batch.reserve(queue_->options().maxBatchSize); // ERC_HOT_PATH_ALLOW("reserve-once at pump-worker startup")
     for (;;) {
+        bool open = false;
         {
             // The serve_ call stays outside the gate: model compute
             // owns its own allocation budget (see DESIGN.md section
             // 10); the dispatcher machinery itself must stay at zero.
             const AllocGate gate(dispatcherPumpRegion());
-            queue_->popBatch(&batch);
+            open = queue_->popBatch(&batch);
         }
-        if (batch.empty())
+        if (!open)
             return; // Queue closed and drained.
+        if (batch.empty()) {
+            // No query queued, but another pump's query has open
+            // indices: run one (serve work, so outside the gates).
+            executor_->board().helpOne();
+            continue;
+        }
         // Close the members' queue spans and open one batch trace
         // with a fan-in link per sampled member: the causal record of
         // "these N queries were coalesced and served together".

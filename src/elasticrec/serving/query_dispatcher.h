@@ -16,10 +16,10 @@
  * so the determinism tests can pin the concurrent stack against the
  * pre-executor path.
  *
- * While a dispatcher is running, its executor's pool workers are
- * occupied by pump loops; do not block on Executor::parallelFor from
- * *external* threads on the same executor (calls from inside the pump
- * workers degrade inline and are fine).
+ * A pump with no query to serve is idle capacity: its queue registers
+ * on the executor's ForkJoinBoard, so a pump waiting for a query
+ * claims the open parallelFor indices of the queries other pumps are
+ * serving (and pops any queued query first).
  */
 
 #include <atomic>

@@ -44,11 +44,13 @@ struct StackOptions
      */
     std::shared_ptr<obs::Registry> observability = {};
     /**
-     * When set, the frontend's bottom MLP + shard gathers fan out over
-     * this executor and the stack gets a QueryDispatcher so queries
-     * can be submitted concurrently (stack.submit). A serial executor
-     * (workers == 0) keeps everything inline and byte-identical to the
-     * executor-less path.
+     * When set, the stack gets a QueryDispatcher whose pumps run on
+     * this executor's workers, so queries can be submitted
+     * concurrently (stack.submit), and each query's bottom MLP and
+     * per-table jobs fan out over the workers that are idle — pumps
+     * with no query queued included. A serial executor (workers == 0)
+     * keeps everything inline and byte-identical to the executor-less
+     * path.
      */
     std::shared_ptr<runtime::Executor> executor = {};
     /**

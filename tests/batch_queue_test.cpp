@@ -2,7 +2,8 @@
  * @file
  * Tests for runtime::BatchQueue: coalescing respects maxBatchSize and
  * FIFO order, the linger delay flushes short batches, the capacity
- * bound backpressures producers, and close() drains cleanly.
+ * bound backpressures producers, close() drains cleanly, and a
+ * fork-join board's wake reaches an idle consumer.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "elasticrec/common/error.h"
 #include "elasticrec/runtime/batch_queue.h"
+#include "elasticrec/runtime/fork_join.h"
 
 namespace erec::runtime {
 namespace {
@@ -188,6 +190,48 @@ TEST(BatchQueueTest, CloseWakesBlockedConsumer)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     q.close();
     consumer.join();
+}
+
+TEST(BatchQueueTest, BoardWakeReachesIdleConsumerPastLingeringOne)
+{
+    // A consumer lingering for a second item and an idle consumer wait
+    // on the same condition variable, the lingering one longer. A
+    // fork-join publish must still bring the idle one in, even when
+    // its wake lands on the lingering one.
+    ForkJoinBoard board;
+    BatchQueue<int> q(opts(8, 2, std::chrono::seconds(30)), &board);
+    ASSERT_TRUE(q.push(1));
+    std::vector<int> lingered;
+    std::thread lingering([&] { q.popBatch(&lingered); });
+    // The consumer holds the queue mutex from taking the item until it
+    // waits, so depth() == 0 means it is lingering.
+    while (q.depth() != 0)
+        std::this_thread::yield();
+    std::thread idle([&] {
+        std::vector<int> batch;
+        while (q.popBatch(&batch))
+            if (batch.empty())
+                board.helpOne();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // Each index waits for the other to start, so they run on two
+    // threads only if the idle consumer joins in.
+    std::thread::id ran[2];
+    std::atomic<int> started{0};
+    board.parallelFor(2, [&](std::size_t i) {
+        ran[i] = std::this_thread::get_id();
+        ++started;
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started < 2 && std::chrono::steady_clock::now() < until)
+            std::this_thread::yield();
+    });
+    EXPECT_NE(ran[0], ran[1]);
+    q.close();
+    lingering.join();
+    idle.join();
+    EXPECT_EQ(lingered, std::vector<int>{1});
 }
 
 TEST(BatchQueueTest, RejectsBadOptions)

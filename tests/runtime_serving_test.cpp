@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -51,9 +55,20 @@ makeQuery(const model::DlrmConfig &config, std::uint64_t seed)
     return gen.next();
 }
 
+/** One plan per table of tinyConfig(): 1, 2 and 3 shards. */
+std::vector<TablePlan>
+unevenPlans()
+{
+    return {TablePlan{.boundaries = {500}},
+            TablePlan{.boundaries = {100, 500}},
+            TablePlan{.boundaries = {10, 100, 500}}};
+}
+
 ElasticRecStack
 makeStack(const std::shared_ptr<const model::Dlrm> &dlrm,
-          std::size_t workers, bool with_executor = true)
+          std::size_t workers, bool with_executor = true,
+          std::vector<TablePlan> plans = {
+              TablePlan{.boundaries = {10, 100, 500}}})
 {
     StackOptions options;
     options.observability = std::make_shared<obs::Registry>();
@@ -65,8 +80,7 @@ makeStack(const std::shared_ptr<const model::Dlrm> &dlrm,
         options.executor =
             std::make_shared<runtime::Executor>(exec_opts);
     }
-    return buildElasticRecStack(
-        dlrm, {TablePlan{.boundaries = {10, 100, 500}}}, options);
+    return buildElasticRecStack(dlrm, std::move(plans), options);
 }
 
 TEST(RuntimeServingTest, SerialExecutorByteIdenticalToNoExecutorPath)
@@ -110,6 +124,178 @@ TEST(RuntimeServingTest, ConcurrentGathersBitIdenticalToSerial)
     }
 }
 
+TEST(RuntimeServingTest, UnevenShardCountsBitIdenticalToSerial)
+{
+    // Tables of 1, 2 and 3 shards give every table a different shard
+    // offset into the per-(table, shard) partial slots.
+    const auto config = tinyConfig();
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    auto serial = makeStack(dlrm, 0, true, unevenPlans());
+    auto concurrent = makeStack(dlrm, 4, true, unevenPlans());
+
+    std::vector<std::future<std::vector<float>>> futures;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed)
+        futures.push_back(concurrent.submit(makeQuery(config, seed)));
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        const auto q = makeQuery(config, seed);
+        const auto expect = serial.submit(q).get();
+        const auto got = futures[seed - 1].get();
+        // An external thread may fork-join on the executor while its
+        // workers all run pump loops.
+        const auto direct = concurrent.frontend->serve(q);
+        ASSERT_EQ(expect.size(), got.size());
+        ASSERT_EQ(expect.size(), direct.size());
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            EXPECT_EQ(expect[i], got[i]) << "seed " << seed;
+            EXPECT_EQ(expect[i], direct[i]) << "seed " << seed;
+        }
+    }
+}
+
+TEST(RuntimeServingTest, PumpFanOutRunsOnIdlePumps)
+{
+    // The serve function runs on a pump; its parallelFor must spread
+    // over the two pumps that have no query to serve.
+    runtime::ExecutorOptions exec_opts;
+    exec_opts.workers = 3;
+    auto executor = std::make_shared<runtime::Executor>(exec_opts);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    QueryDispatcher dispatcher(
+        [&](const workload::Query &) {
+            executor->parallelFor(6, [&](std::size_t) {
+                {
+                    const std::lock_guard<std::mutex> lock(mu);
+                    threads.insert(std::this_thread::get_id());
+                }
+                // Long enough that a woken pump claims an index before
+                // the caller has run all six.
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            });
+            return std::vector<float>(1, 0.0f);
+        },
+        executor);
+    // A pump that has not reached its first wait yet does not count
+    // as idle, so the first queries may run inline.
+    for (std::uint64_t seed = 1;
+         seed <= 50 && executor->stats().helpedItems == 0; ++seed)
+        dispatcher.submit(makeQuery(tinyConfig(), seed)).get();
+    dispatcher.drain();
+    EXPECT_GE(threads.size(), 2u);
+    EXPECT_GT(executor->stats().helpedItems, 0u);
+}
+
+TEST(RuntimeServingTest, ParallelForRethrowsAHelpersException)
+{
+    // Two idle workers help; only indices run off the calling thread
+    // throw, so the exception must travel from a helper to the caller.
+    runtime::ExecutorOptions exec_opts;
+    exec_opts.workers = 2;
+    runtime::Executor executor(exec_opts);
+    const auto caller = std::this_thread::get_id();
+    const auto body = [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        if (std::this_thread::get_id() != caller)
+            throw std::runtime_error("helper boom");
+    };
+    // Workers that have not reached their first wait are not idle yet,
+    // so an early call may run inline and not throw.
+    for (int attempt = 0;
+         attempt < 50 && executor.stats().helpedItems == 0; ++attempt) {
+        bool threw = false;
+        try {
+            executor.parallelFor(8, body);
+        } catch (const std::runtime_error &) {
+            threw = true;
+        }
+        EXPECT_EQ(threw, executor.stats().helpedItems > 0);
+    }
+    EXPECT_GT(executor.stats().helpedItems, 0u);
+    // The workers survived and the executor still fans out.
+    std::vector<std::atomic<int>> hits(16);
+    executor.parallelFor(hits.size(), [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RuntimeServingTest, ParallelForOverWholeQueriesMatchesSerial)
+{
+    // Indices that serve whole queries, while the pumps serve
+    // dispatcher traffic: a pump joining its own query's fan-out may
+    // run one of these indices, i.e. a second serve() nested on the
+    // same thread, which must not share the outer call's scratch.
+    // Heavy lookups make table jobs long enough that a joiner sleeps
+    // and a publish wakes it to help.
+    auto config = tinyConfig();
+    config.poolingFactor = 400;
+    config.batchSize = 8;
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    auto serial = makeStack(dlrm, 0);
+    auto stack = makeStack(dlrm, 3);
+    constexpr std::size_t kQueries = 24;
+    constexpr std::uint64_t kSubmitted = 256;
+    std::vector<std::vector<float>> got(kQueries);
+    std::vector<std::future<std::vector<float>>> futures;
+    std::thread client([&] {
+        for (std::uint64_t seed = 1; seed <= kSubmitted; ++seed)
+            futures.push_back(stack.submit(makeQuery(config, 1000 + seed)));
+    });
+    for (int round = 0; round < 12; ++round) {
+        stack.executor->parallelFor(kQueries, [&](std::size_t i) {
+            got[i] = stack.frontend->serve(makeQuery(config, i + 1));
+        });
+        for (std::size_t i = 0; i < kQueries; ++i)
+            EXPECT_EQ(serial.frontend->serve(makeQuery(config, i + 1)),
+                      got[i])
+                << "query " << i;
+    }
+    client.join();
+    for (std::uint64_t seed = 1; seed <= kSubmitted; ++seed)
+        EXPECT_EQ(serial.frontend->serve(makeQuery(config, 1000 + seed)),
+                  futures[seed - 1].get())
+            << "submitted query " << seed;
+}
+
+TEST(RuntimeServingTest, PoisonedQueryFailsOnlyItself)
+{
+    // A query ID past the table's rows makes the Bucketizer throw
+    // inside a table job, which may run on any of the three pumps.
+    const auto config = tinyConfig();
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    auto serial = makeStack(dlrm, 0);
+    auto stack = makeStack(dlrm, 3);
+
+    constexpr std::uint64_t kQueries = 12;
+    constexpr std::uint64_t kPoisoned = 5;
+    std::vector<std::future<std::vector<float>>> futures;
+    for (std::uint64_t seed = 1; seed <= kQueries; ++seed) {
+        auto q = makeQuery(config, seed);
+        if (seed == kPoisoned)
+            q.lookups[1].indices[0] =
+                static_cast<std::uint32_t>(config.rowsPerTable + 7);
+        futures.push_back(stack.submit(std::move(q)));
+    }
+    for (std::uint64_t seed = 1; seed <= kQueries; ++seed) {
+        auto &fut = futures[seed - 1];
+        if (seed == kPoisoned) {
+            EXPECT_THROW(fut.get(), ConfigError);
+            continue;
+        }
+        const auto expect = serial.submit(makeQuery(config, seed)).get();
+        const auto got = fut.get();
+        ASSERT_EQ(expect.size(), got.size());
+        for (std::size_t i = 0; i < expect.size(); ++i)
+            EXPECT_EQ(expect[i], got[i]) << "seed " << seed;
+    }
+    // Every pump is still serving.
+    for (std::uint64_t seed = 100; seed < 106; ++seed)
+        EXPECT_FALSE(stack.submit(makeQuery(config, seed)).get().empty());
+    stack.dispatcher->drain();
+    EXPECT_EQ(stack.dispatcher->queriesServed(), kQueries + 6);
+}
+
 TEST(RuntimeServingTest, SteadyStateServingDoesNotAllocateInGates)
 {
     const auto config = tinyConfig();
@@ -148,9 +334,7 @@ TEST(RuntimeServingTest, ManyClientsStressConcurrentStack)
     const auto config = tinyConfig();
     auto dlrm = std::make_shared<model::Dlrm>(config);
     auto stack = makeStack(dlrm, 2);
-    // Size probe goes through the dispatcher too: with pump loops
-    // occupying the pool, an external thread must not call the
-    // frontend's parallelFor path directly (see QueryDispatcher docs).
+    // Size probe through the dispatcher; it counts as a served query.
     const std::size_t out_size =
         stack.submit(makeQuery(config, 99)).get().size();
 
@@ -193,6 +377,7 @@ TEST(RuntimeServingTest, ManyClientsStressConcurrentStack)
     stack.publishStats();
     const auto text = obs::toPrometheusText(*stack.observability);
     EXPECT_NE(text.find("erec_executor_workers"), std::string::npos);
+    EXPECT_NE(text.find("erec_executor_helped_items"), std::string::npos);
     EXPECT_NE(text.find("erec_serving_queries_served"),
               std::string::npos);
     EXPECT_NE(text.find("erec_serving_batches"), std::string::npos);

@@ -2,8 +2,7 @@
  * @file
  * Tests for runtime::ThreadPool: drain-on-shutdown must lose no task,
  * task exceptions must surface at future.get() (not kill a worker),
- * and onWorkerThread() must identify pool threads for the nested
- * fork-join degradation in Executor::parallelFor.
+ * and onWorkerThread() must identify pool threads.
  */
 
 #include <gtest/gtest.h>

@@ -4,8 +4,10 @@
  * stack: TraceContext propagation from QueryDispatcher::submit through
  * BatchQueue coalescing into the shard servers, fan-in links from
  * batch traces to their sampled members, the workers=0 vs workers=4
- * byte-identical canonical-forest gate (which also gives TSan a real
- * producer/consumer workload over the span rings), ring-overflow
+ * byte-identical canonical-forest gate, also with uneven per-table
+ * shard counts (which also gives TSan a real producer/consumer
+ * workload over the span rings, recorded from whichever thread ran a
+ * job), ring-overflow
  * drop accounting through the stack, and the allocation-free steady
  * path with tracing on.
  */
@@ -57,7 +59,9 @@ makeQuery(const model::DlrmConfig &config, std::uint64_t seed)
 ElasticRecStack
 makeTracedStack(const std::shared_ptr<const model::Dlrm> &dlrm,
                 std::size_t workers, std::uint64_t sample_every,
-                std::size_t ring_capacity = 4096)
+                std::size_t ring_capacity = 4096,
+                std::vector<TablePlan> plans = {
+                    TablePlan{.boundaries = {10, 100, 500}}})
 {
     StackOptions options;
     options.observability = std::make_shared<obs::Registry>();
@@ -68,8 +72,7 @@ makeTracedStack(const std::shared_ptr<const model::Dlrm> &dlrm,
     options.executor = std::make_shared<runtime::Executor>(exec_opts);
     options.traceSampleEvery = sample_every;
     options.traceRingCapacity = ring_capacity;
-    return buildElasticRecStack(
-        dlrm, {TablePlan{.boundaries = {10, 100, 500}}}, options);
+    return buildElasticRecStack(dlrm, std::move(plans), options);
 }
 
 /** Name of a node's span, resolved from the process-wide table. */
@@ -161,9 +164,12 @@ TEST(TracingServingTest, EveryNthSamplingHoldsThroughTheStack)
 std::string
 runForest(const model::DlrmConfig &config,
           const std::shared_ptr<const model::Dlrm> &dlrm,
-          std::size_t workers)
+          std::size_t workers,
+          std::vector<TablePlan> plans = {
+              TablePlan{.boundaries = {10, 100, 500}}})
 {
-    auto stack = makeTracedStack(dlrm, workers, /*sample_every=*/1);
+    auto stack = makeTracedStack(dlrm, workers, /*sample_every=*/1,
+                                 /*ring_capacity=*/4096, std::move(plans));
     std::vector<std::future<std::vector<float>>> futures;
     for (std::uint64_t seed = 1; seed <= 32; ++seed)
         futures.push_back(stack.submit(makeQuery(config, seed)));
@@ -190,6 +196,22 @@ TEST(TracingServingTest, ForestByteIdenticalSerialVsFourWorkers)
     EXPECT_FALSE(serial.empty());
     EXPECT_NE(serial.find("serving/query"), std::string::npos);
     EXPECT_NE(serial.find("serving/mlp_bottom"), std::string::npos);
+    EXPECT_EQ(serial, concurrent);
+}
+
+TEST(TracingServingTest, UnevenShardCountsForestByteIdentical)
+{
+    // Tables of 1, 2 and 3 shards: each gather's span slot is 1 + its
+    // table's shard offset + shard, whichever thread ran the table job.
+    const auto config = tinyConfig();
+    auto dlrm = std::make_shared<model::Dlrm>(config);
+    const std::vector<TablePlan> plans = {
+        TablePlan{.boundaries = {500}},
+        TablePlan{.boundaries = {100, 500}},
+        TablePlan{.boundaries = {10, 100, 500}}};
+    const std::string serial = runForest(config, dlrm, 0, plans);
+    const std::string concurrent = runForest(config, dlrm, 4, plans);
+    EXPECT_NE(serial.find("rpc/gather"), std::string::npos);
     EXPECT_EQ(serial, concurrent);
 }
 
