@@ -3,8 +3,8 @@
  * End-to-end concurrent serving throughput sweep: builds the full
  * functional stack (bucketizers, sparse shard servers, dense frontend)
  * on a runtime::Executor at each worker count, drives it closed-loop
- * through the QueryDispatcher, and reports QPS, latency quantiles (from
- * obs::QuantileSketch) and the coalesced batch-size histogram.
+ * through the QueryDispatcher, and reports QPS and latency quantiles
+ * (from obs::QuantileSketch).
  *
  * Machine-readable output goes to BENCH_serving.json (override with
  * --out); the CI perf gate compares it against
@@ -53,7 +53,6 @@
 #include "elasticrec/model/dlrm.h"
 #include "elasticrec/obs/export.h"
 #include "elasticrec/obs/sketch.h"
-#include "elasticrec/rpc/channel.h"
 #include "elasticrec/serving/stack_builder.h"
 #include "elasticrec/workload/query_generator.h"
 
@@ -82,7 +81,6 @@ struct SweepResult
     double p50Ms = 0.0;
     double p95Ms = 0.0;
     double maxMs = 0.0;
-    double meanBatch = 0.0;
     /** Heap allocations per query inside the AllocGate regions of the
      *  steady-state path (queue, pool dequeue, pump, gathers) — gated
      *  at exactly zero by the CI perf gate. With --trace-sample this is
@@ -94,7 +92,6 @@ struct SweepResult
     /** Throughput cost of tracing: (qps - qps_traced) / qps * 100,
      *  clamped at 0. Always emitted; 0 when tracing is off. */
     double traceOverheadPct = 0.0;
-    std::vector<std::uint64_t> batchHist;
 };
 
 BenchOptions
@@ -169,8 +166,6 @@ runPoint(const std::shared_ptr<const model::Dlrm> &dlrm,
     auto registry = std::make_shared<obs::Registry>();
     runtime::ExecutorOptions exec_opts;
     exec_opts.workers = t;
-    exec_opts.maxBatchSize = 8;
-    exec_opts.maxBatchDelayUs = 200;
     auto stack = serving::buildElasticRecStack(
         dlrm,
         {serving::TablePlan{.boundaries = {config.rowsPerTable / 64,
@@ -233,13 +228,11 @@ runPoint(const std::shared_ptr<const model::Dlrm> &dlrm,
     r.p50Ms = latency_ms.quantile(0.50);
     r.p95Ms = latency_ms.quantile(0.95);
     r.maxMs = latency_ms.maxValue();
-    r.meanBatch = stack.dispatcher->meanBatchSize();
     std::uint64_t region_allocs = 0;
     for (const auto &stats : allocRegionStats())
         region_allocs += stats.allocs;
     r.allocsPerQuery = static_cast<double>(region_allocs) /
                        static_cast<double>(opts.queries);
-    r.batchHist = stack.dispatcher->batchSizeHistogram();
 
     // The drain joins the pumps, so every sampled query's spans have
     // been recorded before the recorder is collected.
@@ -286,15 +279,11 @@ writeJson(const std::string &path, const BenchOptions &opts,
             << ", \"p50_ms\": " << jsonNum(r.p50Ms)
             << ", \"p95_ms\": " << jsonNum(r.p95Ms)
             << ", \"max_ms\": " << jsonNum(r.maxMs)
-            << ", \"mean_batch\": " << jsonNum(r.meanBatch)
             << ", \"allocs_per_query\": " << jsonNum(r.allocsPerQuery)
             << ", \"qps_traced\": " << jsonNum(r.qpsTraced)
             << ", \"trace_overhead_pct\": "
-            << jsonNum(r.traceOverheadPct)
-            << ", \"batch_hist\": [";
-        for (std::size_t k = 0; k < r.batchHist.size(); ++k)
-            out << (k ? ", " : "") << r.batchHist[k];
-        out << "]}" << (i + 1 < sweep.size() ? "," : "") << "\n";
+            << jsonNum(r.traceOverheadPct) << "}"
+            << (i + 1 < sweep.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
     const double first = sweep.front().qps;
@@ -303,29 +292,6 @@ writeJson(const std::string &path, const BenchOptions &opts,
         << jsonNum(first > 0.0 ? last / first : 0.0) << "\n";
     out << "}\n";
     ERC_CHECK(out.good(), "failed writing bench output " << path);
-}
-
-/** What the runtime's request coalescing buys on the RPC cost model:
- *  a batch of n lookups pays the per-call gRPC overhead once. */
-void
-printBatchingModel()
-{
-    const rpc::Channel ch(hw::NetworkLink(12.5e9, 5));
-    const Bytes req = 512, resp = 2048;
-    TablePrinter t({"batch", "n x roundTrip (us)", "batched (us)",
-                    "saving"});
-    for (const std::size_t n : {1UL, 4UL, 8UL, 16UL}) {
-        const auto individual =
-            static_cast<double>(n) *
-            static_cast<double>(ch.roundTrip(req, resp));
-        const auto batched =
-            static_cast<double>(ch.batchedRoundTrip(n, req, resp));
-        t.addRow({TablePrinter::num(static_cast<std::int64_t>(n)),
-                  TablePrinter::num(individual, 0),
-                  TablePrinter::num(batched, 0),
-                  TablePrinter::percent(1.0 - batched / individual)});
-    }
-    t.print(std::cout);
 }
 
 int
@@ -382,7 +348,7 @@ run(int argc, char **argv)
     }
 
     TablePrinter table({"workers", "QPS", "p50 ms", "p95 ms", "max ms",
-                        "mean batch", "allocs/q", "trace ov %"});
+                        "allocs/q", "trace ov %"});
     for (const auto &r : sweep)
         table.addRow({TablePrinter::num(static_cast<std::int64_t>(
                           r.threads)),
@@ -390,7 +356,6 @@ run(int argc, char **argv)
                       TablePrinter::num(r.p50Ms, 3),
                       TablePrinter::num(r.p95Ms, 3),
                       TablePrinter::num(r.maxMs, 3),
-                      TablePrinter::num(r.meanBatch, 2),
                       TablePrinter::num(r.allocsPerQuery, 3),
                       TablePrinter::num(r.traceOverheadPct, 2)});
     table.print(std::cout);
@@ -399,11 +364,7 @@ run(int argc, char **argv)
                                 : 0.0;
     std::cout << "QPS scaling " << sweep.front().threads << " -> "
               << sweep.back().threads << " workers: "
-              << TablePrinter::ratio(scaling) << "\n\n";
-
-    std::cout << "Modeled RPC round-trip cost of batch coalescing "
-                 "(512 B req / 2 KiB resp):\n";
-    printBatchingModel();
+              << TablePrinter::ratio(scaling) << "\n";
 
     writeJson(opts.out, opts, sweep);
     std::cout << "\nwrote " << opts.out << "\n";

@@ -356,7 +356,7 @@ stage_tsan_stress() {
 # and the real serving stack (serving_throughput) with --metrics-out
 # and causal tracing (--trace-sample 100 = every 100th query),
 # validate every emitted telemetry file (Prometheus text, trace/alert
-# JSON-lines against erec_trace/v2, and the Perfetto export) with
+# JSON-lines against erec_trace/v3, and the Perfetto export) with
 # promcheck, then render the run report — stage sketches plus the
 # critical-path table for the simulated and the real stack — and gate
 # on the "lost-queries" alert — steady fig19 traffic must never lose a

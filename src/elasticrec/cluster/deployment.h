@@ -31,7 +31,7 @@ ResourceRequest resourceRequestFor(const core::ShardSpec &spec);
 /**
  * Size a pod's serving executor from its shard spec: one worker per
  * requested CPU core (so a replica actually exploits the cores the
- * scheduler bin-packs for it), with the default batching knobs. This
+ * scheduler bin-packs for it), with the default queue capacity. This
  * is the bridge between the planner's per-shard resource math and the
  * functional runtime; only runtime_serving_test calls it so far — the
  * serving benches size their executors by hand.

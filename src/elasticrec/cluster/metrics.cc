@@ -131,17 +131,4 @@ MetricsRegistry::deployments() const
     return names;
 }
 
-void
-MetricsRegistry::setGauge(const std::string &name, double value)
-{
-    gauges_[name] = value;
-}
-
-double
-MetricsRegistry::gauge(const std::string &name) const
-{
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
 } // namespace erec::cluster

@@ -2,11 +2,12 @@
 
 /**
  * @file
- * Prometheus-style metrics registry: per-deployment QPS windows, tail
- * latency percentiles, and gauges (memory consumption, replica counts).
- * The HPA controller and the experiment harnesses read metrics from
- * here exclusively, mirroring how the paper's setup scrapes custom
- * statistics from a Prometheus metrics server.
+ * Prometheus-style metrics registry: per-deployment QPS windows and
+ * tail latency percentiles. The HPA controller and the experiment
+ * harnesses read these signals from here exclusively, mirroring how
+ * the paper's setup scrapes custom statistics from a Prometheus
+ * metrics server. Point-in-time values (memory, replica counts) are
+ * gauges of the bound obs::Registry, not of this class.
  *
  * When bound to an obs::Registry (bindObservability), every completion
  * and SLA violation is additionally published as exportable labelled
@@ -110,12 +111,6 @@ class MetricsRegistry
     /** Names of deployments that have recorded at least one sample. */
     std::vector<std::string> deployments() const;
 
-    /** Set a named gauge (e.g. memory bytes, replica count). */
-    void setGauge(const std::string &name, double value);
-
-    /** Read a gauge (0 when never set). */
-    double gauge(const std::string &name) const;
-
   private:
     Series &series(const std::string &deployment);
     void bindSeries(const std::string &deployment, Series &s);
@@ -124,7 +119,6 @@ class MetricsRegistry
     SimTime latencyWindow_;
     obs::Registry *obs_ = nullptr;
     std::map<std::string, Series> series_;
-    std::map<std::string, double> gauges_;
 };
 
 } // namespace erec::cluster

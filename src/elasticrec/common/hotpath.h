@@ -23,7 +23,7 @@
  *    function definition it exempts the whole function and stops
  *    traversal into it. The reason string is mandatory and must say
  *    *why* the violation is acceptable (e.g. "reserve-once at worker
- *    startup", "bounded by maxBatchSize"); erec_analyze's
+ *    startup", "runs once per thread"); erec_analyze's
  *    hot-path-annotation rule rejects empty reasons.
  *
  * DESIGN.md section 10 documents what counts as steady state and when

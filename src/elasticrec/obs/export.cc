@@ -268,11 +268,6 @@ parseEventLine(const std::string &line)
             e.spanId = cur.parseUint();
         } else if (key == "parent_id") {
             e.parentId = cur.parseUint();
-        } else if (key == "kind") {
-            const std::string kind = cur.parseString();
-            ERC_CHECK(kind == "span" || kind == "link",
-                      "trace json: unknown kind '" << kind << "'");
-            e.kind = kind == "link" ? EventKind::Link : EventKind::Span;
         } else if (key == "name") {
             e.name = internSpanName(cur.parseString());
         } else if (key == "start_us") {
@@ -287,7 +282,7 @@ parseEventLine(const std::string &line)
     }
     cur.expect('}');
     ERC_CHECK(cur.atEnd(), "trace json: trailing content on line");
-    ERC_CHECK(seen.size() == 8, "trace json: line lacks a required key");
+    ERC_CHECK(seen.size() == 7, "trace json: line lacks a required key");
     return e;
 }
 
@@ -368,9 +363,8 @@ writeTraceJsonLines(std::ostream &os, const std::vector<SpanEvent> &events)
 {
     for (const SpanEvent &e : events)
         os << "{\"trace_id\":" << e.traceId << ",\"span_id\":" << e.spanId
-           << ",\"parent_id\":" << e.parentId << ",\"kind\":\""
-           << (e.kind == EventKind::Link ? "link" : "span")
-           << "\",\"name\":\"" << escapeJson(spanName(e.name))
+           << ",\"parent_id\":" << e.parentId << ",\"name\":\""
+           << escapeJson(spanName(e.name))
            << "\",\"start_us\":" << e.startUs << ",\"end_us\":" << e.endUs
            << ",\"arg\":" << e.arg << "}\n";
 }

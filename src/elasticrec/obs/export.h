@@ -8,7 +8,7 @@
  *    server serves to its scraper): HELP/TYPE headers, escaped label
  *    values, cumulative `_bucket{le=...}` histogram series plus `_sum`
  *    and `_count`.
- *  - JSON lines for traces (`erec_trace/v2`): one SpanEvent per line,
+ *  - JSON lines for traces (`erec_trace/v3`): one SpanEvent per line,
  *    with a strict reader so tooling (and tests) can round-trip what
  *    the writer emits, plus the Chrome/Perfetto view of the same spans.
  *
@@ -36,8 +36,8 @@ std::string toPrometheusText(const Registry &registry);
 /**
  * Write span events as JSON lines, one event per line in the given
  * order, with its name resolved from the interned table:
- * `{"trace_id":..,"span_id":..,"parent_id":..,"kind":"span"|"link",
- *   "name":"..","start_us":..,"end_us":..,"arg":..}`.
+ * `{"trace_id":..,"span_id":..,"parent_id":..,"name":"..",
+ *   "start_us":..,"end_us":..,"arg":..}`.
  */
 void writeTraceJsonLines(std::ostream &os,
                          const std::vector<SpanEvent> &events);

@@ -100,14 +100,6 @@ FlightRecorder::maybeStartTrace()
     return {n + 1, kRootSpanId};
 }
 
-TraceContext
-FlightRecorder::startBatchTrace()
-{
-    const std::uint64_t seq =
-        batchSeq_.fetch_add(1, std::memory_order_relaxed);
-    return {kBatchTraceBit | (seq + 1), kRootSpanId};
-}
-
 void
 FlightRecorder::registerThisThread()
 {

@@ -46,18 +46,8 @@
 
 namespace erec::obs {
 
-/** Record kind discriminator for SpanEvent. */
-enum class EventKind : std::uint32_t
-{
-    /** A completed span: [startUs, endUs] under (traceId, spanId). */
-    Span = 0,
-    /** A fan-in link: the batch span `spanId` served the member query
-     *  trace `arg` (Perfetto flow event). Timestamps carry the link
-     *  instant in both fields. */
-    Link = 1,
-};
-
-/** Fixed-size POD trace record; the only thing rings ever store. */
+/** Fixed-size POD trace record of one completed span, [startUs,
+ *  endUs] under (traceId, spanId); the only thing rings ever store. */
 struct SpanEvent
 {
     std::uint64_t traceId = 0;
@@ -65,11 +55,9 @@ struct SpanEvent
     std::uint64_t parentId = 0;
     std::int64_t startUs = 0;
     std::int64_t endUs = 0;
-    /** Kind-specific payload: linked member trace id for Link events,
-     *  an optional detail word (e.g. table<<16|shard) for spans. */
+    /** Optional detail word (e.g. table<<16|shard). */
     std::uint64_t arg = 0;
     NameId name = kInvalidNameId;
-    EventKind kind = EventKind::Span;
 };
 
 static_assert(std::is_trivially_copyable_v<SpanEvent>,
@@ -137,10 +125,6 @@ class FlightRecorder
      */
     TraceContext maybeStartTrace();
 
-    /** Root context for an internal batch trace (kBatchTraceBit set).
-     *  Batch ids are allocation-order, not deterministic. */
-    TraceContext startBatchTrace();
-
     /**
      * Pre-create the calling thread's ring. Worker threads call this
      * once at startup, before any AllocGate, so the steady-path
@@ -167,25 +151,6 @@ class FlightRecorder
         e.endUs = end_us;
         e.arg = arg;
         e.name = name;
-        e.kind = EventKind::Span;
-        record(e);
-    }
-
-    /** Convenience: record a batch->member fan-in link at `ts_us`. */
-    ERC_HOT_PATH
-    void recordLink(const TraceContext &batch_ctx, NameId name,
-                    std::uint64_t member_trace_id,
-                    std::int64_t ts_us) noexcept
-    {
-        SpanEvent e;
-        e.traceId = batch_ctx.traceId;
-        e.spanId = batch_ctx.spanId;
-        e.parentId = parentSpanId(batch_ctx.spanId);
-        e.startUs = ts_us;
-        e.endUs = ts_us;
-        e.arg = member_trace_id;
-        e.name = name;
-        e.kind = EventKind::Link;
         record(e);
     }
 
@@ -221,7 +186,6 @@ class FlightRecorder
     std::uint64_t id_;
     std::chrono::steady_clock::time_point epoch_;
     std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> batchSeq_{0};
     mutable std::mutex registryMu_;
     /** Keyed by a process-unique thread key (not std::thread::id, so
      *  obs stays free of <thread> per the raw-thread rule). */

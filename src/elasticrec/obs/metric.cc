@@ -42,6 +42,17 @@ validLabelName(const std::string &name)
     });
 }
 
+/** A counter or gauge child's value; 0 for a histogram. */
+double
+childValue(const Registry::Child &child)
+{
+    if (child.counter)
+        return child.counter->value();
+    if (child.gauge)
+        return child.gauge->value();
+    return 0.0;
+}
+
 } // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -193,13 +204,19 @@ Registry::value(const std::string &name, const Labels &labels) const
     if (it == families_.end())
         return 0.0;
     const auto child = it->second.children.find(labelKey(labels));
-    if (child == it->second.children.end())
-        return 0.0;
-    if (child->second.counter)
-        return child->second.counter->value();
-    if (child->second.gauge)
-        return child->second.gauge->value();
-    return 0.0;
+    return child == it->second.children.end() ? 0.0
+                                              : childValue(child->second);
+}
+
+double
+Registry::sum(const std::string &name) const
+{
+    const auto it = families_.find(name);
+    double total = 0.0;
+    if (it != families_.end())
+        for (const auto &[key, child] : it->second.children)
+            total += childValue(child);
+    return total;
 }
 
 } // namespace erec::obs

@@ -159,6 +159,10 @@ class Registry
      */
     double value(const std::string &name, const Labels &labels = {}) const;
 
+    /** Sum of value() over every label set of a counter/gauge family
+     *  (0 when the family does not exist). */
+    double sum(const std::string &name) const;
+
     /** Canonical `k="v",...` rendering used as the child map key. */
     static std::string labelKey(const Labels &labels);
 

@@ -59,60 +59,21 @@ writePerfettoJson(std::ostream &os, const std::vector<SpanEvent> &events)
 {
     std::vector<EventLine> lines;
     std::uint64_t order = 0;
-    std::uint64_t flow_id = 0;
     for (const SpanEvent &e : events) {
-        const bool batch = (e.traceId & kBatchTraceBit) != 0;
-        const std::uint64_t tid = e.traceId & ~kBatchTraceBit;
-        // Batch traces live in a separate "process" track group so
-        // per-query tracks stay readable.
-        const int pid = batch ? 2 : 1;
-        if (e.kind == EventKind::Span) {
-            EventLine line;
-            line.ts = e.startUs;
-            line.tid = tid;
-            line.order = order++;
-            std::ostringstream oss;
-            oss << "{\"name\":\"" << escapeName(spanName(e.name))
-                << "\",\"ph\":\"X\",\"ts\":" << e.startUs
-                << ",\"dur\":" << (e.endUs - e.startUs)
-                << ",\"pid\":" << pid << ",\"tid\":" << tid
-                << ",\"args\":{\"span_id\":" << e.spanId
-                << ",\"parent_id\":" << e.parentId << ",\"arg\":" << e.arg
-                << "}}";
-            line.json = oss.str();
-            lines.push_back(std::move(line));
-            continue;
-        }
-        // Link: a flow arrow from the batch span ("s") to the member
-        // query's root track ("f"). Both halves share cat+id+name.
-        const std::uint64_t id = ++flow_id;
-        const std::uint64_t member_tid = e.arg & ~kBatchTraceBit;
-        {
-            EventLine line;
-            line.ts = e.startUs;
-            line.tid = tid;
-            line.order = order++;
-            std::ostringstream oss;
-            oss << "{\"name\":\"" << escapeName(spanName(e.name))
-                << "\",\"ph\":\"s\",\"cat\":\"batch\",\"id\":" << id
-                << ",\"ts\":" << e.startUs << ",\"pid\":" << pid
-                << ",\"tid\":" << tid << "}";
-            line.json = oss.str();
-            lines.push_back(std::move(line));
-        }
-        {
-            EventLine line;
-            line.ts = e.endUs;
-            line.tid = member_tid;
-            line.order = order++;
-            std::ostringstream oss;
-            oss << "{\"name\":\"" << escapeName(spanName(e.name))
-                << "\",\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"batch\","
-                << "\"id\":" << id << ",\"ts\":" << e.endUs
-                << ",\"pid\":1,\"tid\":" << member_tid << "}";
-            line.json = oss.str();
-            lines.push_back(std::move(line));
-        }
+        EventLine line;
+        line.ts = e.startUs;
+        line.tid = e.traceId;
+        line.order = order++;
+        std::ostringstream oss;
+        oss << "{\"name\":\"" << escapeName(spanName(e.name))
+            << "\",\"ph\":\"X\",\"ts\":" << e.startUs
+            << ",\"dur\":" << (e.endUs - e.startUs)
+            << ",\"pid\":1,\"tid\":" << e.traceId
+            << ",\"args\":{\"span_id\":" << e.spanId
+            << ",\"parent_id\":" << e.parentId << ",\"arg\":" << e.arg
+            << "}}";
+        line.json = oss.str();
+        lines.push_back(std::move(line));
     }
     emitLines(os, std::move(lines));
 }
@@ -188,15 +149,13 @@ validatePerfettoJson(const std::string &text)
     if (lines.size() < 2 || lines.front() != "{\"traceEvents\":[" ||
         lines.back() != "]}") {
         errors.push_back(
-            "not an erec_trace/v2 perfetto file: expected a "
+            "not an erec_trace/v3 perfetto file: expected a "
             "{\"traceEvents\":[ ... ]} envelope with one event per "
             "line");
         return errors;
     }
 
     std::int64_t prev_ts = -1;
-    std::vector<std::int64_t> flow_starts;
-    std::vector<std::int64_t> flow_finishes;
     for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
         const std::string &line = lines[i];
         const std::string where = "event " + std::to_string(i);
@@ -221,39 +180,15 @@ validatePerfettoJson(const std::string &text)
                              " goes backwards (previous " +
                              std::to_string(prev_ts) + ")");
         prev_ts = ts;
-        if (ph == "X") {
-            std::int64_t dur = 0;
-            if (!findIntField(line, "dur", &dur) || dur < 0)
-                errors.push_back(where +
-                                 ": complete event needs dur >= 0");
-        } else if (ph == "s" || ph == "f") {
-            std::int64_t id = 0;
-            std::string cat;
-            if (!findIntField(line, "id", &id) ||
-                !findStrField(line, "cat", &cat)) {
-                errors.push_back(where + ": flow event needs id + cat");
-                continue;
-            }
-            (ph == "s" ? flow_starts : flow_finishes).push_back(id);
-        } else {
+        if (ph != "X") {
             errors.push_back(where + ": unsupported phase '" + ph +
                              "'");
+            continue;
         }
+        std::int64_t dur = 0;
+        if (!findIntField(line, "dur", &dur) || dur < 0)
+            errors.push_back(where + ": complete event needs dur >= 0");
     }
-    std::sort(flow_starts.begin(), flow_starts.end());
-    std::sort(flow_finishes.begin(), flow_finishes.end());
-    for (const std::int64_t id : flow_starts)
-        if (!std::binary_search(flow_finishes.begin(),
-                                flow_finishes.end(), id))
-            errors.push_back("flow " + std::to_string(id) +
-                             ": link start has no finish (unresolved "
-                             "batch->member link)");
-    for (const std::int64_t id : flow_finishes)
-        if (!std::binary_search(flow_starts.begin(), flow_starts.end(),
-                                id))
-            errors.push_back("flow " + std::to_string(id) +
-                             ": link finish has no start (unresolved "
-                             "batch->member link)");
     return errors;
 }
 

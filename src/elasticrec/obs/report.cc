@@ -46,8 +46,6 @@ attributeStages(const std::vector<SpanTree> &trees)
     QuantileSketch e2e;
 
     for (const SpanTree &tree : trees) {
-        if (tree.isBatch())
-            continue;
         ++report.tracedQueries;
         if (!tree.complete()) {
             // A lost/in-flight query has no root span: every one of
@@ -155,7 +153,7 @@ analyzeCriticalPaths(const std::vector<SpanTree> &trees)
     };
     std::map<std::string, ChainAccumulator> chains;
     for (const SpanTree &tree : trees) {
-        if (tree.isBatch() || !tree.complete())
+        if (!tree.complete())
             continue;
         ++report.analyzedTraces;
         const SpanEvent &root = tree.nodes[tree.root].event;

@@ -10,13 +10,11 @@
  * a query's latency go: queueing, dense compute, the gather RPCs, or
  * the sparse shards themselves? A trace counts as completed when its
  * root span was recorded; the root span's duration is its end-to-end
- * latency and every other span is a stage. Batch trees are skipped:
- * they are not queries.
- * Per-deployment span names are normalized to a small stable stage set
- * (`sparse/<dep>/queue` -> `sparse/queue`, `rpc/<dep>/request` ->
- * `rpc/request`, ...) so runs with many shards stay readable, and each
- * stage's tail is tracked with a QuantileSketch, keeping attribution
- * O(1) per span.
+ * latency and every other span is a stage. Per-deployment span names
+ * are normalized to a small stable stage set (`sparse/<dep>/queue` ->
+ * `sparse/queue`, `rpc/<dep>/request` -> `rpc/request`, ...) so runs
+ * with many shards stay readable, and each stage's tail is tracked
+ * with a QuantileSketch, keeping attribution O(1) per span.
  *
  * The renderers produce the sections of `erec_report`'s output: stage
  * breakdown table, SLO verdict table (one row per alert rule that

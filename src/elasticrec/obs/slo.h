@@ -28,6 +28,10 @@
  * e.g. `p95(dense) > 260ms for 5s`, `violation_ratio(rm1) > 1%`,
  * `lost_queries > 0`. p95 signals are in milliseconds, ratios are
  * fractions (1% == 0.01), `s` thresholds convert to ms.
+ * `gauge(<name>)` reads the metric family `<name>` of the owner's
+ * obs::Registry summed over its label sets (Registry::sum), so
+ * `gauge(erec_ready_replicas)` counts the Ready pods of every
+ * deployment; a family not registered yet reads 0.
  *
  * The tracker is decoupled from the cluster layer: the owner supplies a
  * SignalReader callback that resolves (signal, now) -> value, so obs/
@@ -50,7 +54,7 @@ enum class SignalKind
     P95,            //!< p95(<deployment>), milliseconds.
     ViolationRatio, //!< violations / completions, fraction in [0, 1].
     Qps,            //!< qps(<deployment>), queries per second.
-    GaugeValue,     //!< gauge(<name>), raw units.
+    GaugeValue,     //!< gauge(<name>): family summed over labels.
     LostQueries,    //!< queries lost to pod crashes, count.
 };
 
@@ -59,7 +63,7 @@ const char *toString(SignalKind kind);
 struct SloSignal
 {
     SignalKind kind = SignalKind::P95;
-    /** Deployment or gauge name; empty for lost_queries. */
+    /** Deployment or metric family name; empty for lost_queries. */
     std::string target;
 };
 

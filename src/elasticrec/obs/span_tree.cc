@@ -33,10 +33,7 @@ buildSpanTrees(std::vector<SpanEvent> events)
     for (const SpanEvent &e : events) {
         SpanTree &tree = by_trace[e.traceId];
         tree.traceId = e.traceId;
-        if (e.kind == EventKind::Link)
-            tree.links.push_back(e);
-        else
-            tree.nodes.push_back({e, {}});
+        tree.nodes.push_back({e, {}});
     }
 
     std::vector<SpanTree> trees;
@@ -48,10 +45,6 @@ buildSpanTrees(std::vector<SpanEvent> events)
         std::sort(tree.nodes.begin(), tree.nodes.end(),
                   [](const SpanNode &a, const SpanNode &b) {
                       return a.event.spanId < b.event.spanId;
-                  });
-        std::sort(tree.links.begin(), tree.links.end(),
-                  [](const SpanEvent &a, const SpanEvent &b) {
-                      return a.arg < b.arg;
                   });
         std::map<std::uint64_t, std::size_t> index_of;
         for (std::size_t i = 0; i < tree.nodes.size(); ++i)
@@ -81,8 +74,7 @@ std::string
 canonicalTreeText(const SpanTree &tree)
 {
     std::ostringstream oss;
-    oss << "trace " << (tree.traceId & ~kBatchTraceBit)
-        << (tree.isBatch() ? " (batch)" : "") << '\n';
+    oss << "trace " << tree.traceId << '\n';
     if (!tree.nodes.empty())
         appendNode(oss, tree, tree.root, 1);
     return oss.str();
@@ -92,11 +84,8 @@ std::string
 canonicalForestText(const std::vector<SpanTree> &trees)
 {
     std::ostringstream oss;
-    for (const SpanTree &tree : trees) {
-        if (tree.isBatch())
-            continue;
+    for (const SpanTree &tree : trees)
         oss << canonicalTreeText(tree);
-    }
     return oss.str();
 }
 

@@ -7,8 +7,7 @@
  * per-trace hierarchical span trees, and serializes them into a
  * *canonical text* form used by the determinism gate: structure, span
  * names, slot-derived span ids and deterministic args only — no
- * wall-clock timestamps, no batch traces (batch composition depends on
- * thread timing). Two runs of the same workload must produce
+ * wall-clock timestamps. Two runs of the same workload must produce
  * byte-identical canonical forests whether the dispatcher runs serial
  * (`workers=0`) or concurrent (`workers=4`); tests and the bench
  * assert exactly that.
@@ -30,7 +29,7 @@ struct SpanNode
     std::vector<std::size_t> children;
 };
 
-/** The assembled tree of one trace (one sampled query or one batch). */
+/** The assembled tree of one trace (one sampled query). */
 struct SpanTree
 {
     std::uint64_t traceId = 0;
@@ -39,10 +38,6 @@ struct SpanTree
     std::size_t root = 0;
     /** Nodes sorted by span id (deterministic, slot-ordered). */
     std::vector<SpanNode> nodes;
-    /** Fan-in link events recorded under this trace. */
-    std::vector<SpanEvent> links;
-
-    bool isBatch() const { return (traceId & kBatchTraceBit) != 0; }
 
     /** True when the root span (kRootSpanId) was recorded: the trace
      *  closed. A tree without one is lost or still in flight. */
@@ -67,8 +62,7 @@ std::string canonicalTreeText(const SpanTree &tree);
 
 /**
  * Canonical text of a whole run: one canonicalTreeText block per
- * query trace in trace-id (submission) order. Batch traces are
- * excluded — their composition is legitimately scheduling-dependent.
+ * trace in trace-id (submission) order.
  */
 std::string canonicalForestText(const std::vector<SpanTree> &trees);
 

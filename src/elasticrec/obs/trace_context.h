@@ -3,9 +3,9 @@
 /**
  * @file
  * POD causal-trace context propagated across every RPC and runtime
- * boundary: `serving::QueryDispatcher` -> `runtime::BatchQueue` ->
- * shard servers, and `sim::Pod` work items / `rpc` message headers in
- * the simulator. It is the stand-in for the W3C `traceparent` header
+ * boundary: `serving::QueryDispatcher` -> its `runtime::BatchQueue`
+ * job (one query per job) -> shard servers, and `sim::Pod` work items
+ * / `rpc` message headers in the simulator. It is the stand-in for the W3C `traceparent` header
  * the paper's Linkerd mesh would inject on every hop.
  *
  * The context is 16 bytes of plain data so it can ride inside the
@@ -28,11 +28,6 @@ namespace erec::obs {
 
 /** Span id of the root span of every trace (child slots hang off it). */
 inline constexpr std::uint64_t kRootSpanId = 1;
-
-/** Trace-id bit marking internal batch traces (vs. per-query traces).
- *  Batch composition depends on thread timing, so batch traces are
- *  excluded from determinism-sensitive artifacts. */
-inline constexpr std::uint64_t kBatchTraceBit = 1ULL << 63;
 
 /** Structural parent of a child() derived span id (0 for the root). */
 constexpr std::uint64_t

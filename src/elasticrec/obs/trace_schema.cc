@@ -14,8 +14,7 @@ validateOne(const SpanTree &tree, std::vector<std::string> *errors)
 {
     const auto fail = [&](const std::string &what) {
         std::ostringstream oss;
-        oss << "trace " << (tree.traceId & ~kBatchTraceBit)
-            << (tree.isBatch() ? " (batch)" : "") << ": " << what;
+        oss << "trace " << tree.traceId << ": " << what;
         errors->push_back(oss.str());
     };
     const auto named = [](const SpanEvent &e) {
@@ -57,10 +56,6 @@ validateOne(const SpanTree &tree, std::vector<std::string> *errors)
             fail(named(span) + " completes before its parent " +
                  named(parent->event) + " starts");
     }
-    for (const SpanEvent &link : tree.links)
-        if (link.arg == 0)
-            fail("link '" + spanName(link.name) +
-                 "' names no member trace");
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 
 /**
  * @file
- * The `erec_trace/v2` schema: the contract every exported
+ * The `erec_trace/v3` schema: the contract every exported
  * `*_traces.jsonl` artifact must satisfy, validated by promcheck in
  * the CI smoke stage so a broken exporter (or a causality bug in span
  * id assignment) fails the build instead of silently producing
@@ -17,8 +17,7 @@
  *  - a parent that was recorded never starts after its child ends;
  *  - complete traces only: every parent resolves, and every span lies
  *    inside the root span (an open trace legitimately dangles: its
- *    enclosing spans have not closed yet);
- *  - every link names its member trace (arg != 0).
+ *    enclosing spans have not closed yet).
  */
 
 #include <string>
@@ -29,7 +28,7 @@
 namespace erec::obs {
 
 /** Schema identifier promcheck reports against. */
-inline constexpr const char *kTraceSchemaVersion = "erec_trace/v2";
+inline constexpr const char *kTraceSchemaVersion = "erec_trace/v3";
 
 /** Validate span events; returns one message per violation (empty =
  *  ok). */

@@ -30,19 +30,4 @@ Channel::roundTrip(Bytes request_bytes, Bytes response_bytes) const
     return oneWay(request_bytes) + oneWay(response_bytes);
 }
 
-SimTime
-Channel::batchedOneWay(std::size_t n, Bytes per_message_bytes) const
-{
-    ERC_CHECK(n >= 1, "batched call needs at least one message");
-    return oneWay(per_message_bytes * n);
-}
-
-SimTime
-Channel::batchedRoundTrip(std::size_t n, Bytes request_bytes,
-                          Bytes response_bytes) const
-{
-    return batchedOneWay(n, request_bytes) +
-           batchedOneWay(n, response_bytes);
-}
-
 } // namespace erec::rpc

@@ -7,8 +7,6 @@
  * hw::NetworkLink with gRPC-stack constants.
  */
 
-#include <cstddef>
-
 #include "elasticrec/common/units.h"
 #include "elasticrec/hw/network.h"
 
@@ -34,19 +32,6 @@ class Channel
      * time is *not* included; the simulator adds it between legs.
      */
     SimTime roundTrip(Bytes request_bytes, Bytes response_bytes) const;
-
-    /**
-     * One-way latency for `n` requests coalesced into a single call:
-     * the fixed gRPC stack overhead is paid once, while serialization
-     * and transfer scale with the summed payload. This is the latency
-     * model behind the runtime's BatchQueue coalescing — batching n
-     * lookups saves (n - 1) per-call overheads per leg.
-     */
-    SimTime batchedOneWay(std::size_t n, Bytes per_message_bytes) const;
-
-    /** Round trip for a coalesced batch of n request/response pairs. */
-    SimTime batchedRoundTrip(std::size_t n, Bytes request_bytes,
-                             Bytes response_bytes) const;
 
     const hw::NetworkLink &link() const { return link_; }
 

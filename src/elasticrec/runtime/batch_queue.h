@@ -2,18 +2,14 @@
 
 /**
  * @file
- * Bounded MPMC queue with request coalescing: the admission path of
- * the concurrent serving executor. Producers push individual items
- * (lookup requests); consumers pop *batches*, letting a worker
- * amortize per-request overheads (RPC stack cost, cache warmup) the
- * way DeepRecSys-style serving stacks batch inference queries.
+ * Bounded MPMC queue: the admission path of the concurrent serving
+ * executor. Producers push individual items (queries); each pop()
+ * hands one consumer the oldest item, so a query waits only for the
+ * queries ahead of it and then goes to the next free consumer — the
+ * FIFO-queue-per-pod model of the simulator's sim::Pod.
  *
- * Coalescing policy, per popBatch() call:
- *  - block until at least one item (or close()) is available — or,
- *    with a ForkJoinBoard, until the board has an index to claim;
- *  - take everything queued, up to maxBatchSize;
- *  - if the batch is still short and maxBatchDelay is non-zero, keep
- *    waiting up to the delay for more items before returning.
+ * pop() blocks until an item is queued or the queue is closed — or,
+ * with a ForkJoinBoard, until the board has an index to claim.
  *
  * The capacity bound gives producers backpressure: push() blocks while
  * the queue is full, so an overloaded executor slows its clients down
@@ -21,13 +17,12 @@
  * the simulator's bounded pod queues).
  *
  * Hot-path discipline: storage is a fixed ring buffer sized at
- * construction and popBatch() fills a caller-owned batch vector, so
- * the steady state allocates nothing — push/pop are wrapped in
- * AllocGate scopes charged to the "batch-queue" region, and the
- * `erec_analyze` hotpath pack treats both as roots.
+ * construction and pop() moves into a caller-owned slot, so the steady
+ * state allocates nothing — push/pop are wrapped in AllocGate scopes
+ * charged to the "batch-queue" region, and the `erec_analyze` hotpath
+ * pack treats both as roots.
  */
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -42,21 +37,25 @@
 
 namespace erec::runtime {
 
-/** Coalescing and backpressure knobs of a BatchQueue. */
+/** Backpressure bound of a BatchQueue. */
 struct BatchQueueOptions
 {
     /** Maximum queued items before push() blocks (backpressure). */
     std::size_t capacity = 1024;
-    /** Largest batch one popBatch() call returns. */
-    std::size_t maxBatchSize = 8;
-    /**
-     * How long popBatch() lingers for more items once it holds a
-     * non-empty, non-full batch. Zero flushes immediately.
-     */
-    std::chrono::microseconds maxBatchDelay{100};
 };
 
-/** Region charged by the AllocGates inside push() and popBatch(). */
+/** What one BatchQueue::pop() call produced. */
+enum class PopStatus
+{
+    /** The oldest queued item was moved into the caller's slot. */
+    Item,
+    /** Nothing is queued but the board has an index to claim. */
+    Help,
+    /** Closed and drained: the consumer's termination signal. */
+    Closed,
+};
+
+/** Region charged by the AllocGates inside push() and pop(). */
 inline AllocRegion &
 batchQueueRegion()
 {
@@ -70,7 +69,7 @@ class BatchQueue
   public:
     /**
      * @param board When set, consumers waiting for an item also wake
-     *        for the board's fork-join work (see popBatch()); it must
+     *        for the board's fork-join work (see pop()); it must
      *        outlive the queue.
      */
     explicit BatchQueue(BatchQueueOptions options,
@@ -78,9 +77,6 @@ class BatchQueue
         : opts_(options), sleeper_(board, mutex_, notEmpty_)
     {
         ERC_CHECK(opts_.capacity >= 1, "queue capacity must be >= 1");
-        ERC_CHECK(opts_.maxBatchSize >= 1, "max batch size must be >= 1");
-        ERC_CHECK(opts_.maxBatchDelay.count() >= 0,
-                  "max batch delay must be non-negative");
         // All storage up front: the steady state never reallocates.
         ring_.resize(opts_.capacity);
     }
@@ -106,60 +102,40 @@ class BatchQueue
     }
 
     /**
-     * Dequeue the next coalesced batch (1..maxBatchSize items, FIFO)
-     * into `batch`, which is cleared first and whose capacity is
-     * reused across calls (hence allocation-free once warm). Returns
-     * false once the queue is closed and fully drained (the batch is
-     * then empty). With a board, it also returns true with an *empty*
-     * batch when no item is queued but the board has an index to
-     * claim: the consumer runs ForkJoinBoard::helpOne() — outside its
-     * own gates — and pops again. A queued item always goes first.
+     * Move the oldest queued item into `*item` (PopStatus::Item),
+     * blocking while the queue is empty and open. With a board, it
+     * also returns PopStatus::Help when no item is queued but the
+     * board has an index to claim: the consumer runs
+     * ForkJoinBoard::helpOne() — outside its own gates — and pops
+     * again. A queued item always goes first.
      *
      * Shutdown contract (drain-then-empty): items queued before
-     * close() are never lost. Every popBatch() call after close()
-     * returns residual items in FIFO order — without lingering for
-     * maxBatchDelay, since no more producers can arrive — until the
-     * queue is empty, and from then on returns false (and an empty
-     * batch) immediately.
-     * A false return is therefore the one and only termination signal
-     * a consumer needs.
+     * close() are never lost. Every pop() after close() returns a
+     * residual item, in FIFO order, until the queue is empty, and from
+     * then on returns PopStatus::Closed immediately. Closed is
+     * therefore the one and only termination signal a consumer needs.
      */
     ERC_HOT_PATH
-    bool popBatch(std::vector<T> *batch)
+    PopStatus pop(T *item)
     {
-        batch->clear();
-        // No-op once the buffer ever reached maxBatchSize capacity.
-        batch->reserve(opts_.maxBatchSize); // ERC_HOT_PATH_ALLOW("reserve-once: amortized to zero after the first pop")
         const AllocGate gate(batchQueueRegion());
         std::unique_lock<std::mutex> lock(mutex_);
         while (size_ == 0 && !closed_)
             if (sleeper_.idleWait(lock))
-                return true; // Nothing queued: go help the board.
+                return PopStatus::Help; // Nothing queued: help the board.
         if (size_ == 0)
-            return false; // Closed and drained.
-        takeAvailable(batch);
-        if (batch->size() < opts_.maxBatchSize &&
-            opts_.maxBatchDelay.count() > 0) {
-            const auto deadline =
-                std::chrono::steady_clock::now() + opts_.maxBatchDelay;
-            while (batch->size() < opts_.maxBatchSize && !closed_) {
-                const bool timeout = notEmpty_.wait_until(lock, deadline) ==
-                                     std::cv_status::timeout;
-                if (size_ == 0)
-                    sleeper_.passOn(); // Not ours: maybe a board wake.
-                takeAvailable(batch);
-                if (timeout)
-                    break;
-            }
-        }
-        notFull_.notify_all();
-        return true;
+            return PopStatus::Closed;
+        *item = std::move(ring_[head_]);
+        head_ = (head_ + 1) % opts_.capacity;
+        --size_;
+        notFull_.notify_one();
+        return PopStatus::Item;
     }
 
     /**
      * Reject future pushes and wake every waiter. Items already queued
-     * still drain through popBatch() — see the drain-then-empty
-     * contract on popBatch(). Idempotent.
+     * still drain through pop() — see the drain-then-empty contract on
+     * pop(). Idempotent.
      */
     void close()
     {
@@ -193,16 +169,6 @@ class BatchQueue
     const BatchQueueOptions &options() const { return opts_; }
 
   private:
-    void takeAvailable(std::vector<T> *batch) ERC_REQUIRES(mutex_)
-    {
-        while (batch->size() < opts_.maxBatchSize && size_ > 0) {
-            // Bounded by the reserve() in popBatch(): never grows.
-            batch->push_back(std::move(ring_[head_])); // ERC_HOT_PATH_ALLOW("bounded by maxBatchSize; the caller's buffer is pre-reserved")
-            head_ = (head_ + 1) % opts_.capacity;
-            --size_;
-        }
-    }
-
     const BatchQueueOptions opts_;
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
@@ -214,7 +180,7 @@ class BatchQueue
     bool closed_ ERC_GUARDED_BY(mutex_) = false;
     std::uint64_t totalPushed_ ERC_GUARDED_BY(mutex_) = 0;
     /** Consumers wait for an item here; registered on the board, if
-     *  any. */
+     *  any. Every waiter is idle, so a board wake is never lost. */
     ForkJoinBoard::Sleeper sleeper_;
 };
 

@@ -6,7 +6,6 @@ namespace erec::runtime {
 
 Executor::Executor(ExecutorOptions options) : opts_(options)
 {
-    ERC_CHECK(opts_.maxBatchSize >= 1, "max batch size must be >= 1");
     ERC_CHECK(opts_.queueCapacity >= 1, "queue capacity must be >= 1");
     if (opts_.workers > 0)
         pool_ = std::make_unique<ThreadPool>(opts_.workers, &board_);

@@ -3,8 +3,8 @@
 /**
  * @file
  * Concurrent serving executor: the facade the serving layer runs on.
- * An Executor bundles a fixed-size ThreadPool with the batching knobs
- * its request queue(s) use, behind one options struct, and publishes
+ * An Executor bundles a fixed-size ThreadPool with the capacity of the
+ * request queue served on it, behind one options struct, and publishes
  * occupancy/queue-depth statistics into an obs::Registry.
  *
  * Determinism contract:
@@ -17,7 +17,8 @@
  *    computes per-(table, shard) partials in per-table jobs and merges
  *    them in fixed (table, shard) order, so per-query outputs stay
  *    bit-identical to serial mode. Only cross-query interleaving (stat
- *    counter ordering, batch composition) is scheduling-dependent.
+ *    counter ordering, which thread served or helped) is
+ *    scheduling-dependent.
  *  - Causal tracing inherits both halves: span ids are slot-derived
  *    from TraceContext (never from a counter) and sampling follows
  *    submission order, so the canonical span forest of a traced run
@@ -29,7 +30,7 @@
  * works through the indices itself; pool workers idle in their task
  * wait, dispatcher pumps waiting for a query and other callers waiting
  * in their own join claim the rest. A call from a pool worker (a
- * query batch handler fanning out per-table jobs) therefore cannot
+ * pump serving a query fanning out per-table jobs) therefore cannot
  * deadlock on its own pool, and an external thread may call it while
  * pump loops occupy every worker: with nobody idle it runs inline.
  */
@@ -52,10 +53,6 @@ struct ExecutorOptions
 {
     /** Worker threads; 0 selects the deterministic serial mode. */
     std::size_t workers = 0;
-    /** Largest coalesced request batch a worker serves at once. */
-    std::size_t maxBatchSize = 8;
-    /** How long a short batch lingers for more requests, microseconds. */
-    std::uint64_t maxBatchDelayUs = 100;
     /** Bounded request-queue capacity (producer backpressure). */
     std::size_t queueCapacity = 1024;
 };

@@ -167,13 +167,6 @@ ForkJoinBoard::Sleeper::idleWait(std::unique_lock<std::mutex> &lock)
 }
 
 void
-ForkJoinBoard::Sleeper::passOn()
-{
-    if (board_ != nullptr && idle_ > 0 && board_->hasWork())
-        cv_->notify_one();
-}
-
-void
 ForkJoinBoard::Sleeper::wakeIdle()
 {
     bool idle = false;

@@ -86,7 +86,9 @@ class ForkJoinBoard
      * under their owner's mutex (a ThreadPool's task wait, a
      * BatchQueue's item wait). It is registered on the board for its
      * lifetime, so publishing a record wakes one of its idle waiters.
-     * With a null board every call is a plain condition-variable wait.
+     * Every wait on the condition variable goes through idleWait(), so
+     * such a wake always lands on an idle thread. With a null board
+     * every call is a plain condition-variable wait.
      */
     class Sleeper
     {
@@ -107,15 +109,6 @@ class ForkJoinBoard
          * state.
          */
         bool idleWait(std::unique_lock<std::mutex> &lock);
-
-        /**
-         * For a waiter that is *not* idle (a BatchQueue consumer
-         * lingering for more items): call with the owner's mutex held
-         * after each wake-up that brought it nothing. A board wake may
-         * have landed on it instead of an idle waiter of the same
-         * condition variable; this passes it on.
-         */
-        void passOn();
 
         ForkJoinBoard *board() const { return board_; }
 

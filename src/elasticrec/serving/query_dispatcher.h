@@ -3,13 +3,13 @@
 /**
  * @file
  * Request front door of a concurrently-served shard: clients submit
- * queries and get futures back; pool workers pull *coalesced batches*
- * off a bounded runtime::BatchQueue and serve them through the
- * wrapped serve function (a DenseShardServer, MonolithicServer, or
- * any other callable). This is the piece that turns the executor's
- * worker threads into QPS — per-shard thread pools plus request
- * batching are where capacity-driven scale-out serving gets its
- * throughput.
+ * queries and get futures back; one pump per executor worker pops one
+ * query at a time off a bounded runtime::BatchQueue and serves it
+ * through the wrapped serve function (a DenseShardServer,
+ * MonolithicServer, or any other callable). One FIFO queue served by
+ * one pump per worker is the real-stack shape of the simulator's pods:
+ * a query waits only for the queries ahead of it, then runs on the
+ * next free pump.
  *
  * With a serial executor the dispatcher degrades to inline execution
  * on the caller's thread (byte-identical to calling serve directly),
@@ -47,16 +47,14 @@ class QueryDispatcher
     /**
      * @param serve Called once per query, possibly concurrently from
      *        several pool workers; it must be thread-safe.
-     * @param executor Supplies the worker pool and the batching knobs
-     *        (maxBatchSize / maxBatchDelayUs / queueCapacity).
+     * @param executor Supplies the worker pool and the request-queue
+     *        capacity.
      * @param recorder Optional flight recorder: when set and enabled,
      *        submit() samples queries deterministically (every Nth)
      *        and the dispatcher emits the causal span skeleton —
-     *        serving/query root, serving/queue wait, serving/serve —
-     *        plus one batch trace per coalesced batch with fan-in
-     *        links to its sampled members. The sampled TraceContext
-     *        rides in Query::trace so shard servers append their own
-     *        child spans.
+     *        serving/query root, serving/queue wait, serving/serve.
+     *        The sampled TraceContext rides in Query::trace so shard
+     *        servers append their own child spans.
      */
     QueryDispatcher(ServeFn serve,
                     std::shared_ptr<runtime::Executor> executor,
@@ -84,20 +82,20 @@ class QueryDispatcher
     void drain();
 
     std::uint64_t queriesServed() const;
-    std::uint64_t batchesServed() const;
 
-    /** histogram[k] counts served batches of size k+1 (capped at the
-     *  executor's maxBatchSize). */
-    std::vector<std::uint64_t> batchSizeHistogram() const;
+    /** Kept for perfbench, which reads them: every pop serves one
+     *  query, so this equals queriesServed(). */
+    std::uint64_t batchesServed() const { return queriesServed(); }
 
-    /** Mean coalesced batch size over all served batches (0: none). */
-    double meanBatchSize() const;
+    /** Kept for perfbench: 1.0 once a query was served, else 0.0. */
+    double meanBatchSize() const
+    {
+        return queriesServed() == 0 ? 0.0 : 1.0;
+    }
 
     /**
-     * Publish queue depth, served-query/batch counters and the
-     * batch-size histogram (as an erec_serving_batches gauge family
-     * labelled by batch_size) into a registry. Single-threaded, like
-     * Executor::publishStats.
+     * Publish queue depth and the served-query counter into a
+     * registry. Single-threaded, like Executor::publishStats.
      */
     void publishStats(obs::Registry &registry,
                       const obs::Labels &labels = {}) const;
@@ -130,9 +128,6 @@ class QueryDispatcher
     std::atomic<bool> drained_{false};
 
     std::atomic<std::uint64_t> queriesServed_{0};
-    std::atomic<std::uint64_t> batchesServed_{0};
-    /** batchHist_[k]: batches of size k+1; sized maxBatchSize. */
-    std::vector<std::atomic<std::uint64_t>> batchHist_;
 };
 
 } // namespace erec::serving

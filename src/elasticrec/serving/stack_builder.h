@@ -85,7 +85,8 @@ struct ElasticRecStack
     std::shared_ptr<obs::Registry> observability = {};
     /** Executor from StackOptions; null when none was supplied. */
     std::shared_ptr<runtime::Executor> executor = {};
-    /** Batching front door; non-null iff an executor was supplied. */
+    /** Request front door (one FIFO queue, one pump per worker);
+     *  non-null iff an executor was supplied. */
     std::shared_ptr<QueryDispatcher> dispatcher = {};
     /** The kernel backend the whole stack resolved to (never null). */
     const kernels::KernelBackend *kernelBackend = nullptr;
@@ -101,7 +102,7 @@ struct ElasticRecStack
 
     /**
      * Snapshot serving counters (frontend queries served, per-shard
-     * rows gathered, executor occupancy, dispatcher batching stats)
+     * rows gathered, executor occupancy, dispatcher queue stats)
      * into the registry. No-op without one.
      */
     void publishStats() const;

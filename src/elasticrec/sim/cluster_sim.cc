@@ -219,7 +219,7 @@ ClusterSimulation::readSloSignal(const obs::SloSignal &signal, SimTime now)
       case obs::SignalKind::Qps:
         return metrics_.qps(signal.target, now);
       case obs::SignalKind::GaugeValue:
-        return metrics_.gauge(signal.target);
+        return obs_->sum(signal.target);
       case obs::SignalKind::LostQueries:
         return static_cast<double>(lostQueries_);
     }

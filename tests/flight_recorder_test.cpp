@@ -5,7 +5,7 @@
  * overflow-drops contract, the FlightRecorder's deterministic
  * every-Nth sampling and drain protocol, span-tree assembly with its
  * canonical (timestamp-free) text form, and the Perfetto exporter
- * against its own erec_trace/v2 validator.
+ * against its own erec_trace/v3 validator.
  */
 
 #include <gtest/gtest.h>
@@ -120,18 +120,6 @@ TEST(FlightRecorderTest, SamplingIsDeterministicEveryNth)
     EXPECT_EQ(off.submissions(), 0u);
 }
 
-TEST(FlightRecorderTest, BatchTracesCarryTheBatchBit)
-{
-    FlightRecorder rec({.sampleEvery = 1});
-    const TraceContext b0 = rec.startBatchTrace();
-    const TraceContext b1 = rec.startBatchTrace();
-    EXPECT_NE(b0.traceId & kBatchTraceBit, 0u);
-    EXPECT_NE(b1.traceId & kBatchTraceBit, 0u);
-    EXPECT_NE(b0.traceId, b1.traceId);
-    // Query trace ids never collide with batch ids.
-    EXPECT_EQ(rec.maybeStartTrace().traceId & kBatchTraceBit, 0u);
-}
-
 TEST(FlightRecorderTest, RecordAndDrainRoundTrip)
 {
     const NameId name = internSpanName("test/roundtrip");
@@ -140,15 +128,13 @@ TEST(FlightRecorderTest, RecordAndDrainRoundTrip)
     ASSERT_TRUE(root.sampled());
 
     rec.recordSpan(root.child(0), name, 10, 20, /*arg=*/42);
-    rec.recordLink(root, name, /*member_trace_id=*/7, 15);
 
     const auto events = rec.drain();
-    ASSERT_EQ(events.size(), 2u);
+    ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(rec.ringCount(), 1u);
     EXPECT_EQ(rec.droppedEvents(), 0u);
 
     const SpanEvent &span = events[0];
-    EXPECT_EQ(span.kind, EventKind::Span);
     EXPECT_EQ(span.traceId, root.traceId);
     EXPECT_EQ(span.spanId, root.childSpanId(0));
     EXPECT_EQ(span.parentId, root.spanId);
@@ -156,11 +142,6 @@ TEST(FlightRecorderTest, RecordAndDrainRoundTrip)
     EXPECT_EQ(span.endUs, 20);
     EXPECT_EQ(span.arg, 42u);
     EXPECT_EQ(span.name, name);
-
-    const SpanEvent &link = events[1];
-    EXPECT_EQ(link.kind, EventKind::Link);
-    EXPECT_EQ(link.arg, 7u);
-    EXPECT_EQ(link.startUs, 15);
 
     // Drain moves, not copies: a second drain is empty.
     EXPECT_TRUE(rec.drain().empty());
@@ -205,7 +186,6 @@ TEST(SpanTreeTest, AssemblyIsOrderIndependentAndCanonical)
     ASSERT_EQ(trees.size(), 1u);
     const SpanTree &tree = trees.front();
     EXPECT_EQ(tree.traceId, 5u);
-    EXPECT_FALSE(tree.isBatch());
     ASSERT_EQ(tree.nodes.size(), 4u);
     // Root is the kRootSpanId node; its children sit in slot order.
     EXPECT_EQ(tree.nodes[tree.root].event.spanId, kRootSpanId);
@@ -219,7 +199,7 @@ TEST(SpanTreeTest, AssemblyIsOrderIndependentAndCanonical)
     EXPECT_NE(text.find("test/gather #3"), std::string::npos);
 }
 
-TEST(SpanTreeTest, OrphansAttachToRootAndBatchesStayOutOfForests)
+TEST(SpanTreeTest, OrphansAttachToRoot)
 {
     // An orphan (its parent record was dropped in a ring overflow)
     // must still land in the tree, under the root.
@@ -232,44 +212,26 @@ TEST(SpanTreeTest, OrphansAttachToRootAndBatchesStayOutOfForests)
     lost.name = orphan;
     events.push_back(lost);
 
-    // A batch trace rides along in the same drain.
-    SpanEvent batch;
-    batch.traceId = kBatchTraceBit | 1;
-    batch.spanId = kRootSpanId;
-    batch.name = internSpanName("test/batch");
-    events.push_back(batch);
-
     const auto trees = buildSpanTrees(events);
-    ASSERT_EQ(trees.size(), 2u);
-    EXPECT_FALSE(trees[0].isBatch());
-    EXPECT_TRUE(trees[1].isBatch());
-
-    const std::string tree_text = canonicalTreeText(trees[0]);
-    EXPECT_NE(tree_text.find("test/orphan"), std::string::npos);
-
-    // Batch composition is scheduling-dependent, so the determinism
-    // artifact — the forest — excludes batch traces.
-    const std::string forest = canonicalForestText(trees);
-    EXPECT_EQ(forest.find("test/batch"), std::string::npos);
-    EXPECT_NE(forest.find("test/query"), std::string::npos);
+    ASSERT_EQ(trees.size(), 1u);
+    const SpanTree &tree = trees[0];
+    ASSERT_EQ(tree.nodes.size(), 5u);
+    const auto &root_children = tree.nodes[tree.root].children;
+    EXPECT_EQ(root_children.size(), 3u);
+    EXPECT_NE(canonicalTreeText(tree).find("test/orphan"),
+              std::string::npos);
 }
 
 TEST(PerfettoTest, DrainedEventsExportAndValidate)
 {
-    const NameId link_name = internSpanName("test/batch_member");
     FlightRecorder rec({.sampleEvery = 1, .ringCapacity = 64});
     const TraceContext root = rec.maybeStartTrace();
-    const TraceContext batch = rec.startBatchTrace();
     rec.recordSpan(root, internSpanName("test/query"), 0, 50);
     rec.recordSpan(root.child(0), internSpanName("test/queue"), 0, 10);
-    rec.recordSpan(batch, internSpanName("test/batch"), 5, 40);
-    rec.recordLink(batch, link_name, root.traceId, 5);
 
     const std::string json = toPerfettoJson(rec.drain());
     EXPECT_EQ(validatePerfettoJson(json), std::vector<std::string>{});
-    // Flow events: the fan-in link renders as a start/finish pair.
-    EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
     // The validator is a real gate: broken input must fail it.
     EXPECT_FALSE(validatePerfettoJson("{\"traceEvents\": [").empty());

@@ -28,7 +28,7 @@ analyzeHot(const an::FileSet &files)
     return report;
 }
 
-/** Minimal annotated header: push/popBatch style hot roots. */
+/** Minimal annotated header: push/pop style hot roots. */
 const char *kHotHeader = R"(#pragma once
 #define ERC_HOT_PATH
 #define ERC_HOT_PATH_ALLOW(reason)

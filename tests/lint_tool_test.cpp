@@ -447,15 +447,15 @@ TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
     // A std::string temporary allocates per span.
     EXPECT_TRUE(hasRule(
         lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(std::string(\"queue\"), 0, 1);\n"
+                    "namespace erec {\nvoid f(T *t, Ctx c) {\n"
+                    "  t->recordSpan(c, std::string(\"queue\"), 0, 1);\n"
                     "}\n}\n"),
         "trace-name-literal"));
     // Formatter-wrapped call: the literal lands on a continuation line.
     EXPECT_TRUE(hasRule(
         lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(\n      \"mono/queue\",\n"
+                    "namespace erec {\nvoid f(T *t, Ctx c) {\n"
+                    "  t->recordSpan(\n      c, \"mono/queue\",\n"
                     "      start, end);\n}\n}\n"),
         "trace-name-literal"));
     // Interned NameId argument: clean.
@@ -476,13 +476,13 @@ TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
     // Tests and benches may use the string overload freely.
     EXPECT_FALSE(hasRule(
         lintContent("tests/a_test.cpp",
-                    "t.addSpan(std::string(\"x\"), 0, 1);\n"),
+                    "t.recordSpan(c, std::string(\"x\"), 0, 1);\n"),
         "trace-name-literal"));
     // Suppressible like every other rule.
     EXPECT_FALSE(hasRule(
         lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(std::string(\"q\"), 0, 1); "
+                    "namespace erec {\nvoid f(T *t, Ctx c) {\n"
+                    "  t->recordSpan(c, std::string(\"q\"), 0, 1); "
                     "// erec-lint: allow(trace-name-literal)\n"
                     "}\n}\n"),
         "trace-name-literal"));

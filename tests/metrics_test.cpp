@@ -112,14 +112,6 @@ TEST(MetricsRegistryTest, SlaViolations)
     EXPECT_EQ(m.slaViolations("svc"), 2u);
 }
 
-TEST(MetricsRegistryTest, Gauges)
-{
-    MetricsRegistry m;
-    EXPECT_DOUBLE_EQ(m.gauge("mem"), 0.0);
-    m.setGauge("mem", 42.5);
-    EXPECT_DOUBLE_EQ(m.gauge("mem"), 42.5);
-}
-
 TEST(DeploymentTest, ClampsDesiredReplicas)
 {
     core::ShardSpec spec;

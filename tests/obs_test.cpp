@@ -3,7 +3,7 @@
  * Unit tests for the observability layer: metric registry semantics,
  * histogram bucket boundaries, Prometheus text rendering (escaping,
  * labels, cumulative buckets), span-event JSON-lines round-trips, and
- * the erec_trace/v2 schema validator.
+ * the erec_trace/v3 schema validator.
  */
 
 #include <gtest/gtest.h>
@@ -95,7 +95,10 @@ TEST(RegistryTest, RemoveDropsOnlyTheNamedChild)
     Registry r;
     r.gauge("erec_g", "help", {{"pod", "pod-0"}}).set(1);
     r.gauge("erec_g", "help", {{"pod", "pod-1"}}).set(2);
+    EXPECT_DOUBLE_EQ(r.sum("erec_g"), 3.0); // Over every label set.
     r.remove("erec_g", {{"pod", "pod-0"}});
+    EXPECT_DOUBLE_EQ(r.sum("erec_g"), 2.0);
+    EXPECT_DOUBLE_EQ(r.sum("erec_nope"), 0.0);
     EXPECT_DOUBLE_EQ(r.value("erec_g", {{"pod", "pod-0"}}), 0.0);
     EXPECT_DOUBLE_EQ(r.value("erec_g", {{"pod", "pod-1"}}), 2.0);
     r.remove("erec_g", {{"pod", "pod-9"}}); // absent: no-op
@@ -179,31 +182,21 @@ TEST(ExportTest, TraceJsonLinesRoundTrip)
 {
     const NameId queue = internSpanName("dense/queue");
     const NameId service = internSpanName("sparse/t0-s1/service");
-    const NameId link_name = internSpanName("serving/batch_link");
-    const std::uint64_t batch = kBatchTraceBit | 3;
 
     std::vector<SpanEvent> events;
     events.push_back(span(7, (kRootSpanId << 8) | 1, queue, 1000, 1200));
     events.push_back(
         span(7, (kRootSpanId << 8) | 3, service, 1200, 4000, 0x10001));
-    SpanEvent link = span(batch, kRootSpanId, link_name, 1500, 1500, 7);
-    link.kind = EventKind::Link;
-    events.push_back(link);
 
     const std::string text = toTraceJsonLines(events);
     const auto back = readTraceJsonLines(text);
-    ASSERT_EQ(back.size(), 3u);
+    ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].traceId, 7u);
     EXPECT_EQ(back[0].name, queue);
     EXPECT_EQ(back[0].startUs, 1000);
     EXPECT_EQ(back[0].endUs, 1200);
-    EXPECT_EQ(back[0].kind, EventKind::Span);
     EXPECT_EQ(back[1].name, service);
     EXPECT_EQ(back[1].arg, 0x10001u);
-    // Batch trace ids use the top bit: the reader keeps all 64.
-    EXPECT_EQ(back[2].traceId, batch);
-    EXPECT_EQ(back[2].kind, EventKind::Link);
-    EXPECT_EQ(back[2].arg, 7u);
 
     // Writing the parsed events again is byte-identical.
     EXPECT_EQ(toTraceJsonLines(back), text);
@@ -228,7 +221,7 @@ TEST(ExportTest, CausalTraceRoundTripKeepsIdsAndValidates)
     EXPECT_EQ(back[1].spanId, kRootSpanId);
     EXPECT_EQ(back[1].parentId, 0u);
 
-    // And the round-tripped trace satisfies erec_trace/v2.
+    // And the round-tripped trace satisfies erec_trace/v3.
     EXPECT_EQ(validateTraceSchema(back), std::vector<std::string>{});
 }
 

@@ -310,13 +310,6 @@ TEST(ReportServingTest, ReportsARealStackDrain)
     for (std::uint64_t i = 0; i < kQueries; ++i)
         stack.submit(gen.next()).get();
     stack.dispatcher->drain();
-    // A batch trace on the same recorder is not a query.
-    const TraceContext batch = stack.recorder->startBatchTrace();
-    stack.recorder->recordSpan(batch, internSpanName("serving/batch"),
-                               0, 1, kQueries);
-    stack.recorder->recordLink(batch,
-                               internSpanName("serving/batch_link"), 1,
-                               0);
 
     const std::vector<SpanEvent> events = stack.recorder->drain();
     EXPECT_EQ(validateTraceSchema(events), std::vector<std::string>{});
@@ -326,8 +319,6 @@ TEST(ReportServingTest, ReportsARealStackDrain)
     EXPECT_EQ(stages.completedTraces, kQueries);
     EXPECT_EQ(stages.lostTraces, 0u);
     EXPECT_EQ(stages.openSpans, 0u);
-    for (const auto &stage : stages.stages)
-        EXPECT_NE(stage.stage, "serving/batch");
 
     const auto paths = analyzeCriticalPaths(trees);
     EXPECT_EQ(paths.analyzedTraces, kQueries);

@@ -72,25 +72,6 @@ TEST(ChannelTest, RejectsBadParameters)
     EXPECT_THROW(Channel(link, 1e9, -5), ConfigError);
 }
 
-TEST(ChannelTest, BatchedCallsPayOverheadOnce)
-{
-    Channel ch(hw::NetworkLink(1e9, 100), 2e9, 150);
-    // A batch of one is exactly an individual call.
-    EXPECT_EQ(ch.batchedOneWay(1, 1000), ch.oneWay(1000));
-    EXPECT_EQ(ch.batchedRoundTrip(1, 1000, 2000),
-              ch.roundTrip(1000, 2000));
-    // Coalescing n requests beats n individual calls: the per-call
-    // stack overhead and base link latency are paid once per leg.
-    EXPECT_LT(ch.batchedRoundTrip(8, 1000, 2000),
-              8 * ch.roundTrip(1000, 2000));
-    // The saving is exactly (n - 1) fixed costs per leg when the
-    // variable costs scale linearly in bytes.
-    EXPECT_EQ(ch.batchedOneWay(4, 1000),
-              ch.oneWay(4 * 1000));
-    EXPECT_THROW(ch.batchedOneWay(0, 1000), ConfigError);
-    EXPECT_THROW(ch.batchedRoundTrip(0, 1000, 2000), ConfigError);
-}
-
 TEST(ChannelTest, ElasticRecOverheadRegime)
 {
     // The per-query communication overhead added by ElasticRec's RPC

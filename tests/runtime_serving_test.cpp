@@ -3,14 +3,15 @@
  * Integration tests for the concurrent serving runtime: the executor
  * determinism contract (serial mode byte-identical to the pre-executor
  * path, concurrent mode bit-identical to serial), the dispatcher's
- * batching statistics, and a many-client stress run that gives TSan a
- * real concurrent serving workload to chew on.
+ * one-query-per-pop scheduling, and a many-client stress run that
+ * gives TSan a real concurrent serving workload to chew on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -75,8 +76,6 @@ makeStack(const std::shared_ptr<const model::Dlrm> &dlrm,
     if (with_executor) {
         runtime::ExecutorOptions exec_opts;
         exec_opts.workers = workers;
-        exec_opts.maxBatchSize = 4;
-        exec_opts.maxBatchDelayUs = 100;
         options.executor =
             std::make_shared<runtime::Executor>(exec_opts);
     }
@@ -183,6 +182,71 @@ TEST(RuntimeServingTest, PumpFanOutRunsOnIdlePumps)
     dispatcher.drain();
     EXPECT_GE(threads.size(), 2u);
     EXPECT_GT(executor->stats().helpedItems, 0u);
+}
+
+TEST(RuntimeServingTest, BackedUpQueryGoesToTheNextFreePump)
+{
+    // Queries 1 and 2 hold both pumps; 3 and 4 queue behind them.
+    // Releasing 1 lets its pump take 3, which blocks in serve.
+    // Releasing 2 must then serve 4 on the other pump while 3 is still
+    // held: a queued query waits for a free pump, never behind another
+    // query popped before it.
+    runtime::ExecutorOptions exec_opts;
+    exec_opts.workers = 2;
+    auto executor = std::make_shared<runtime::Executor>(exec_opts);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::uint64_t> entered;
+    std::set<std::uint64_t> released;
+    QueryDispatcher dispatcher(
+        [&](const workload::Query &q) {
+            std::unique_lock<std::mutex> lock(mu);
+            entered.insert(q.id);
+            cv.notify_all();
+            // Bounded, so a failing run ends instead of hanging.
+            if (q.id != 4)
+                cv.wait_for(lock, std::chrono::seconds(10), [&] {
+                    return released.count(q.id) > 0;
+                });
+            return std::vector<float>(1, static_cast<float>(q.id));
+        },
+        executor);
+    const auto submit = [&](std::uint64_t id) {
+        auto q = makeQuery(tinyConfig(), id);
+        q.id = id;
+        return dispatcher.submit(std::move(q));
+    };
+    const auto waitEntered = [&](std::uint64_t id) {
+        std::unique_lock<std::mutex> lock(mu);
+        return cv.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return entered.count(id) > 0; });
+    };
+    const auto release = [&](std::uint64_t id) {
+        const std::lock_guard<std::mutex> lock(mu);
+        released.insert(id);
+        cv.notify_all();
+    };
+
+    auto f1 = submit(1);
+    ASSERT_TRUE(waitEntered(1));
+    auto f2 = submit(2);
+    ASSERT_TRUE(waitEntered(2));
+    auto f3 = submit(3);
+    auto f4 = submit(4);
+    release(1);
+    ASSERT_TRUE(waitEntered(3));
+    release(2);
+    EXPECT_EQ(f4.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    EXPECT_EQ(f3.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    release(3);
+    EXPECT_EQ(f1.get(), std::vector<float>{1.0f});
+    EXPECT_EQ(f2.get(), std::vector<float>{2.0f});
+    EXPECT_EQ(f3.get(), std::vector<float>{3.0f});
+    EXPECT_EQ(f4.get(), std::vector<float>{4.0f});
+    dispatcher.drain();
+    EXPECT_EQ(dispatcher.queriesServed(), 4u);
 }
 
 TEST(RuntimeServingTest, ParallelForRethrowsAHelpersException)
@@ -302,10 +366,10 @@ TEST(RuntimeServingTest, SteadyStateServingDoesNotAllocateInGates)
     auto dlrm = std::make_shared<model::Dlrm>(config);
     auto stack = makeStack(dlrm, 2);
 
-    // Warm-up: the first queries grow the batch buffers, queue ring
-    // and pool slots to steady-state capacity.
-    // (drain() is terminal, so quiesce by getting every future: the
-    // pump has finished a batch before its futures resolve.)
+    // Warm-up: the first queries bring the pool slots and per-thread
+    // state to steady-state capacity.
+    // (drain() is terminal, so quiesce by getting every future: a
+    // pump has finished its pop before the query's future resolves.)
     for (std::uint64_t seed = 1; seed <= 16; ++seed)
         stack.submit(makeQuery(config, seed)).get();
 
@@ -362,16 +426,6 @@ TEST(RuntimeServingTest, ManyClientsStressConcurrentStack)
     EXPECT_EQ(stack.dispatcher->queriesServed(),
               static_cast<std::uint64_t>(kClients * kQueriesPerClient) +
                   1);
-    const auto hist = stack.dispatcher->batchSizeHistogram();
-    std::uint64_t hist_batches = 0, hist_queries = 0;
-    for (std::size_t k = 0; k < hist.size(); ++k) {
-        hist_batches += hist[k];
-        hist_queries += hist[k] * (k + 1);
-    }
-    EXPECT_EQ(hist_batches, stack.dispatcher->batchesServed());
-    EXPECT_EQ(hist_queries, stack.dispatcher->queriesServed());
-    EXPECT_GE(stack.dispatcher->meanBatchSize(), 1.0);
-
     // Publishing the runtime stats must land the executor and
     // dispatcher gauge families in the registry.
     stack.publishStats();
@@ -380,7 +434,7 @@ TEST(RuntimeServingTest, ManyClientsStressConcurrentStack)
     EXPECT_NE(text.find("erec_executor_helped_items"), std::string::npos);
     EXPECT_NE(text.find("erec_serving_queries_served"),
               std::string::npos);
-    EXPECT_NE(text.find("erec_serving_batches"), std::string::npos);
+    EXPECT_NE(text.find("erec_serving_queue_depth"), std::string::npos);
 }
 
 TEST(RuntimeServingTest, DispatcherSurfacesServeExceptions)

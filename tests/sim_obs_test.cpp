@@ -378,6 +378,24 @@ TEST(SimObsTest, SteadyRunKeepsLostQueriesAlertQuiet)
         EXPECT_NE(e.alert, "lost-queries");
 }
 
+TEST(SimObsTest, GaugeRuleReadsTheRegistryFamily)
+{
+    // gauge(<name>) reads the simulation's obs registry, summed over
+    // the family's label sets: every deployment has a Ready pod, so
+    // the rule fires.
+    const auto config = model::rm1();
+    const auto node = hw::cpuOnlyNode();
+    SimOptions opt;
+    opt.seed = 7;
+    ClusterSimulation sim(erPlan(config, node), node,
+                          workload::TrafficPattern::constant(20.0),
+                          opt);
+    sim.slo().addRule("ready", "gauge(erec_ready_replicas) > 0");
+    sim.run(units::kMinute);
+    EXPECT_TRUE(sim.slo().firing("ready"));
+    EXPECT_GT(sim.observability().sum("erec_ready_replicas"), 0.0);
+}
+
 TEST(SimObsTest, ExternalRegistryIsShared)
 {
     // A caller-provided registry receives the simulation's metrics, so

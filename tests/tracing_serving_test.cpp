@@ -2,14 +2,12 @@
  * @file
  * Integration tests for causal tracing through the concurrent serving
  * stack: TraceContext propagation from QueryDispatcher::submit through
- * BatchQueue coalescing into the shard servers, fan-in links from
- * batch traces to their sampled members, the workers=0 vs workers=4
+ * the BatchQueue into the shard servers, the workers=0 vs workers=4
  * byte-identical canonical-forest gate, also with uneven per-table
  * shard counts (which also gives TSan a real producer/consumer
  * workload over the span rings, recorded from whichever thread ran a
- * job), ring-overflow
- * drop accounting through the stack, and the allocation-free steady
- * path with tracing on.
+ * job), ring-overflow drop accounting through the stack, and the
+ * allocation-free steady path with tracing on.
  */
 
 #include <gtest/gtest.h>
@@ -67,8 +65,6 @@ makeTracedStack(const std::shared_ptr<const model::Dlrm> &dlrm,
     options.observability = std::make_shared<obs::Registry>();
     runtime::ExecutorOptions exec_opts;
     exec_opts.workers = workers;
-    exec_opts.maxBatchSize = 4;
-    exec_opts.maxBatchDelayUs = 100;
     options.executor = std::make_shared<runtime::Executor>(exec_opts);
     options.traceSampleEvery = sample_every;
     options.traceRingCapacity = ring_capacity;
@@ -99,26 +95,12 @@ TEST(TracingServingTest, ContextPropagatesThroughBatchQueueToShards)
 
     const auto trees = obs::buildSpanTrees(stack.recorder->drain());
 
-    // Every query was sampled; batch traces ride along at the end
-    // (their trace-id bit sorts them after all query ids).
-    ASSERT_GE(trees.size(), kQueries);
+    // Every query was sampled, and every trace is a query's.
     std::map<std::uint64_t, const obs::SpanTree *> queries;
-    std::uint64_t sampled_links = 0;
-    for (const auto &tree : trees) {
-        if (tree.isBatch()) {
-            // Fan-in links point at sampled member query traces.
-            for (const auto &link : tree.links) {
-                EXPECT_GE(link.arg, 1u);
-                EXPECT_LE(link.arg, kQueries);
-                ++sampled_links;
-            }
-            continue;
-        }
+    for (const auto &tree : trees)
         queries.emplace(tree.traceId, &tree);
-    }
+    ASSERT_EQ(trees.size(), kQueries);
     ASSERT_EQ(queries.size(), kQueries);
-    // Every member query appears in exactly one coalesced batch.
-    EXPECT_EQ(sampled_links, kQueries);
 
     for (std::uint64_t id = 1; id <= kQueries; ++id) {
         const obs::SpanTree &tree = *queries.at(id);
@@ -153,11 +135,11 @@ TEST(TracingServingTest, EveryNthSamplingHoldsThroughTheStack)
         stack.submit(makeQuery(config, seed)).get();
     stack.dispatcher->drain();
 
-    std::uint64_t query_trees = 0;
-    for (const auto &tree :
-         obs::buildSpanTrees(stack.recorder->drain()))
-        query_trees += tree.isBatch() ? 0 : 1;
-    EXPECT_EQ(query_trees, 4u); // Submissions 0, 4, 8, 12.
+    const auto trees = obs::buildSpanTrees(stack.recorder->drain());
+    ASSERT_EQ(trees.size(), 4u);
+    // Submissions 0, 4, 8 and 12.
+    for (std::size_t k = 0; k < trees.size(); ++k)
+        EXPECT_EQ(trees[k].traceId, 4 * k + 1);
 }
 
 /** Canonical forest of one traced run at the given worker count. */
@@ -186,11 +168,10 @@ TEST(TracingServingTest, ForestByteIdenticalSerialVsFourWorkers)
     auto dlrm = std::make_shared<model::Dlrm>(config);
 
     // Span ids are slot-derived and sampling follows submission order,
-    // so the canonical forest — structure, names, args; no timestamps,
-    // no batch traces — must not move by a byte when the dispatcher
-    // goes from inline serving to four pump workers. Under TSan this
-    // doubles as the race check on concurrent ring producers vs the
-    // drain consumer.
+    // so the canonical forest — structure, names, args; no timestamps —
+    // must not move by a byte when the dispatcher goes from inline
+    // serving to four pump workers. Under TSan this doubles as the race
+    // check on concurrent ring producers vs the drain consumer.
     const std::string serial = runForest(config, dlrm, 0);
     const std::string concurrent = runForest(config, dlrm, 4);
     EXPECT_FALSE(serial.empty());

@@ -38,9 +38,9 @@
  *    precedes a function declaration (the hotpath pack derives its
  *    roots from that declarator), and ERC_HOT_PATH_ALLOW carries a
  *    non-empty string reason. common/hotpath.h itself is exempt.
- *  - trace-name-literal: span-recording calls (addSpan, recordSpan,
- *    recordLink) in library code pass interned obs::NameIds, never a
- *    string literal or std::string temporary that allocates per span.
+ *  - trace-name-literal: span-recording calls (recordSpan) in library
+ *    code pass interned obs::NameIds, never a string literal or
+ *    std::string temporary that allocates per span.
  * Waiver: a trailing `// erec-lint: allow(<rule>)` on the line; the two
  * header-* rules accept it on any line of the file.
  *

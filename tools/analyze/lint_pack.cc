@@ -341,10 +341,9 @@ void
 checkTraceNameLiteral(const SourceFile &sf, const Suppressions &sup,
                       std::vector<Finding> *out)
 {
-    static const std::regex kTraceCall(
-        R"(\b(addSpan|recordSpan|recordLink)\s*\()");
+    static const std::regex kTraceCall(R"(\brecordSpan\s*\()");
     static const std::regex kLiteralArg(
-        R"(\b(addSpan|recordSpan|recordLink)\s*\([^;]*("|\bstd\s*::\s*string\b))");
+        R"(\brecordSpan\s*\([^;]*("|\bstd\s*::\s*string\b))");
     const auto &raw = sf.rawLines;
     for (std::size_t i = 0; i < sf.strippedLines.size(); ++i) {
         const int line_no = static_cast<int>(i + 1);

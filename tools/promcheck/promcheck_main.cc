@@ -8,12 +8,12 @@
  * format (including histogram invariants); `_alerts.jsonl` files are
  * re-read through the alert-log importer and other `.jsonl` files
  * through the trace importer, both of which reject malformed lines.
- * Trace files are additionally validated against the erec_trace/v2
+ * Trace files are additionally validated against the erec_trace/v3
  * schema (span ends after start, unique non-zero ids, parents resolve
  * and the root span bounds every span on completed traces) and
  * `_perfetto.json` files against the Chrome trace-event envelope
- * (sorted timestamps, balanced flow-event pairs). Exit status is
- * non-zero when any file fails.
+ * (complete events only, sorted timestamps). Exit status is non-zero
+ * when any file fails.
  */
 
 #include <fstream>
