@@ -82,7 +82,7 @@ struct SweepResult
     double p95Ms = 0.0;
     double maxMs = 0.0;
     /** Heap allocations per query inside the AllocGate regions of the
-     *  steady-state path (queue, pool dequeue, pump, gathers) — gated
+     *  steady-state path (queue, pump, gathers) — gated
      *  at exactly zero by the CI perf gate. With --trace-sample this is
      *  measured in the traced window, so span recording itself must
      *  stay allocation-free. */

@@ -344,11 +344,11 @@ stage_tsan_stress() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DELASTICREC_SANITIZE=thread
     cmake --build "$tree" -j "$jobs" --target \
-        thread_pool_test batch_queue_test runtime_serving_test \
-        tracing_serving_test alloc_tracker_test
+        batch_queue_test runtime_serving_test tracing_serving_test \
+        alloc_tracker_test
     ctest --test-dir "$tree" --output-on-failure -j "$jobs" \
         --timeout "$ctest_timeout" \
-        -R '^(thread_pool_test|batch_queue_test|runtime_serving_test|tracing_serving_test|alloc_tracker_test)$' \
+        -R '^(batch_queue_test|runtime_serving_test|tracing_serving_test|alloc_tracker_test)$' \
         --repeat until-fail:3
 }
 

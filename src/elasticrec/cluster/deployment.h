@@ -30,11 +30,11 @@ ResourceRequest resourceRequestFor(const core::ShardSpec &spec);
 
 /**
  * Size a pod's serving executor from its shard spec: one worker per
- * requested CPU core (so a replica actually exploits the cores the
- * scheduler bin-packs for it), with the default queue capacity. This
- * is the bridge between the planner's per-shard resource math and the
- * functional runtime; only runtime_serving_test calls it so far — the
- * serving benches size their executors by hand.
+ * requested CPU core, so a dispatcher on it runs one pump thread per
+ * core the scheduler bin-packs for the replica. This is the bridge
+ * between the planner's per-shard resource math and the functional
+ * runtime; only runtime_serving_test calls it so far — the serving
+ * benches size their executors by hand.
  */
 runtime::ExecutorOptions executorOptionsFor(const core::ShardSpec &spec);
 

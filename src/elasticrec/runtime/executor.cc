@@ -1,21 +1,16 @@
 #include "elasticrec/runtime/executor.h"
 
-#include "elasticrec/common/error.h"
+#include <utility>
+
+#include "elasticrec/common/logging.h"
 
 namespace erec::runtime {
-
-Executor::Executor(ExecutorOptions options) : opts_(options)
-{
-    ERC_CHECK(opts_.queueCapacity >= 1, "queue capacity must be >= 1");
-    if (opts_.workers > 0)
-        pool_ = std::make_unique<ThreadPool>(opts_.workers, &board_);
-}
 
 void
 Executor::parallelFor(std::size_t n,
                       const std::function<void(std::size_t)> &body)
 {
-    if (pool_ == nullptr || n <= 1) {
+    if (serial() || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
@@ -27,12 +22,7 @@ ExecutorStats
 Executor::stats() const
 {
     ExecutorStats s;
-    if (pool_ != nullptr) {
-        s.workers = pool_->numThreads();
-        s.queueDepth = pool_->queueDepth();
-        s.busyWorkers = pool_->busyWorkers();
-        s.tasksExecuted = pool_->tasksExecuted();
-    }
+    s.workers = opts_.workers;
     s.helpedItems = board_.helpedItems();
     return s;
 }
@@ -48,25 +38,53 @@ Executor::publishStats(obs::Registry &registry,
                labels)
         .set(static_cast<double>(s.workers));
     registry
-        .gauge("erec_executor_queue_depth",
-               "Tasks queued on the executor's pool right now.", labels)
-        .set(static_cast<double>(s.queueDepth));
-    registry
-        .gauge("erec_executor_busy_workers",
-               "Pool workers currently executing a task (occupancy).",
-               labels)
-        .set(static_cast<double>(s.busyWorkers));
-    registry
-        .gauge("erec_executor_tasks_executed",
-               "Tasks completed by the executor's pool since start.",
-               labels)
-        .set(static_cast<double>(s.tasksExecuted));
-    registry
         .gauge("erec_executor_helped_items",
                "parallelFor indices run by a thread other than their "
-               "caller (idle workers, pumps and joining callers).",
+               "caller (idle pumps and joining callers).",
                labels)
         .set(static_cast<double>(s.helpedItems));
+}
+
+WorkerThreads::WorkerThreads(std::size_t n,
+                             const std::function<void()> &loop)
+    : errors_(n)
+{
+    threads_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        threads_.emplace_back([this, loop, i] {
+            try {
+                loop();
+            } catch (...) {
+                errors_[i] = std::current_exception();
+            }
+        });
+}
+
+WorkerThreads::~WorkerThreads()
+{
+    // join() rethrows one failure per call; one its owner never
+    // collected is logged here rather than lost.
+    for (;;) {
+        try {
+            join();
+            return;
+        } catch (const std::exception &e) {
+            ERC_LOG_ERROR << "worker loop failed: " << e.what();
+        } catch (...) {
+            ERC_LOG_ERROR << "worker loop failed";
+        }
+    }
+}
+
+void
+WorkerThreads::join()
+{
+    for (auto &t : threads_)
+        if (t.joinable())
+            t.join();
+    for (auto &error : errors_)
+        if (error != nullptr)
+            std::rethrow_exception(std::exchange(error, nullptr));
 }
 
 } // namespace erec::runtime

@@ -7,16 +7,15 @@
  *
  * A caller publishes a *record* (kept in its own stack frame) on the
  * board, claims indices of it itself, and then joins. Idle threads
- * claim the indices the caller has not reached yet: pool workers
- * waiting for a task (ThreadPool), dispatcher pumps waiting for a
- * query (BatchQueue) and other callers waiting in their own join.
- * Pool workers and pumps wait through a Sleeper, which keeps the
- * idle-wait protocol in one place. Publishing a record wakes one idle
- * waiter per sleeper (and one joiner), and a helper that claims an
- * index while more are left wakes the next, so a call whose indices
- * last microseconds does not wake every idle thread for nothing. A
- * pump pops any queued query before it claims an index, so a
- * saturated stack still serves each query inline on one pump.
+ * claim the indices the caller has not reached yet: dispatcher pumps
+ * waiting for a query (BatchQueue) and other callers waiting in their
+ * own join. Pumps wait through a Sleeper, which keeps the idle-wait
+ * protocol in one place. Publishing a record wakes one idle waiter
+ * per sleeper (and one joiner), and a helper that claims an index
+ * while more are left wakes the next, so a call whose indices last
+ * microseconds does not wake every idle thread for nothing. A pump
+ * pops any queued query before it claims an index, so a saturated
+ * stack still serves each query inline on one pump.
  *
  * Rules:
  *  - fixed capacity: with kCapacity records open, or with no thread
@@ -83,8 +82,8 @@ class ForkJoinBoard
 
     /**
      * One idle-wait point: a condition variable that threads wait on
-     * under their owner's mutex (a ThreadPool's task wait, a
-     * BatchQueue's item wait). It is registered on the board for its
+     * under their owner's mutex (a BatchQueue's item wait, where a
+     * dispatcher's pumps sleep). It is registered on the board for its
      * lifetime, so publishing a record wakes one of its idle waiters.
      * Every wait on the condition variable goes through idleWait(), so
      * such a wake always lands on an idle thread. With a null board

@@ -36,11 +36,8 @@ QueryDispatcher::QueryDispatcher(
     if (executor_->serial())
         return; // Inline mode: no queue, no pumps.
     queue_ = std::make_unique<runtime::BatchQueue<Job>>(
-        runtime::BatchQueueOptions{executor_->options().queueCapacity},
-        &executor_->board());
-    pumps_.reserve(executor_->workers());
-    for (std::size_t w = 0; w < executor_->workers(); ++w)
-        pumps_.push_back(executor_->submit([this] { pumpLoop(); }));
+        runtime::BatchQueueOptions{kQueueCapacity}, &executor_->board());
+    pumps_.emplace(executor_->workers(), [this] { pumpLoop(); });
 }
 
 QueryDispatcher::~QueryDispatcher()
@@ -78,11 +75,10 @@ QueryDispatcher::drain()
 {
     if (drained_.exchange(true))
         return;
-    if (queue_ != nullptr)
-        queue_->close();
-    for (auto &p : pumps_)
-        p.get();
-    pumps_.clear();
+    if (queue_ == nullptr)
+        return;
+    queue_->close();
+    pumps_->join();
 }
 
 std::uint64_t
@@ -141,12 +137,12 @@ QueryDispatcher::serveJob(Job *job)
 void
 QueryDispatcher::pumpLoop()
 {
-    // Pre-register this pump worker's span ring while startup
+    // Pre-register this pump's span ring while startup
     // allocation is still fair game: the steady loop below records
     // into the ring without ever touching the registration slow path.
     if (tracing_)
         recorder_->registerThisThread();
-    // One job slot per pump worker, reused for its whole lifetime.
+    // One job slot per pump, reused for its whole lifetime.
     Job job;
     for (;;) {
         runtime::PopStatus status = runtime::PopStatus::Closed;

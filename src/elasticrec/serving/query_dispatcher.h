@@ -3,13 +3,15 @@
 /**
  * @file
  * Request front door of a concurrently-served shard: clients submit
- * queries and get futures back; one pump per executor worker pops one
- * query at a time off a bounded runtime::BatchQueue and serves it
- * through the wrapped serve function (a DenseShardServer,
+ * queries and get futures back; one pump thread per executor worker
+ * pops one query at a time off a bounded runtime::BatchQueue and
+ * serves it through the wrapped serve function (a DenseShardServer,
  * MonolithicServer, or any other callable). One FIFO queue served by
  * one pump per worker is the real-stack shape of the simulator's pods:
  * a query waits only for the queries ahead of it, then runs on the
- * next free pump.
+ * next free pump. Each dispatcher owns its pump threads (a
+ * runtime::WorkerThreads), so dispatchers that share one executor
+ * never wait for each other's threads.
  *
  * With a serial executor the dispatcher degrades to inline execution
  * on the caller's thread (byte-identical to calling serve directly),
@@ -27,6 +29,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "elasticrec/common/hotpath.h"
@@ -46,9 +49,9 @@ class QueryDispatcher
 
     /**
      * @param serve Called once per query, possibly concurrently from
-     *        several pool workers; it must be thread-safe.
-     * @param executor Supplies the worker pool and the request-queue
-     *        capacity.
+     *        several pumps; it must be thread-safe.
+     * @param executor Supplies the pump count (its workers) and the
+     *        fork-join board idle pumps help on.
      * @param recorder Optional flight recorder: when set and enabled,
      *        submit() samples queries deterministically (every Nth)
      *        and the dispatcher emits the causal span skeleton —
@@ -76,8 +79,9 @@ class QueryDispatcher
     std::future<std::vector<float>> submit(workload::Query query);
 
     /**
-     * Stop accepting queries and wait until everything queued has been
-     * served. Idempotent; also run by the destructor.
+     * Stop accepting queries, wait until everything queued has been
+     * served and join the pumps; an exception that escaped a pump loop
+     * is rethrown here. Idempotent; also run by the destructor.
      */
     void drain();
 
@@ -105,6 +109,9 @@ class QueryDispatcher
     static constexpr unsigned kQueueSlot = 0;
     static constexpr unsigned kServeSlot = 1;
 
+    /** Queued queries past which submit() blocks (backpressure). */
+    static constexpr std::size_t kQueueCapacity = 1024;
+
   private:
     struct Job
     {
@@ -124,7 +131,9 @@ class QueryDispatcher
     /** recorder_ set and sampling on; checked on every hot path. */
     bool tracing_ = false;
     std::unique_ptr<runtime::BatchQueue<Job>> queue_;
-    std::vector<std::future<void>> pumps_;
+    /** One pump per executor worker; empty in serial mode. Declared
+     *  after queue_, which the pumps pop from. */
+    std::optional<runtime::WorkerThreads> pumps_;
     std::atomic<bool> drained_{false};
 
     std::atomic<std::uint64_t> queriesServed_{0};

@@ -44,13 +44,12 @@ struct StackOptions
      */
     std::shared_ptr<obs::Registry> observability = {};
     /**
-     * When set, the stack gets a QueryDispatcher whose pumps run on
-     * this executor's workers, so queries can be submitted
+     * When set, the stack gets a QueryDispatcher that runs one pump
+     * thread per executor worker, so queries can be submitted
      * concurrently (stack.submit), and each query's bottom MLP and
-     * per-table jobs fan out over the workers that are idle — pumps
-     * with no query queued included. A serial executor (workers == 0)
-     * keeps everything inline and byte-identical to the executor-less
-     * path.
+     * per-table jobs fan out over the pumps with no query to serve.
+     * A serial executor (workers == 0) keeps everything inline and
+     * byte-identical to the executor-less path.
      */
     std::shared_ptr<runtime::Executor> executor = {};
     /**

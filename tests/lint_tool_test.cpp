@@ -123,9 +123,9 @@ TEST(LintToolTest, RawThreadOnlyInRuntimeModule)
     EXPECT_TRUE(hasRule(lintContent("src/elasticrec/x/a.cc",
                                     "std::jthread t([] {});\n"),
                         "raw-thread"));
-    // The pool's own implementation is the blessed home.
+    // runtime::WorkerThreads' implementation is the blessed home.
     EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/runtime/thread_pool.cc", bad),
+        lintContent("src/elasticrec/runtime/executor.cc", bad),
         "raw-thread"));
     // Tests may spawn threads freely to exercise concurrency.
     EXPECT_FALSE(hasRule(lintContent("tests/pool_test.cpp", bad),
@@ -155,7 +155,7 @@ TEST(LintToolTest, RawSleepBannedInLibraryCode)
     // runtime/ gets no free pass: its waits go through condition
     // variables with deadlines, not raw sleeps.
     EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/runtime/thread_pool.cc", bad),
+        lintContent("src/elasticrec/runtime/executor.cc", bad),
         "raw-sleep"));
     // Tests and benches pace themselves however they like.
     EXPECT_FALSE(hasRule(lintContent("tests/a_test.cpp", bad),
@@ -233,7 +233,7 @@ TEST(LintToolTest, SimStdFunctionOnlyOutsideSimHeaders)
     // dispatch contract does not bind the rest of the library, sim
     // sources, or tests.
     EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/runtime/thread_pool.h", bad),
+        lintContent("src/elasticrec/runtime/executor.h", bad),
         "sim-std-function"));
     EXPECT_FALSE(hasRule(
         lintContent("src/elasticrec/sim/cluster_sim.cc",

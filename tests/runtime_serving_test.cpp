@@ -2,9 +2,10 @@
  * @file
  * Integration tests for the concurrent serving runtime: the executor
  * determinism contract (serial mode byte-identical to the pre-executor
- * path, concurrent mode bit-identical to serial), the dispatcher's
- * one-query-per-pop scheduling, and a many-client stress run that
- * gives TSan a real concurrent serving workload to chew on.
+ * path, concurrent mode bit-identical to serial), the worker threads
+ * a dispatcher owns, the dispatcher's one-query-per-pop scheduling and
+ * drain, and a many-client stress run that gives TSan a real
+ * concurrent serving workload to chew on.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +18,13 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "elasticrec/cluster/deployment.h"
 #include "elasticrec/common/alloc_tracker.h"
+#include "elasticrec/common/logging.h"
 #include "elasticrec/obs/export.h"
 #include "elasticrec/runtime/executor.h"
 #include "elasticrec/serving/stack_builder.h"
@@ -251,35 +254,52 @@ TEST(RuntimeServingTest, BackedUpQueryGoesToTheNextFreePump)
 
 TEST(RuntimeServingTest, ParallelForRethrowsAHelpersException)
 {
-    // Two idle workers help; only indices run off the calling thread
-    // throw, so the exception must travel from a helper to the caller.
+    // Query 1's serve fans out over the two idle pumps; only indices
+    // run off the serving pump throw, so the exception must travel
+    // from a helper to the caller and out through the query's future.
+    // Query 2's serve covers a fresh index space once.
     runtime::ExecutorOptions exec_opts;
-    exec_opts.workers = 2;
-    runtime::Executor executor(exec_opts);
-    const auto caller = std::this_thread::get_id();
-    const auto body = [&](std::size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        if (std::this_thread::get_id() != caller)
-            throw std::runtime_error("helper boom");
+    exec_opts.workers = 3;
+    auto executor = std::make_shared<runtime::Executor>(exec_opts);
+    std::vector<std::atomic<int>> hits(16);
+    QueryDispatcher dispatcher(
+        [&](const workload::Query &q) {
+            if (q.id == 1) {
+                const auto caller = std::this_thread::get_id();
+                executor->parallelFor(8, [&](std::size_t) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+                    if (std::this_thread::get_id() != caller)
+                        throw std::runtime_error("helper boom");
+                });
+            } else {
+                executor->parallelFor(hits.size(), [&hits](std::size_t i) {
+                    hits[i].fetch_add(1, std::memory_order_relaxed);
+                });
+            }
+            return std::vector<float>(1, 0.0f);
+        },
+        executor);
+    const auto serve = [&](std::uint64_t id) {
+        auto q = makeQuery(tinyConfig(), id);
+        q.id = id;
+        return dispatcher.submit(std::move(q)).get();
     };
-    // Workers that have not reached their first wait are not idle yet,
+    // Pumps that have not reached their first wait are not idle yet,
     // so an early call may run inline and not throw.
     for (int attempt = 0;
-         attempt < 50 && executor.stats().helpedItems == 0; ++attempt) {
+         attempt < 50 && executor->stats().helpedItems == 0; ++attempt) {
         bool threw = false;
         try {
-            executor.parallelFor(8, body);
+            serve(1);
         } catch (const std::runtime_error &) {
             threw = true;
         }
-        EXPECT_EQ(threw, executor.stats().helpedItems > 0);
+        EXPECT_EQ(threw, executor->stats().helpedItems > 0);
     }
-    EXPECT_GT(executor.stats().helpedItems, 0u);
-    // The workers survived and the executor still fans out.
-    std::vector<std::atomic<int>> hits(16);
-    executor.parallelFor(hits.size(), [&hits](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
+    EXPECT_GT(executor->stats().helpedItems, 0u);
+    // The pumps survived and the executor still fans out.
+    serve(2);
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -366,15 +386,15 @@ TEST(RuntimeServingTest, SteadyStateServingDoesNotAllocateInGates)
     auto dlrm = std::make_shared<model::Dlrm>(config);
     auto stack = makeStack(dlrm, 2);
 
-    // Warm-up: the first queries bring the pool slots and per-thread
-    // state to steady-state capacity.
+    // Warm-up: the first queries bring each pump's job slot and the
+    // per-thread serving state to steady-state capacity.
     // (drain() is terminal, so quiesce by getting every future: a
     // pump has finished its pop before the query's future resolves.)
     for (std::uint64_t seed = 1; seed <= 16; ++seed)
         stack.submit(makeQuery(config, seed)).get();
 
-    // Steady state: every AllocGate region (queue push/pop, pool
-    // dequeue, dispatcher pump bookkeeping, embedding gathers) must
+    // Steady state: every AllocGate region (queue push/pop,
+    // dispatcher pump bookkeeping, embedding gathers) must
     // observe zero allocations — the dynamic form of the erec_analyze hotpath
     // static contract, and the claim behind the bench's
     // allocs_per_query=0 perf-gate override.
@@ -455,17 +475,172 @@ TEST(RuntimeServingTest, DispatcherSurfacesServeExceptions)
 
 TEST(RuntimeServingTest, ParallelForCoversIndexSpaceOnceEachMode)
 {
+    // Serial mode loops inline on the submitting thread; with two
+    // workers the serving pump shares the indices with the idle one.
     for (const std::size_t workers : {0UL, 2UL}) {
         runtime::ExecutorOptions exec_opts;
         exec_opts.workers = workers;
-        runtime::Executor executor(exec_opts);
+        auto executor = std::make_shared<runtime::Executor>(exec_opts);
         std::vector<std::atomic<int>> hits(97);
-        executor.parallelFor(hits.size(), [&hits](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
+        QueryDispatcher dispatcher(
+            [&](const workload::Query &) {
+                executor->parallelFor(hits.size(), [&hits](std::size_t i) {
+                    hits[i].fetch_add(1, std::memory_order_relaxed);
+                });
+                return std::vector<float>(1, 0.0f);
+            },
+            executor);
+        dispatcher.submit(makeQuery(tinyConfig(), 1)).get();
         for (const auto &h : hits)
             EXPECT_EQ(h.load(), 1) << "workers=" << workers;
     }
+}
+
+TEST(RuntimeServingTest, WorkerThreadsRunTheLoopOncePerThread)
+{
+    std::mutex mu;
+    std::vector<std::thread::id> ran;
+    runtime::WorkerThreads threads(3, [&] {
+        const std::lock_guard<std::mutex> lock(mu);
+        ran.push_back(std::this_thread::get_id());
+    });
+    threads.join();
+    ASSERT_EQ(ran.size(), 3u);
+    const std::set<std::thread::id> distinct(ran.begin(), ran.end());
+    EXPECT_EQ(distinct.size(), 3u);
+    EXPECT_EQ(distinct.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(RuntimeServingTest, WorkerThreadsJoinOnDestruction)
+{
+    std::atomic<int> running{0};
+    std::atomic<int> finished{0};
+    {
+        runtime::WorkerThreads threads(4, [&] {
+            running.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            running.fetch_sub(1);
+            finished.fetch_add(1);
+        });
+    }
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_EQ(finished.load(), 4);
+    // A failure nobody joined for is logged, not lost.
+    std::vector<std::string> logged;
+    setLogSink([&logged](LogLevel, const std::string &msg) {
+        logged.push_back(msg);
+    });
+    {
+        const runtime::WorkerThreads threads(
+            1, [] { throw std::runtime_error("unjoined boom"); });
+    }
+    setLogSink(nullptr);
+    ASSERT_EQ(logged.size(), 1u);
+    EXPECT_NE(logged[0].find("unjoined boom"), std::string::npos);
+}
+
+TEST(RuntimeServingTest, WorkerThreadsRethrowALoopsExceptionToTheJoiner)
+{
+    std::atomic<int> calls{0};
+    runtime::WorkerThreads threads(3, [&] {
+        if (calls.fetch_add(1) == 1)
+            throw std::runtime_error("loop boom");
+    });
+    EXPECT_THROW(threads.join(), std::runtime_error);
+    // Every other loop still ran, and the exception is rethrown once.
+    EXPECT_EQ(calls.load(), 3);
+    EXPECT_NO_THROW(threads.join());
+}
+
+TEST(RuntimeServingTest, DrainServesEveryQueuedQuery)
+{
+    // Query 1 holds the only pump while 2..8 queue behind it; drain()
+    // starts while they are queued and must serve all of them before
+    // it returns.
+    runtime::ExecutorOptions exec_opts;
+    exec_opts.workers = 1;
+    auto executor = std::make_shared<runtime::Executor>(exec_opts);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    QueryDispatcher dispatcher(
+        [&](const workload::Query &q) {
+            if (q.id == 1) {
+                std::unique_lock<std::mutex> lock(mu);
+                entered = true;
+                cv.notify_all();
+                // Bounded, so a failing run ends instead of hanging.
+                cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return released; });
+            }
+            return std::vector<float>(1, static_cast<float>(q.id));
+        },
+        executor);
+    constexpr std::uint64_t kQueries = 8;
+    std::vector<std::future<std::vector<float>>> futures;
+    for (std::uint64_t id = 1; id <= kQueries; ++id) {
+        auto q = makeQuery(tinyConfig(), id);
+        q.id = id;
+        futures.push_back(dispatcher.submit(std::move(q)));
+        if (id == 1) {
+            std::unique_lock<std::mutex> lock(mu);
+            EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return entered; }));
+        }
+    }
+    std::atomic<bool> drain_returned{false};
+    std::size_t ready_at_return = 0;
+    std::thread drainer([&] {
+        dispatcher.drain();
+        drain_returned.store(true);
+        for (auto &f : futures)
+            if (f.wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready)
+                ++ready_at_return;
+    });
+    // Let drain() close the queue while 2..8 are still queued.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(drain_returned.load());
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        released = true;
+        cv.notify_all();
+    }
+    drainer.join();
+    EXPECT_EQ(ready_at_return, kQueries);
+    for (std::uint64_t id = 1; id <= kQueries; ++id)
+        EXPECT_EQ(futures[id - 1].get(),
+                  std::vector<float>{static_cast<float>(id)});
+    EXPECT_EQ(dispatcher.queriesServed(), kQueries);
+}
+
+TEST(RuntimeServingTest, TwoDispatchersShareOneExecutor)
+{
+    // Each dispatcher runs its own pumps, so B serves while A is live.
+    // Were B's pumps to wait for threads A holds, B's query would wait
+    // until A drained: A is built first but B declared first, so a
+    // failed wait below returns, A drains first and B then finishes,
+    // instead of the test hanging.
+    runtime::ExecutorOptions exec_opts;
+    exec_opts.workers = 2;
+    auto executor = std::make_shared<runtime::Executor>(exec_opts);
+    const auto echo = [](const workload::Query &q) {
+        return std::vector<float>(1, static_cast<float>(q.id));
+    };
+    const auto query = [](std::uint64_t id) {
+        auto q = makeQuery(tinyConfig(), id);
+        q.id = id;
+        return q;
+    };
+    std::unique_ptr<QueryDispatcher> b;
+    QueryDispatcher a(echo, executor);
+    b = std::make_unique<QueryDispatcher>(echo, executor);
+    auto fb = b->submit(query(2));
+    ASSERT_EQ(fb.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    EXPECT_EQ(fb.get(), std::vector<float>{2.0f});
+    EXPECT_EQ(a.submit(query(1)).get(), std::vector<float>{1.0f});
 }
 
 TEST(RuntimeServingTest, ExecutorOptionsFollowShardCpuRequest)

@@ -19,8 +19,8 @@
  *    time(nullptr) outside common/rng.* — stochastic code draws from
  *    the seeded erec::Rng so experiments are reproducible.
  *  - raw-thread: no std::thread / std::jthread outside the runtime
- *    module; concurrency goes through runtime::ThreadPool / Executor
- *    (tests may spawn threads freely).
+ *    module; serving threads are runtime::WorkerThreads sized by an
+ *    Executor (tests may spawn threads freely).
  *  - raw-sleep: no std::this_thread::sleep_for/until in library code;
  *    it defeats the simulator's clock and hides latency from tracing.
  *  - raw-intrinsics: SIMD intrinsics (<immintrin.h>, __m256/__m512

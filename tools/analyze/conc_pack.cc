@@ -17,8 +17,8 @@ namespace erec::analyze {
 namespace {
 
 /** Canonical group of a path: extension dropped, `src/elasticrec/`
- *  (or `src/`) prefix dropped, so `runtime/thread_pool.h` and its
- *  sibling `.cc` share the key `runtime/thread_pool`. */
+ *  (or `src/`) prefix dropped, so `runtime/fork_join.h` and its
+ *  sibling `.cc` share the key `runtime/fork_join`. */
 std::string
 groupOf(const std::string &path)
 {

@@ -120,7 +120,7 @@ lineRules()
             "raw-thread",
             std::regex(R"(\bstd\s*::\s*(thread|jthread)\b)"),
             "raw std::thread outside src/elasticrec/runtime/; serving "
-            "code must run work through runtime::ThreadPool / "
+            "threads are runtime::WorkerThreads sized by a "
             "runtime::Executor so thread counts stay an explicit, "
             "observable resource",
             {FileClass::LibrarySource, FileClass::LibraryHeader,
