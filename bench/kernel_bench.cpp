@@ -56,6 +56,7 @@
 #include "bench_util.h"
 #include "elasticrec/common/alloc_tracker.h"
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 #include "elasticrec/common/table_printer.h"
 #include "elasticrec/core/bucketizer.h"
 #include "elasticrec/core/dp_partitioner.h"
@@ -481,8 +482,8 @@ writeJson(const JsonOptions &opts,
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const auto &r = sweep[i];
         out << "    {\"point\": " << r.point << ", \"backend\": \""
-            << r.backend << "\", \"kernel\": \"" << r.kernel
-            << "\", \"dim\": " << r.dim
+            << jsonEscape(r.backend) << "\", \"kernel\": \""
+            << jsonEscape(r.kernel) << "\", \"dim\": " << r.dim
             << ", \"qps\": " << jsonNum(r.rate)
             << ", \"allocs_per_call\": " << jsonNum(r.allocsPerCall)
             << "}" << (i + 1 < sweep.size() ? "," : "") << "\n";

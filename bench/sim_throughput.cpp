@@ -58,6 +58,7 @@
 #include "bench_util.h"
 #include "elasticrec/common/alloc_tracker.h"
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 #include "elasticrec/common/table_printer.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
@@ -256,7 +257,7 @@ writeJson(const std::string &path, const BenchOptions &opts,
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const auto &r = sweep[i];
         out << "    {\"point\": " << r.point
-            << ", \"plan\": \"" << r.plan << "\""
+            << ", \"plan\": \"" << jsonEscape(r.plan) << "\""
             << ", \"queries\": " << r.completed
             << ", \"arrivals\": " << r.arrivals
             << ", \"sim_seconds\": " << jsonNum(r.simSeconds)

@@ -354,25 +354,28 @@ stage_tsan_stress() {
 
 # End-to-end smoke: run the quickstart example, the Figure 19 bench
 # and the real serving stack (serving_throughput) with --metrics-out
-# and causal tracing (--trace-sample 100 = every 100th query),
-# validate every emitted telemetry file (Prometheus text, trace/alert
-# JSON-lines against erec_trace/v3, and the Perfetto export) with
-# promcheck, then render the run report — stage sketches plus the
-# critical-path table for the simulated and the real stack — and gate
-# on the "lost-queries" alert — steady fig19 traffic must never lose a
-# query.
+# and causal tracing (--trace-sample 100 = every 100th query), then run
+# erec_report once over the dump. It checks every emitted file
+# (Prometheus text, trace/alert JSON lines against erec_trace/v3, the
+# Perfetto export, and no trace/alert/Perfetto file without its .prom),
+# renders the run report — stage sketches plus the critical-path table
+# for the simulated and the real stack — and gates on the
+# "lost-queries" alert: steady fig19 traffic must never lose a query.
 # (The SLA-ratio and p95 alerts legitimately fire during fig19's
-# traffic spike, so they don't gate.) Set ELASTICREC_SMOKE_OUT to keep
-# the telemetry + report (CI uploads it as an artifact, including the
-# Perfetto trace for ui.perfetto.dev); by default a temp dir is used
-# and removed.
+# traffic spike, so they don't gate.) Then self-test the checks on two
+# corrupted copies of the dump, one Perfetto event line without its
+# closing brace and one alert line with an unknown key: each must make
+# erec_report exit 1 and name the broken file — a gate that cannot
+# fail is not a gate. Set ELASTICREC_SMOKE_OUT to keep the telemetry +
+# report (CI uploads it as an artifact, including the Perfetto trace
+# for ui.perfetto.dev); by default a temp dir is used and removed.
 stage_smoke() {
     local tree="$repo_root/build-check-release"
     cmake -B "$tree" -S "$repo_root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
     cmake --build "$tree" -j "$jobs" \
         --target quickstart fig19_dynamic_traffic serving_throughput \
-        promcheck erec_report
+        erec_report
     local out
     if [ -n "${ELASTICREC_SMOKE_OUT:-}" ]; then
         out="$ELASTICREC_SMOKE_OUT"
@@ -381,15 +384,42 @@ stage_smoke() {
         out="$(mktemp -d)"
         trap 'rm -rf "$out"' RETURN
     fi
+    local report="$tree/tools/report/erec_report"
     "$tree/examples/quickstart" --metrics-out "$out"
     "$tree/bench/fig19_dynamic_traffic" --metrics-out "$out" \
         --trace-sample 100
     "$tree/bench/serving_throughput" --quick --trace-sample 100 \
         --metrics-out "$out" --out "$out/BENCH_serving.json"
-    "$tree/tools/promcheck/promcheck" "$out"/*.prom "$out"/*.jsonl \
-        "$out"/*_perfetto.json
-    "$tree/tools/report/erec_report" "$out" \
-        --fail-on-alert lost-queries | tee "$out/report.txt"
+    "$report" "$out" --fail-on-alert lost-queries | tee "$out/report.txt"
+
+    local selftest
+    selftest="$(mktemp -d)"
+    smoke_selftest "$report" "$out" "$selftest/perfetto" \
+        fig19_elasticrec_perfetto.json '2s/}(,?)$/\1/'
+    smoke_selftest "$report" "$out" "$selftest/alerts" \
+        fig19_elasticrec_alerts.jsonl '1s/^\{/{"extra":1,/'
+    rm -rf "$selftest"
+}
+
+# smoke_selftest REPORT DUMP COPY FILE SED: copy the telemetry files of
+# DUMP into COPY, corrupt COPY/FILE with the sed -E script SED, and
+# require REPORT to exit 1 with FILE named on stderr.
+smoke_selftest() {
+    local report="$1" dump="$2" copy="$3" file="$4" script="$5"
+    mkdir -p "$copy"
+    cp "$dump"/*.prom "$dump"/*.jsonl "$dump"/*_perfetto.json "$copy"/
+    sed -i -E "$script" "$copy/$file"
+    local rc=0
+    "$report" "$copy" > "$copy/report.txt" 2> "$copy/errors.txt" || rc=$?
+    if cmp -s "$dump/$file" "$copy/$file"; then
+        echo "smoke self-test: '$script' left $file unchanged" >&2
+        exit 1
+    fi
+    if [ "$rc" -ne 1 ] || ! grep -qF "$file" "$copy/errors.txt"; then
+        echo "smoke self-test: expected exit 1 naming $file, got $rc" >&2
+        cat "$copy/errors.txt" >&2
+        exit 1
+    fi
 }
 
 stage="${1:-all}"

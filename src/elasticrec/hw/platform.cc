@@ -1,7 +1,5 @@
 #include "elasticrec/hw/platform.h"
 
-#include "elasticrec/common/error.h"
-
 namespace erec::hw {
 
 NodeSpec
@@ -46,64 +44,6 @@ cpuGpuNode()
     // of n1-standard-32 + T4 vs a comparable CPU-only machine.
     node.costUnits = 1.6;
     return node;
-}
-
-NodeRegistry::NodeRegistry()
-{
-    nodes_["cpu"] = cpuOnlyNode();
-    nodes_["cpu-gpu"] = cpuGpuNode();
-}
-
-NodeRegistry &
-NodeRegistry::instance()
-{
-    static NodeRegistry registry;
-    return registry;
-}
-
-void
-NodeRegistry::registerNode(const std::string &name, const NodeSpec &spec)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    nodes_[name] = spec;
-}
-
-bool
-NodeRegistry::hasNode(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return nodes_.count(name) > 0;
-}
-
-NodeSpec
-NodeRegistry::nodeByName(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = nodes_.find(name);
-    if (it == nodes_.end()) {
-        std::string all;
-        for (const auto &[n, spec] : nodes_)
-            all += (all.empty() ? "" : ", ") + n;
-        fatal("unknown platform '" + name + "'; registered names: " + all);
-    }
-    return it->second;
-}
-
-std::vector<std::string>
-NodeRegistry::nodeNames() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(nodes_.size());
-    for (const auto &[name, spec] : nodes_)
-        names.push_back(name);
-    return names;
-}
-
-NodeSpec
-nodeByName(const std::string &name)
-{
-    return NodeRegistry::instance().nodeByName(name);
 }
 
 } // namespace erec::hw

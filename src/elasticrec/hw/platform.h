@@ -20,12 +20,8 @@
  */
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "elasticrec/common/thread_annotations.h"
 #include "elasticrec/common/units.h"
 
 namespace erec::hw {
@@ -124,48 +120,5 @@ NodeSpec cpuOnlyNode();
 
 /** Paper CPU-GPU node: GKE n1-standard-32 + Tesla T4, 32 Gbps network. */
 NodeSpec cpuGpuNode();
-
-/**
- * Thread-safe registry of named node specs.
- *
- * Experiments and CLI tools reference platforms by name ("cpu",
- * "cpu-gpu", or a user-registered custom spec); autoscaling loops may
- * read specs from worker threads while a control thread registers new
- * ones, so all access is serialized by an internal mutex (checked by
- * clang -Wthread-safety via the ERC_* annotations).
- */
-class NodeRegistry
-{
-  public:
-    /** The process-wide registry, pre-seeded with the two paper
-     *  platforms as "cpu" and "cpu-gpu". */
-    static NodeRegistry &instance();
-
-    /** Register (or replace) a spec under `name`. */
-    void registerNode(const std::string &name, const NodeSpec &spec)
-        ERC_EXCLUDES(mutex_);
-
-    /** True when a spec is registered under `name`. */
-    bool hasNode(const std::string &name) const ERC_EXCLUDES(mutex_);
-
-    /** Look up a spec by name; erec::fatal on unknown names. */
-    NodeSpec nodeByName(const std::string &name) const
-        ERC_EXCLUDES(mutex_);
-
-    /** Registered names in sorted order. */
-    std::vector<std::string> nodeNames() const ERC_EXCLUDES(mutex_);
-
-    NodeRegistry(const NodeRegistry &) = delete;
-    NodeRegistry &operator=(const NodeRegistry &) = delete;
-
-  private:
-    NodeRegistry();
-
-    mutable std::mutex mutex_;
-    std::map<std::string, NodeSpec> nodes_ ERC_GUARDED_BY(mutex_);
-};
-
-/** Shorthand for NodeRegistry::instance().nodeByName(name). */
-NodeSpec nodeByName(const std::string &name);
 
 } // namespace erec::hw

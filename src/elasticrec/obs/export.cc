@@ -1,16 +1,15 @@
 #include "elasticrec/obs/export.h"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 #include "elasticrec/obs/perfetto.h"
 
 namespace erec::obs {
@@ -81,208 +80,20 @@ renderLabels(const Labels &labels, const std::string &extra_key = "",
     return out;
 }
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
-/** Minimal recursive-descent parser for the trace JSON-lines schema. */
-class JsonCursor
-{
-  public:
-    explicit JsonCursor(const std::string &text) : s_(text) {}
-
-    void skipWs()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r'))
-            ++i_;
-    }
-
-    bool atEnd()
-    {
-        skipWs();
-        return i_ >= s_.size();
-    }
-
-    char peek()
-    {
-        skipWs();
-        ERC_CHECK(i_ < s_.size(), "trace json: unexpected end of input");
-        return s_[i_];
-    }
-
-    void expect(char c)
-    {
-        ERC_CHECK(peek() == c, "trace json: expected '"
-                                   << c << "' at offset " << i_);
-        ++i_;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            ERC_CHECK(i_ < s_.size(), "trace json: unterminated string");
-            char c = s_[i_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            ERC_CHECK(i_ < s_.size(), "trace json: dangling escape");
-            char e = s_[i_++];
-            switch (e) {
-              case '"':
-              case '\\':
-              case '/':
-                out.push_back(e);
-                break;
-              case 'n':
-                out.push_back('\n');
-                break;
-              case 't':
-                out.push_back('\t');
-                break;
-              case 'r':
-                out.push_back('\r');
-                break;
-              case 'u': {
-                ERC_CHECK(i_ + 4 <= s_.size(),
-                          "trace json: truncated \\u escape");
-                unsigned code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = s_[i_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code += static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code += static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code += static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        erec::fatal("trace json: bad \\u escape digit");
-                }
-                if (code < 0x80) {
-                    out.push_back(static_cast<char>(code));
-                } else if (code < 0x800) {
-                    out.push_back(
-                        static_cast<char>(0xC0 | (code >> 6)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3F)));
-                } else {
-                    out.push_back(
-                        static_cast<char>(0xE0 | (code >> 12)));
-                    out.push_back(static_cast<char>(
-                        0x80 | ((code >> 6) & 0x3F)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3F)));
-                }
-                break;
-              }
-              default:
-                erec::fatal("trace json: unsupported escape");
-            }
-        }
-    }
-
-    std::int64_t parseInt()
-    {
-        skipWs();
-        const std::size_t start = i_;
-        if (i_ < s_.size() && s_[i_] == '-')
-            ++i_;
-        while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9')
-            ++i_;
-        ERC_CHECK(i_ > start && (s_[start] != '-' || i_ > start + 1),
-                  "trace json: expected integer at offset " << start);
-        return std::stoll(s_.substr(start, i_ - start));
-    }
-
-    std::uint64_t parseUint()
-    {
-        skipWs();
-        const std::size_t start = i_;
-        while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9')
-            ++i_;
-        ERC_CHECK(i_ > start, "trace json: expected unsigned integer at "
-                              "offset " << start);
-        return std::stoull(s_.substr(start, i_ - start));
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t i_ = 0;
-};
-
+/** One erec_trace/v3 line: exactly the seven keys the writer emits. */
 SpanEvent
-parseEventLine(const std::string &line)
+traceEventFrom(const JsonValue &rec)
 {
-    JsonCursor cur(line);
+    rec.requireKeys({"trace_id", "span_id", "parent_id", "name",
+                     "start_us", "end_us", "arg"});
     SpanEvent e;
-    std::set<std::string> seen;
-    cur.expect('{');
-    while (cur.peek() != '}') {
-        if (!seen.empty())
-            cur.expect(',');
-        const std::string key = cur.parseString();
-        cur.expect(':');
-        ERC_CHECK(seen.insert(key).second,
-                  "trace json: duplicate key '" << key << "'");
-        if (key == "trace_id") {
-            e.traceId = cur.parseUint();
-        } else if (key == "span_id") {
-            e.spanId = cur.parseUint();
-        } else if (key == "parent_id") {
-            e.parentId = cur.parseUint();
-        } else if (key == "name") {
-            e.name = internSpanName(cur.parseString());
-        } else if (key == "start_us") {
-            e.startUs = cur.parseInt();
-        } else if (key == "end_us") {
-            e.endUs = cur.parseInt();
-        } else if (key == "arg") {
-            e.arg = cur.parseUint();
-        } else {
-            erec::fatal("trace json: unknown key '" + key + "'");
-        }
-    }
-    cur.expect('}');
-    ERC_CHECK(cur.atEnd(), "trace json: trailing content on line");
-    ERC_CHECK(seen.size() == 7, "trace json: line lacks a required key");
+    e.traceId = rec.at("trace_id").asUint64();
+    e.spanId = rec.at("span_id").asUint64();
+    e.parentId = rec.at("parent_id").asUint64();
+    e.name = internSpanName(rec.at("name").asString());
+    e.startUs = rec.at("start_us").asInt64();
+    e.endUs = rec.at("end_us").asInt64();
+    e.arg = rec.at("arg").asUint64();
     return e;
 }
 
@@ -364,7 +175,7 @@ writeTraceJsonLines(std::ostream &os, const std::vector<SpanEvent> &events)
     for (const SpanEvent &e : events)
         os << "{\"trace_id\":" << e.traceId << ",\"span_id\":" << e.spanId
            << ",\"parent_id\":" << e.parentId << ",\"name\":\""
-           << escapeJson(spanName(e.name))
+           << jsonEscape(spanName(e.name))
            << "\",\"start_us\":" << e.startUs << ",\"end_us\":" << e.endUs
            << ",\"arg\":" << e.arg << "}\n";
 }
@@ -381,13 +192,9 @@ std::vector<SpanEvent>
 readTraceJsonLines(const std::string &text)
 {
     std::vector<SpanEvent> events;
-    std::istringstream iss(text);
-    std::string line;
-    while (std::getline(iss, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        events.push_back(parseEventLine(line));
-    }
+    forEachJsonLine(text, "trace json", [&](const JsonValue &rec) {
+        events.push_back(traceEventFrom(rec));
+    });
     return events;
 }
 

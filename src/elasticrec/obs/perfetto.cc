@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+
+#include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 
 namespace erec::obs {
 
@@ -39,19 +43,6 @@ emitLines(std::ostream &os, std::vector<EventLine> lines)
     os << "]}\n";
 }
 
-std::string
-escapeName(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 } // namespace
 
 void
@@ -65,7 +56,7 @@ writePerfettoJson(std::ostream &os, const std::vector<SpanEvent> &events)
         line.tid = e.traceId;
         line.order = order++;
         std::ostringstream oss;
-        oss << "{\"name\":\"" << escapeName(spanName(e.name))
+        oss << "{\"name\":\"" << jsonEscape(spanName(e.name))
             << "\",\"ph\":\"X\",\"ts\":" << e.startUs
             << ",\"dur\":" << (e.endUs - e.startUs)
             << ",\"pid\":1,\"tid\":" << e.traceId
@@ -88,46 +79,43 @@ toPerfettoJson(const std::vector<SpanEvent> &events)
 
 namespace {
 
-/** Extract `"key":<integer>` from an event line; false when absent. */
-bool
-findIntField(const std::string &line, const std::string &key,
-             std::int64_t *out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + needle.size();
-    bool neg = false;
-    if (i < line.size() && line[i] == '-') {
-        neg = true;
-        ++i;
-    }
-    if (i >= line.size() || line[i] < '0' || line[i] > '9')
-        return false;
-    std::int64_t v = 0;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        v = v * 10 + (line[i] - '0');
-        ++i;
-    }
-    *out = neg ? -v : v;
-    return true;
-}
+constexpr std::string_view kHeader = "{\"traceEvents\":[";
+constexpr std::string_view kFooter = "]}";
 
-bool
-findStrField(const std::string &line, const std::string &key,
-             std::string *out)
+/** The checks on one event object; returns its timestamp. */
+std::int64_t
+checkEvent(const JsonValue &event, const std::string &where,
+           std::int64_t prev_ts, std::vector<std::string> *errors)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    const std::size_t begin = at + needle.size();
-    const std::size_t end = line.find('"', begin);
-    if (end == std::string::npos)
-        return false;
-    *out = line.substr(begin, end - begin);
-    return true;
+    const JsonValue *name = event.find("name");
+    const JsonValue *ph = event.find("ph");
+    const JsonValue *ts = event.find("ts");
+    const JsonValue *pid = event.find("pid");
+    const JsonValue *tid = event.find("tid");
+    if (name == nullptr || name->kind != JsonValue::Kind::String ||
+        ph == nullptr || ph->kind != JsonValue::Kind::String ||
+        ts == nullptr || pid == nullptr || tid == nullptr) {
+        errors->push_back(where + ": missing required field "
+                                  "(name/ph/ts/pid/tid)");
+        return prev_ts;
+    }
+    const std::int64_t t = ts->asInt64();
+    // Perfetto groups events into tracks by these two integers.
+    (void)pid->asUint64();
+    (void)tid->asUint64();
+    if (t < prev_ts)
+        errors->push_back(where + ": timestamp " + std::to_string(t) +
+                          " goes backwards (previous " +
+                          std::to_string(prev_ts) + ")");
+    if (ph->string != "X") {
+        errors->push_back(where + ": unsupported phase '" + ph->string +
+                          "'");
+        return t;
+    }
+    const JsonValue *dur = event.find("dur");
+    if (dur == nullptr || dur->asInt64() < 0)
+        errors->push_back(where + ": complete event needs dur >= 0");
+    return t;
 }
 
 } // namespace
@@ -136,59 +124,59 @@ std::vector<std::string>
 validatePerfettoJson(const std::string &text)
 {
     std::vector<std::string> errors;
-    std::vector<std::string> lines;
-    {
-        std::istringstream iss(text);
-        std::string line;
-        while (std::getline(iss, line)) {
-            if (line.find_first_not_of(" \t\r") == std::string::npos)
-                continue;
-            lines.push_back(line);
-        }
-    }
-    if (lines.size() < 2 || lines.front() != "{\"traceEvents\":[" ||
-        lines.back() != "]}") {
-        errors.push_back(
-            "not an erec_trace/v3 perfetto file: expected a "
-            "{\"traceEvents\":[ ... ]} envelope with one event per "
-            "line");
-        return errors;
-    }
-
+    const std::string envelope_error =
+        "not an erec_trace/v3 perfetto file: expected a "
+        "{\"traceEvents\":[ ... ]} envelope with one event per line";
+    bool header = false;
+    bool footer = false;
+    bool comma_pending = false; // the previous event ended in ','
+    std::size_t events = 0;
     std::int64_t prev_ts = -1;
-    for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        const std::string where = "event " + std::to_string(i);
-        std::string name;
-        std::string ph;
-        std::int64_t ts = 0;
-        std::int64_t pid = 0;
-        std::int64_t tid = 0;
-        if (!findStrField(line, "name", &name) ||
-            !findStrField(line, "ph", &ph) ||
-            !findIntField(line, "ts", &ts) ||
-            !findIntField(line, "pid", &pid) ||
-            !findIntField(line, "tid", &tid)) {
-            errors.push_back(where +
-                             ": missing required field "
-                             "(name/ph/ts/pid/tid)");
+    std::string_view rest = text;
+    while (!rest.empty()) {
+        const std::size_t eol = rest.find('\n');
+        std::string_view line = rest.substr(0, eol);
+        rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                         : eol + 1);
+        if (line.find_first_not_of(" \t\r") == std::string_view::npos)
+            continue;
+        if (!header) {
+            if (line != kHeader) {
+                errors.push_back(envelope_error);
+                return errors;
+            }
+            header = true;
             continue;
         }
-        if (ts < prev_ts)
-            errors.push_back(where + ": timestamp " +
-                             std::to_string(ts) +
-                             " goes backwards (previous " +
-                             std::to_string(prev_ts) + ")");
-        prev_ts = ts;
-        if (ph != "X") {
-            errors.push_back(where + ": unsupported phase '" + ph +
-                             "'");
+        if (footer) {
+            errors.push_back("content after the closing ]}");
+            return errors;
+        }
+        if (line == kFooter) {
+            footer = true;
+            if (comma_pending)
+                errors.push_back("event " + std::to_string(events) +
+                                 ": trailing ',' after the last event");
             continue;
         }
-        std::int64_t dur = 0;
-        if (!findIntField(line, "dur", &dur) || dur < 0)
-            errors.push_back(where + ": complete event needs dur >= 0");
+        const std::string where = "event " + std::to_string(++events);
+        if (events > 1 && !comma_pending)
+            errors.push_back(where + ": no ',' after the previous event");
+        comma_pending = line.back() == ',';
+        if (comma_pending)
+            line.remove_suffix(1);
+        try {
+            const JsonValue event = parseJson(line);
+            if (event.kind != JsonValue::Kind::Object)
+                errors.push_back(where + ": not a JSON object");
+            else
+                prev_ts = checkEvent(event, where, prev_ts, &errors);
+        } catch (const ConfigError &e) {
+            errors.push_back(where + ": " + e.what());
+        }
     }
+    if (!footer)
+        errors.push_back(envelope_error);
     return errors;
 }
 

@@ -9,8 +9,9 @@
  *
  * The emitter writes one event per line, globally sorted by timestamp,
  * which is what the erec_trace/v3 perfetto profile
- * (validatePerfettoJson) checks: well-formed complete-event lines and
- * monotonic timestamps.
+ * (validatePerfettoJson) checks: the `{"traceEvents":[` ... `]}`
+ * envelope, one complete-event object per line with a comma between
+ * events, and monotonic timestamps.
  */
 
 #include <iosfwd>
@@ -27,9 +28,9 @@ void writePerfettoJson(std::ostream &os,
 std::string toPerfettoJson(const std::vector<SpanEvent> &events);
 
 /**
- * Validate text against the erec_trace/v3 perfetto profile. Returns
- * one message per violation; empty means valid. Backs promcheck's
- * handling of `*_perfetto.json` artifacts.
+ * Validate text against the erec_trace/v3 perfetto profile, parsing
+ * one event line at a time. Returns one message per violation; empty
+ * means valid. Backs erec_report's check of `*_perfetto.json` files.
  */
 std::vector<std::string> validatePerfettoJson(const std::string &text);
 

@@ -1,102 +1,13 @@
 #include "elasticrec/obs/slo.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 
 namespace erec::obs {
-
-namespace {
-
-/** Lexer over one rule expression; whitespace-insensitive. */
-class RuleCursor
-{
-  public:
-    explicit RuleCursor(const std::string &s) : s_(s) {}
-
-    void skipWs()
-    {
-        while (i_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[i_])))
-            ++i_;
-    }
-
-    bool atEnd()
-    {
-        skipWs();
-        return i_ >= s_.size();
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (i_ < s_.size() && s_[i_] == c) {
-            ++i_;
-            return true;
-        }
-        return false;
-    }
-
-    /** [a-zA-Z_][a-zA-Z0-9_-]* — covers deployment and gauge names. */
-    std::string ident()
-    {
-        skipWs();
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isalnum(static_cast<unsigned char>(s_[i_])) ||
-                s_[i_] == '_' || s_[i_] == '-'))
-            ++i_;
-        ERC_CHECK(i_ > start,
-                  "alert rule: expected identifier at offset " << start
-                                                               << " in '"
-                                                               << s_ << "'");
-        return s_.substr(start, i_ - start);
-    }
-
-    double number()
-    {
-        skipWs();
-        const char *begin = s_.c_str() + i_;
-        char *end = nullptr;
-        const double v = std::strtod(begin, &end);
-        ERC_CHECK(end != begin, "alert rule: expected number at offset "
-                                    << i_ << " in '" << s_ << "'");
-        i_ += static_cast<std::size_t>(end - begin);
-        return v;
-    }
-
-    /** ms | s | % | nothing (raw units). */
-    std::string unit()
-    {
-        skipWs();
-        if (i_ < s_.size() && s_[i_] == '%') {
-            ++i_;
-            return "%";
-        }
-        std::size_t j = i_;
-        while (j < s_.size() &&
-               std::isalpha(static_cast<unsigned char>(s_[j])))
-            ++j;
-        const std::string word = s_.substr(i_, j - i_);
-        if (word == "ms" || word == "s") {
-            i_ = j;
-            return word;
-        }
-        return ""; // `for` or end of input: no unit.
-    }
-
-    std::size_t offset() const { return i_; }
-
-  private:
-    const std::string &s_;
-    std::size_t i_ = 0;
-};
-
-} // namespace
 
 const char *
 toString(SignalKind kind)
@@ -116,73 +27,6 @@ toString(SignalKind kind)
     return "?";
 }
 
-AlertRule
-parseAlertRule(const std::string &name, const std::string &expr)
-{
-    ERC_CHECK(!name.empty(), "alert rule needs a name");
-    AlertRule rule;
-    rule.name = name;
-    RuleCursor cur(expr);
-
-    const std::string head = cur.ident();
-    if (head == "p95")
-        rule.signal.kind = SignalKind::P95;
-    else if (head == "violation_ratio")
-        rule.signal.kind = SignalKind::ViolationRatio;
-    else if (head == "qps")
-        rule.signal.kind = SignalKind::Qps;
-    else if (head == "gauge")
-        rule.signal.kind = SignalKind::GaugeValue;
-    else if (head == "lost_queries")
-        rule.signal.kind = SignalKind::LostQueries;
-    else
-        erec::fatal("alert rule '" + name + "': unknown signal '" + head +
-                    "'");
-
-    if (rule.signal.kind != SignalKind::LostQueries) {
-        ERC_CHECK(cur.consume('('), "alert rule '"
-                                        << name << "': expected '(' after "
-                                        << head);
-        rule.signal.target = cur.ident();
-        ERC_CHECK(cur.consume(')'), "alert rule '"
-                                        << name
-                                        << "': expected ')' after target");
-    }
-
-    ERC_CHECK(cur.consume('>'),
-              "alert rule '" << name << "': only '>' comparisons are "
-                             << "supported");
-
-    rule.threshold = cur.number();
-    const std::string u = cur.unit();
-    if (u == "%")
-        rule.threshold /= 100.0; // ratios are fractions internally
-    else if (u == "s")
-        rule.threshold *= 1000.0; // latency signals are in ms
-
-    if (!cur.atEnd()) {
-        const std::string kw = cur.ident();
-        ERC_CHECK(kw == "for", "alert rule '" << name << "': expected "
-                                              << "'for', got '" << kw
-                                              << "'");
-        const double dur = cur.number();
-        const std::string du = cur.unit();
-        ERC_CHECK(du == "ms" || du == "s",
-                  "alert rule '" << name
-                                 << "': duration needs an ms or s unit");
-        rule.holdFor = static_cast<SimTime>(
-            dur * static_cast<double>(du == "s" ? units::kSecond
-                                                : units::kMillisecond));
-        ERC_CHECK(cur.atEnd(), "alert rule '"
-                                   << name
-                                   << "': trailing content at offset "
-                                   << cur.offset());
-    }
-    ERC_CHECK(rule.holdFor >= 0,
-              "alert rule '" << name << "': negative hold duration");
-    return rule;
-}
-
 SloTracker::SloTracker(SignalReader reader) : reader_(std::move(reader))
 {
     ERC_CHECK(reader_ != nullptr, "SloTracker needs a signal reader");
@@ -199,12 +43,6 @@ SloTracker::addRule(AlertRule rule)
     if (obs_ != nullptr)
         bindRule(rs);
     rules_.push_back(std::move(rs));
-}
-
-void
-SloTracker::addRule(const std::string &name, const std::string &expr)
-{
-    addRule(parseAlertRule(name, expr));
 }
 
 void
@@ -309,8 +147,9 @@ void
 writeAlertJsonLines(std::ostream &os, const std::vector<AlertEvent> &events)
 {
     for (const AlertEvent &e : events) {
-        os << "{\"t_us\":" << e.time << ",\"alert\":\"" << e.alert
-           << "\",\"state\":\"" << (e.firing ? "firing" : "resolved")
+        os << "{\"t_us\":" << e.time << ",\"alert\":\""
+           << jsonEscape(e.alert) << "\",\"state\":\""
+           << (e.firing ? "firing" : "resolved")
            << "\",\"value\":" << formatAlertValue(e.value) << "}\n";
     }
 }
@@ -323,65 +162,19 @@ toAlertJsonLines(const std::vector<AlertEvent> &events)
     return oss.str();
 }
 
-namespace {
-
-/** Extract `"key":` position and return the offset just past it. */
-std::size_t
-fieldOffset(const std::string &line, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t pos = line.find(needle);
-    ERC_CHECK(pos != std::string::npos,
-              "alert json: missing field '" << key << "' in: " << line);
-    return pos + needle.size();
-}
-
-std::string
-stringField(const std::string &line, const std::string &key)
-{
-    std::size_t i = fieldOffset(line, key);
-    ERC_CHECK(i < line.size() && line[i] == '"',
-              "alert json: field '" << key << "' is not a string");
-    ++i;
-    const std::size_t end = line.find('"', i);
-    ERC_CHECK(end != std::string::npos,
-              "alert json: unterminated string for '" << key << "'");
-    return line.substr(i, end - i);
-}
-
-double
-numberField(const std::string &line, const std::string &key)
-{
-    const std::size_t i = fieldOffset(line, key);
-    const char *begin = line.c_str() + i;
-    char *end = nullptr;
-    const double v = std::strtod(begin, &end);
-    ERC_CHECK(end != begin,
-              "alert json: field '" << key << "' is not a number");
-    return v;
-}
-
-} // namespace
-
 std::vector<AlertEvent>
 readAlertJsonLines(const std::string &text)
 {
     std::vector<AlertEvent> events;
-    std::istringstream iss(text);
-    std::string line;
-    while (std::getline(iss, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        AlertEvent e;
-        e.time = static_cast<SimTime>(numberField(line, "t_us"));
-        e.alert = stringField(line, "alert");
-        const std::string state = stringField(line, "state");
+    forEachJsonLine(text, "alert json", [&](const JsonValue &rec) {
+        rec.requireKeys({"t_us", "alert", "state", "value"});
+        const std::string &state = rec.at("state").asString();
         ERC_CHECK(state == "firing" || state == "resolved",
-                  "alert json: bad state '" << state << "'");
-        e.firing = state == "firing";
-        e.value = numberField(line, "value");
-        events.push_back(std::move(e));
-    }
+                  "bad state '" << state << "'");
+        events.push_back({rec.at("t_us").asInt64(),
+                          rec.at("alert").asString(), state == "firing",
+                          rec.at("value").asDouble()});
+    });
     return events;
 }
 

@@ -16,18 +16,10 @@
  *   erec_alert_transitions_total{alert=...,transition=firing|resolved}
  *   erec_alert_firing{alert=...}
  *
- * Rule grammar (parseAlertRule):
- *
- *   <signal> > <threshold>[unit] [for <duration>]
- *
- *   signal    := p95(<deployment>) | violation_ratio(<deployment>)
- *              | qps(<deployment>) | gauge(<name>) | lost_queries
- *   unit      := ms | s | %          (bare numbers are raw units)
- *   duration  := <number>(ms|s)
- *
- * e.g. `p95(dense) > 260ms for 5s`, `violation_ratio(rm1) > 1%`,
- * `lost_queries > 0`. p95 signals are in milliseconds, ratios are
- * fractions (1% == 0.01), `s` thresholds convert to ms.
+ * An AlertRule fires when its signal exceeds a threshold. Signals
+ * (SignalKind) are p95(<deployment>) in milliseconds,
+ * violation_ratio(<deployment>) as a fraction (1% == 0.01),
+ * qps(<deployment>), gauge(<name>) and lost_queries.
  * `gauge(<name>)` reads the metric family `<name>` of the owner's
  * obs::Registry summed over its label sets (Registry::sum), so
  * `gauge(erec_ready_replicas)` counts the Ready pods of every
@@ -78,12 +70,6 @@ struct AlertRule
     SimTime holdFor = 0;
 };
 
-/**
- * Parse `<signal> > <threshold>[unit] [for <duration>]` into a rule
- * (grammar in the file header). Raises ConfigError on malformed input.
- */
-AlertRule parseAlertRule(const std::string &name, const std::string &expr);
-
 /** One firing or resolved transition, in evaluation order. */
 struct AlertEvent
 {
@@ -102,10 +88,8 @@ class SloTracker
 
     explicit SloTracker(SignalReader reader);
 
-    /** Register a rule (typically via parseAlertRule). Rule names must
-     *  be unique. */
+    /** Register a rule. Rule names must be unique. */
     void addRule(AlertRule rule);
-    void addRule(const std::string &name, const std::string &expr);
 
     /**
      * Mirror transitions/firing state into an exportable registry.

@@ -3,7 +3,7 @@
 /**
  * @file
  * The `erec_trace/v3` schema: the contract every exported
- * `*_traces.jsonl` artifact must satisfy, validated by promcheck in
+ * `*_traces.jsonl` artifact must satisfy, validated by erec_report in
  * the CI smoke stage so a broken exporter (or a causality bug in span
  * id assignment) fails the build instead of silently producing
  * garbage traces.
@@ -27,7 +27,7 @@
 
 namespace erec::obs {
 
-/** Schema identifier promcheck reports against. */
+/** Schema identifier erec_report reports against. */
 inline constexpr const char *kTraceSchemaVersion = "erec_trace/v3";
 
 /** Validate span events; returns one message per violation (empty =

@@ -35,14 +35,6 @@ SparseShardServer::memBytes() const
     return table_->shardBytes(shardId_);
 }
 
-std::vector<float>
-SparseShardServer::gather(const workload::SparseLookup &local_lookup) const
-{
-    std::vector<float> pooled;
-    gatherInto(local_lookup, &pooled);
-    return pooled;
-}
-
 void
 SparseShardServer::attachRecorder(
     std::shared_ptr<obs::FlightRecorder> recorder)

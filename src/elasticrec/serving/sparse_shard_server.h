@@ -41,19 +41,11 @@ class SparseShardServer
 
     /**
      * Serve one gather request: shard-local indices + full-batch
-     * offsets, returning one pooled vector per batch item
-     * (batch x dim floats). Thread-safe: the table is immutable and
-     * the load counter is atomic, so executor workers may gather from
-     * one shard concurrently.
-     */
-    ERC_HOT_PATH
-    std::vector<float>
-    gather(const workload::SparseLookup &local_lookup) const;
-
-    /**
-     * gather() into a caller-owned buffer (resized to batch x dim) so
-     * a warm caller pays no allocation — the dense frontend's serving
-     * variant. Results are identical to gather().
+     * offsets, writing one pooled vector per batch item into a
+     * caller-owned buffer (resized to batch x dim floats), so a warm
+     * caller pays no allocation. Thread-safe: the table is immutable
+     * and the load counter is atomic, so executor workers may gather
+     * from one shard concurrently.
      */
     ERC_HOT_PATH
     void gatherInto(const workload::SparseLookup &local_lookup,

@@ -72,9 +72,8 @@ buildElasticRecStack(std::shared_ptr<const model::Dlrm> dlrm,
         stack.recorder = std::make_shared<obs::FlightRecorder>(ropts);
     }
     // One backend handle serves the whole stack: every sparse shard's
-    // gathers and the frontend's GEMMs resolve here, once, so a
-    // misconfigured name fails at build time rather than mid-query.
-    stack.kernelBackend = &kernels::resolveBackend(options.kernelBackend);
+    // gathers and the frontend's GEMMs run on the process default.
+    stack.kernelBackend = &kernels::defaultBackend();
     std::vector<core::Bucketizer> bucketizers;
     for (std::uint32_t t = 0; t < tables; ++t) {
         const TablePlan &plan = plan_for(t);

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "elasticrec/obs/metric.h"
@@ -53,15 +52,6 @@ struct StackOptions
      */
     std::shared_ptr<runtime::Executor> executor = {};
     /**
-     * Kernel backend every shard gather and MLP GEMM executes on:
-     * "scalar", "avx2", "avx512", or "" for the default (the
-     * ERC_KERNEL_BACKEND env var when set, else the widest ISA this
-     * host supports). A known name whose ISA is missing here degrades
-     * to the best available backend; an unknown name is a ConfigError.
-     * Outputs are bit-identical across backends either way.
-     */
-    std::string kernelBackend = {};
-    /**
      * Causal tracing: sample every Nth submitted query into the
      * flight recorder (0 disables tracing entirely). When > 0 the
      * builder creates a FlightRecorder, attaches it to the frontend
@@ -87,7 +77,9 @@ struct ElasticRecStack
     /** Request front door (one FIFO queue, one pump per worker);
      *  non-null iff an executor was supplied. */
     std::shared_ptr<QueryDispatcher> dispatcher = {};
-    /** The kernel backend the whole stack resolved to (never null). */
+    /** The kernel backend every shard gather and MLP GEMM executes on:
+     *  kernels::defaultBackend(), which ERC_KERNEL_BACKEND selects
+     *  (never null). */
     const kernels::KernelBackend *kernelBackend = nullptr;
     /** Flight recorder; non-null iff traceSampleEvery > 0. */
     std::shared_ptr<obs::FlightRecorder> recorder = {};

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the perf-gate comparator (tools/benchdiff): JSON parsing,
- * tolerance parsing, and the regression verdict per sweep point.
+ * Tests for the perf-gate comparator (tools/benchdiff): tolerance
+ * parsing and the regression verdict per sweep point. The JSON parser
+ * it reads bench files with is tested in json_test.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -25,41 +26,6 @@ benchJson(double qps1, double qps2)
            "    {\"threads\": 4, \"qps\": " +
            std::to_string(qps2) +
            ", \"p50_ms\": 2.0}\n  ],\n  \"scaling\": 2.0\n}\n";
-}
-
-TEST(BenchdiffJsonTest, ParsesBenchDocument)
-{
-    const auto doc = parseJson(benchJson(1000, 2500));
-    ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
-    const auto *bench = doc.find("bench");
-    ASSERT_NE(bench, nullptr);
-    EXPECT_EQ(bench->string, "serving_throughput");
-    EXPECT_TRUE(doc.find("quick")->boolean);
-    const auto *sweep = doc.find("sweep");
-    ASSERT_EQ(sweep->kind, JsonValue::Kind::Array);
-    ASSERT_EQ(sweep->array.size(), 2u);
-    EXPECT_DOUBLE_EQ(sweep->array[0].find("qps")->number, 1000.0);
-    EXPECT_EQ(doc.find("missing"), nullptr);
-}
-
-TEST(BenchdiffJsonTest, ParsesEscapesNegativesAndNulls)
-{
-    const auto doc = parseJson(
-        R"({"s": "a\"b\nc", "neg": -2.5e2, "none": null, "empty": {}})");
-    EXPECT_EQ(doc.find("s")->string, "a\"b\nc");
-    EXPECT_DOUBLE_EQ(doc.find("neg")->number, -250.0);
-    EXPECT_EQ(doc.find("none")->kind, JsonValue::Kind::Null);
-    EXPECT_TRUE(doc.find("empty")->object.empty());
-}
-
-TEST(BenchdiffJsonTest, RejectsMalformedInput)
-{
-    EXPECT_THROW(parseJson("{\"a\": 1} trailing"), ConfigError);
-    EXPECT_THROW(parseJson("{\"a\" 1}"), ConfigError);
-    EXPECT_THROW(parseJson("[1, 2"), ConfigError);
-    EXPECT_THROW(parseJson("{\"s\": \"unterminated}"), ConfigError);
-    EXPECT_THROW(parseJson(""), ConfigError);
-    EXPECT_THROW(parseJson("nope"), ConfigError);
 }
 
 TEST(BenchdiffToleranceTest, AcceptsPercentAndFraction)

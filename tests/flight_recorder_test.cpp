@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "elasticrec/common/json.h"
 #include "elasticrec/obs/flight_recorder.h"
 #include "elasticrec/obs/perfetto.h"
 #include "elasticrec/obs/span_name.h"
@@ -235,6 +236,53 @@ TEST(PerfettoTest, DrainedEventsExportAndValidate)
 
     // The validator is a real gate: broken input must fail it.
     EXPECT_FALSE(validatePerfettoJson("{\"traceEvents\": [").empty());
+}
+
+TEST(PerfettoTest, ControlCharactersInNamesStayValid)
+{
+    const std::string name = "test/tab\there\nline\x01";
+    const std::vector<SpanEvent> events = {
+        {.traceId = 1,
+         .spanId = kRootSpanId,
+         .startUs = 0,
+         .endUs = 5,
+         .name = internSpanName(name)},
+    };
+    const std::string json = toPerfettoJson(events);
+    EXPECT_EQ(validatePerfettoJson(json), std::vector<std::string>{});
+    const JsonValue doc = parseJson(json);
+    const JsonValue *trace_events = doc.find("traceEvents");
+    ASSERT_NE(trace_events, nullptr);
+    ASSERT_EQ(trace_events->array.size(), 1u);
+    EXPECT_EQ(trace_events->array[0].at("name").asString(), name);
+}
+
+TEST(PerfettoTest, RejectsMalformedEventLines)
+{
+    const std::string a =
+        "{\"name\":\"a\",\"ph\":\"X\",\"ts\":1,\"dur\":1,\"pid\":1,"
+        "\"tid\":1}";
+    const std::string b =
+        "{\"name\":\"b\",\"ph\":\"X\",\"ts\":2,\"dur\":1,\"pid\":1,"
+        "\"tid\":1}";
+    const auto file = [](const std::string &events) {
+        return "{\"traceEvents\":[\n" + events + "]}\n";
+    };
+    EXPECT_EQ(validatePerfettoJson(file(a + ",\n" + b + "\n")),
+              std::vector<std::string>{});
+
+    // The first event lost its closing brace.
+    const auto unclosed = validatePerfettoJson(
+        file(a.substr(0, a.size() - 1) + ",\n" + b + "\n"));
+    ASSERT_EQ(unclosed.size(), 1u);
+    EXPECT_NE(unclosed[0].find("event 1"), std::string::npos)
+        << unclosed[0];
+
+    // No comma between the two events.
+    const auto no_comma = validatePerfettoJson(file(a + "\n" + b + "\n"));
+    ASSERT_EQ(no_comma.size(), 1u);
+    EXPECT_NE(no_comma[0].find("event 2"), std::string::npos)
+        << no_comma[0];
 }
 
 } // namespace

@@ -154,7 +154,7 @@ TEST(ExportTest, PrometheusHistogramIsCumulativeWithInf)
 TEST(ExportTest, SkipsFamiliesWithNoChildren)
 {
     // remove() can empty a family (last pod gauge gone); the export
-    // must not emit a header-only family, which promcheck rejects.
+    // must not emit a header-only family, which erec_report rejects.
     Registry r;
     r.gauge("erec_pod_busy", "Busy.", {{"pod", "p0"}}).set(1);
     r.counter("erec_done_total", "Done.").inc();
@@ -259,6 +259,25 @@ TEST(TraceSchemaTest, FlagsStructuralViolations)
     const std::vector<SpanEvent> twice = {span(3, kRootSpanId, query, 0, 5),
                                           span(3, kRootSpanId, query, 0, 5)};
     EXPECT_EQ(validateTraceSchema(twice).size(), 1u);
+}
+
+TEST(ExportTest, TraceIdsAtAndAbove2To53RoundTripExactly)
+{
+    // Doubles stop at 2^53; trace, span and parent ids are full 64-bit.
+    const NameId name = internSpanName("test/wide-ids");
+    const std::uint64_t two53 = std::uint64_t{1} << 53;
+    std::vector<SpanEvent> events;
+    events.push_back(span(two53, two53 + 1, name, 0, 1));
+    events.push_back(span(two53 + 1, ~std::uint64_t{0}, name, 0, 1));
+    events.back().parentId = ~std::uint64_t{0} - 1;
+
+    const auto back = readTraceJsonLines(toTraceJsonLines(events));
+    ASSERT_EQ(back.size(), 2u);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(back[i].traceId, events[i].traceId);
+        EXPECT_EQ(back[i].spanId, events[i].spanId);
+        EXPECT_EQ(back[i].parentId, events[i].parentId);
+    }
 }
 
 TEST(ExportTest, TraceReaderRejectsMalformedInput)

@@ -2,11 +2,11 @@
  * @file
  * End-to-end telemetry tests: an autoscaled cluster simulation with 1%
  * query tracing must emit a Prometheus export and a JSON-lines trace
- * file that parse cleanly (via the promcheck parser) and cross-check
- * against the run's SimResult — completions, SLA violations and scale
- * events all match — while tracing itself never perturbs the
- * simulation or its determinism, and a traced simulation re-entered
- * through run() keeps one consistent span record.
+ * file that parse cleanly (via erec_report's Prometheus parser) and
+ * cross-check against the run's SimResult — completions, SLA
+ * violations and scale events all match — while tracing itself never
+ * perturbs the simulation or its determinism, and a traced simulation
+ * re-entered through run() keeps one consistent span record.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@
 #include "elasticrec/obs/trace_schema.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
-#include "tools/promcheck/prom_parser.h"
+#include "tools/report/prom_parser.h"
 
 namespace erec::sim {
 namespace {
@@ -296,7 +296,7 @@ TEST(SimObsTest, TracingDoesNotPerturbTheSimulation)
     EXPECT_EQ(r_off.scaleEvents, r_on.scaleEvents);
 }
 
-TEST(SimObsTest, PromcheckRejectsHeaderOnlyFamilies)
+TEST(SimObsTest, PromParserRejectsHeaderOnlyFamilies)
 {
     const auto result = tools::parsePrometheusText(
         "# HELP erec_ghost A family with no samples.\n"
@@ -390,7 +390,10 @@ TEST(SimObsTest, GaugeRuleReadsTheRegistryFamily)
     ClusterSimulation sim(erPlan(config, node), node,
                           workload::TrafficPattern::constant(20.0),
                           opt);
-    sim.slo().addRule("ready", "gauge(erec_ready_replicas) > 0");
+    sim.slo().addRule({"ready",
+                       {obs::SignalKind::GaugeValue, "erec_ready_replicas"},
+                       0.0,
+                       0});
     sim.run(units::kMinute);
     EXPECT_TRUE(sim.slo().firing("ready"));
     EXPECT_GT(sim.observability().sum("erec_ready_replicas"), 0.0);

@@ -1,5 +1,5 @@
-// Tests for the SLO alert engine: rule grammar, hold-for firing
-// semantics, transition counters/log, and the alert JSONL round trip.
+// Tests for the SLO alert engine: hold-for firing semantics,
+// transition counters/log, and the alert JSONL round trip.
 
 #include <map>
 #include <sstream>
@@ -16,71 +16,18 @@ namespace {
 using erec::SimTime;
 using erec::obs::AlertEvent;
 using erec::obs::AlertRule;
-using erec::obs::parseAlertRule;
 using erec::obs::Registry;
 using erec::obs::SignalKind;
 using erec::obs::SloSignal;
 using erec::obs::SloTracker;
 namespace units = erec::units;
 
-TEST(AlertRuleGrammar, ParsesP95WithHold)
-{
-    const AlertRule rule =
-        parseAlertRule("dense-p95", "p95(dense) > 260ms for 5s");
-    EXPECT_EQ(rule.signal.kind, SignalKind::P95);
-    EXPECT_EQ(rule.signal.target, "dense");
-    EXPECT_DOUBLE_EQ(rule.threshold, 260.0);
-    EXPECT_EQ(rule.holdFor, 5 * units::kSecond);
-}
+/** `p95(dense) > 100 ms`, held for 3 s. */
+const AlertRule kDenseP95{
+    "p95", {SignalKind::P95, "dense"}, 100.0, 3 * units::kSecond};
 
-TEST(AlertRuleGrammar, ParsesSecondsThresholdAsMillis)
-{
-    const AlertRule rule = parseAlertRule("p", "p95(rm1) > 0.4s");
-    EXPECT_DOUBLE_EQ(rule.threshold, 400.0);
-    EXPECT_EQ(rule.holdFor, 0);
-}
-
-TEST(AlertRuleGrammar, ParsesPercentAsFraction)
-{
-    const AlertRule rule =
-        parseAlertRule("ratio", "violation_ratio(rm1) > 1%");
-    EXPECT_EQ(rule.signal.kind, SignalKind::ViolationRatio);
-    EXPECT_DOUBLE_EQ(rule.threshold, 0.01);
-}
-
-TEST(AlertRuleGrammar, ParsesBareSignals)
-{
-    const AlertRule lost = parseAlertRule("lost", "lost_queries > 0");
-    EXPECT_EQ(lost.signal.kind, SignalKind::LostQueries);
-    EXPECT_TRUE(lost.signal.target.empty());
-    EXPECT_DOUBLE_EQ(lost.threshold, 0.0);
-
-    const AlertRule qps = parseAlertRule("qps", "qps(sparse-0) > 120");
-    EXPECT_EQ(qps.signal.kind, SignalKind::Qps);
-    EXPECT_EQ(qps.signal.target, "sparse-0");
-
-    const AlertRule gauge =
-        parseAlertRule("mem", "gauge(memory_gib) > 80 for 500ms");
-    EXPECT_EQ(gauge.signal.kind, SignalKind::GaugeValue);
-    EXPECT_EQ(gauge.signal.target, "memory_gib");
-    EXPECT_EQ(gauge.holdFor, 500 * units::kMillisecond);
-}
-
-TEST(AlertRuleGrammar, RejectsMalformedRules)
-{
-    EXPECT_THROW(parseAlertRule("x", "p96(dense) > 1"),
-                 erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("x", "p95(dense) < 1"),
-                 erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("x", "p95(dense) > "), erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("x", "p95(dense) > 1 for 5"),
-                 erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("x", "p95(dense) > 1 forever"),
-                 erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("x", "p95 > 1"), erec::ConfigError);
-    EXPECT_THROW(parseAlertRule("", "lost_queries > 0"),
-                 erec::ConfigError);
-}
+/** `lost_queries > 0`, firing at once. */
+const AlertRule kLost{"lost", {SignalKind::LostQueries, ""}, 0.0, 0};
 
 /** Tracker wired to a mutable map of signal values. */
 struct Harness
@@ -97,7 +44,7 @@ struct Harness
 TEST(SloTracker, FiresAfterHoldAndResolves)
 {
     Harness h;
-    h.tracker.addRule("p95", "p95(dense) > 100ms for 3s");
+    h.tracker.addRule(kDenseP95);
 
     h.values["p95:dense"] = 150.0;
     h.tracker.evaluate(1 * units::kSecond);
@@ -123,7 +70,7 @@ TEST(SloTracker, FiresAfterHoldAndResolves)
 TEST(SloTracker, InterruptedBreachRestartsHold)
 {
     Harness h;
-    h.tracker.addRule("p95", "p95(dense) > 100ms for 3s");
+    h.tracker.addRule(kDenseP95);
 
     h.values["p95:dense"] = 150.0;
     h.tracker.evaluate(0);
@@ -141,7 +88,7 @@ TEST(SloTracker, InterruptedBreachRestartsHold)
 TEST(SloTracker, ZeroHoldFiresImmediately)
 {
     Harness h;
-    h.tracker.addRule("lost", "lost_queries > 0");
+    h.tracker.addRule(kLost);
     h.values["lost_queries:"] = 1.0;
     h.tracker.evaluate(7 * units::kSecond);
     EXPECT_TRUE(h.tracker.firing("lost"));
@@ -151,7 +98,7 @@ TEST(SloTracker, ExportsTransitionCountersAndFiringGauge)
 {
     Harness h;
     Registry registry;
-    h.tracker.addRule("lost", "lost_queries > 0");
+    h.tracker.addRule(kLost);
     h.tracker.bindObservability(&registry);
 
     h.values["lost_queries:"] = 2.0;
@@ -176,7 +123,7 @@ TEST(SloTracker, ExportsTransitionCountersAndFiringGauge)
 TEST(SloTracker, ResetClearsStateButKeepsRules)
 {
     Harness h;
-    h.tracker.addRule("lost", "lost_queries > 0");
+    h.tracker.addRule(kLost);
     h.values["lost_queries:"] = 1.0;
     h.tracker.evaluate(units::kSecond);
     ASSERT_TRUE(h.tracker.firing("lost"));
@@ -193,9 +140,10 @@ TEST(SloTracker, ResetClearsStateButKeepsRules)
 TEST(SloTracker, RejectsDuplicateRuleNames)
 {
     Harness h;
-    h.tracker.addRule("lost", "lost_queries > 0");
-    EXPECT_THROW(h.tracker.addRule("lost", "lost_queries > 1"),
-                 erec::ConfigError);
+    h.tracker.addRule(kLost);
+    AlertRule again = kLost;
+    again.threshold = 1.0;
+    EXPECT_THROW(h.tracker.addRule(again), erec::ConfigError);
 }
 
 TEST(AlertJson, RoundTrips)
@@ -218,6 +166,22 @@ TEST(AlertJson, RoundTrips)
     EXPECT_EQ(erec::obs::toAlertJsonLines(parsed), text);
 }
 
+TEST(AlertJson, RoundTripsNamesThatNeedEscaping)
+{
+    const std::vector<AlertEvent> events = {
+        {units::kMillisecond, "a\"b\\c", true, 1.5},
+        {2 * units::kMillisecond, "tab\there", false, 0.0},
+    };
+    const std::string text = erec::obs::toAlertJsonLines(events);
+    EXPECT_NE(text.find("\"alert\":\"a\\\"b\\\\c\""), std::string::npos)
+        << text;
+    const auto parsed = erec::obs::readAlertJsonLines(text);
+    ASSERT_EQ(parsed.size(), events.size());
+    EXPECT_EQ(parsed[0].alert, "a\"b\\c");
+    EXPECT_EQ(parsed[1].alert, "tab\there");
+    EXPECT_EQ(erec::obs::toAlertJsonLines(parsed), text);
+}
+
 TEST(AlertJson, RejectsMalformedLines)
 {
     EXPECT_THROW(erec::obs::readAlertJsonLines("{\"alert\":\"x\"}"),
@@ -226,6 +190,25 @@ TEST(AlertJson, RejectsMalformedLines)
         erec::obs::readAlertJsonLines(
             "{\"t_us\":1,\"alert\":\"x\",\"state\":\"bad\",\"value\":0}"),
         erec::ConfigError);
+}
+
+TEST(AlertJson, AcceptsExactlyItsFourKeys)
+{
+    const std::string good =
+        "{\"t_us\":1,\"alert\":\"x\",\"state\":\"firing\",\"value\":0}\n";
+    EXPECT_EQ(erec::obs::readAlertJsonLines(good).size(), 1u);
+    EXPECT_THROW(erec::obs::readAlertJsonLines(
+                     "{\"t_us\":1,\"alert\":\"x\",\"state\":\"firing\","
+                     "\"value\":0,\"extra\":1}\n"),
+                 erec::ConfigError);
+    EXPECT_THROW(erec::obs::readAlertJsonLines(
+                     "{\"t_us\":1.5,\"alert\":\"x\",\"state\":\"firing\","
+                     "\"value\":0}\n"),
+                 erec::ConfigError);
+    // A truncated line is an error, not a prefix match.
+    EXPECT_THROW(erec::obs::readAlertJsonLines(
+                     good + "{\"t_us\":2,\"alert\":\"x\",\"state\":"),
+                 erec::ConfigError);
 }
 
 } // namespace

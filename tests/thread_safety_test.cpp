@@ -1,9 +1,9 @@
 /**
  * @file
- * Concurrency tests for the mutex-protected state introduced with the
- * thread-annotation layer: the logging sink and the node registry.
- * These mostly exist to give TSan builds (-DELASTICREC_SANITIZE=thread)
- * real cross-thread traffic to check; single-threaded correctness is
+ * Concurrency test for the mutex-protected logging sink, the
+ * annotated-mutex exercise of the thread-annotation layer. It mostly
+ * exists to give TSan builds (-DELASTICREC_SANITIZE=thread) real
+ * cross-thread traffic to check; single-threaded correctness is
  * covered by logging_test.cpp.
  */
 
@@ -15,9 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "elasticrec/common/error.h"
 #include "elasticrec/common/logging.h"
-#include "elasticrec/hw/platform.h"
 
 namespace erec {
 namespace {
@@ -56,49 +54,6 @@ TEST(ThreadSafetyTest, ConcurrentLoggingThroughSink)
     EXPECT_EQ(records.load(), static_cast<std::size_t>(kThreads) *
                                   kPerThread);
     EXPECT_GT(bytes.load(), 0u);
-}
-
-TEST(ThreadSafetyTest, ConcurrentRegistryReadersAndWriters)
-{
-    auto &registry = hw::NodeRegistry::instance();
-    constexpr int kWriters = 4;
-    constexpr int kReaders = 4;
-    constexpr int kOps = 200;
-
-    std::vector<std::thread> threads;
-    threads.reserve(kWriters + kReaders);
-    for (int w = 0; w < kWriters; ++w) {
-        threads.emplace_back([&registry, w] {
-            for (int i = 0; i < kOps; ++i) {
-                auto spec = hw::cpuOnlyNode();
-                spec.costUnits = w + i * 0.001;
-                registry.registerNode(
-                    "tsan-node-" + std::to_string(w), spec);
-            }
-        });
-    }
-    for (int r = 0; r < kReaders; ++r) {
-        threads.emplace_back([&registry] {
-            for (int i = 0; i < kOps; ++i) {
-                if (registry.hasNode("cpu"))
-                    (void)registry.nodeByName("cpu");
-                (void)registry.nodeNames();
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-
-    for (int w = 0; w < kWriters; ++w)
-        EXPECT_TRUE(registry.hasNode("tsan-node-" + std::to_string(w)));
-    EXPECT_EQ(registry.nodeByName("cpu").name, "xeon6242-dual");
-}
-
-TEST(ThreadSafetyTest, RegistryPreSeededWithPaperPlatforms)
-{
-    EXPECT_EQ(hw::nodeByName("cpu").name, "xeon6242-dual");
-    EXPECT_EQ(hw::nodeByName("cpu-gpu").name, "n1-standard-32-t4");
-    EXPECT_THROW(hw::nodeByName("no-such-platform"), ConfigError);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "elasticrec/common/json.h"
 #include "tools/analyze/analyze.h"
 
 namespace erec::analyze {
@@ -83,8 +84,8 @@ renderJson(const Report &report)
         const Finding &f = report.findings[i];
         oss << (i == 0 ? "\n" : ",\n");
         oss << "    {\n";
-        oss << "      \"pack\": \"" << f.pack << "\",\n";
-        oss << "      \"rule\": \"" << f.rule << "\",\n";
+        oss << "      \"pack\": \"" << jsonEscape(f.pack) << "\",\n";
+        oss << "      \"rule\": \"" << jsonEscape(f.rule) << "\",\n";
         oss << "      \"file\": \"" << jsonEscape(f.file) << "\",\n";
         oss << "      \"line\": " << f.line << ",\n";
         oss << "      \"function\": \"" << jsonEscape(f.function)

@@ -410,31 +410,6 @@ join(const std::vector<std::string> &parts, const std::string &sep)
     return out;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream oss;
-                oss << "\\u00" << std::hex << (c < 16 ? "0" : "")
-                    << static_cast<int>(c);
-                out += oss.str();
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
 /**

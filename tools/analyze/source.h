@@ -9,8 +9,8 @@
  *    directory (the repo root), and every pack picks its files by the
  *    first component of that spelling (src, tools, bench, tests,
  *    examples) — never by a component of the absolute checkout path;
- *  - one comment/string stripper, preprocessor blanking, splitLines,
- *    trim and jsonEscape;
+ *  - one comment/string stripper, preprocessor blanking, splitLines
+ *    and trim;
  *  - the function extractor (definitions with their body spans);
  *  - one call-graph builder over `src/`, parameterised by the waiver
  *    macro whose markers exempt lines and functions;
@@ -72,9 +72,6 @@ std::string trim(const std::string &s);
 /** `parts` joined with `sep` between them. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
-
-/** Escape a string for a JSON string literal (without the quotes). */
-std::string jsonEscape(const std::string &text);
 
 /** Keywords that can precede a `(` but never name a function. */
 bool isCallKeyword(const std::string &word);

@@ -1,6 +1,5 @@
 #include "tools/benchdiff/benchdiff_core.h"
 
-#include <cctype>
 #include <cstdlib>
 #include <sstream>
 
@@ -9,217 +8,6 @@
 namespace erec::benchdiff {
 
 namespace {
-
-/** Recursive-descent JSON reader over a string (no third-party deps).
- *  Tracks the byte offset for error messages. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    JsonValue parseDocument()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        ERC_CHECK(pos_ == text_.size(),
-                  "trailing garbage after JSON document at byte "
-                      << pos_);
-        return v;
-    }
-
-  private:
-    [[noreturn]] void fail(const std::string &what) const
-    {
-        erec::fatal("JSON parse error at byte " +
-                    std::to_string(pos_) + ": " + what);
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "', got '" +
-                 text_[pos_] + "'");
-        ++pos_;
-    }
-
-    bool consumeKeyword(const std::string &kw)
-    {
-        if (text_.compare(pos_, kw.size(), kw) != 0)
-            return false;
-        pos_ += kw.size();
-        return true;
-    }
-
-    JsonValue parseValue()
-    {
-        const char c = peek();
-        switch (c) {
-        case '{':
-            return parseObject();
-        case '[':
-            return parseArray();
-        case '"': {
-            JsonValue v;
-            v.kind = JsonValue::Kind::String;
-            v.string = parseString();
-            return v;
-        }
-        case 't':
-        case 'f': {
-            JsonValue v;
-            v.kind = JsonValue::Kind::Bool;
-            if (consumeKeyword("true"))
-                v.boolean = true;
-            else if (consumeKeyword("false"))
-                v.boolean = false;
-            else
-                fail("bad keyword");
-            return v;
-        }
-        case 'n': {
-            if (!consumeKeyword("null"))
-                fail("bad keyword");
-            return JsonValue{};
-        }
-        default:
-            return parseNumber();
-        }
-    }
-
-    JsonValue parseObject()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        expect('{');
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            if (peek() != '"')
-                fail("expected object key string");
-            std::string key = parseString();
-            expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
-            const char c = peek();
-            if (c == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue parseArray()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        expect('[');
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parseValue());
-            const char c = peek();
-            if (c == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                case '"':
-                case '\\':
-                case '/':
-                    out.push_back(e);
-                    break;
-                case 'n':
-                    out.push_back('\n');
-                    break;
-                case 't':
-                    out.push_back('\t');
-                    break;
-                case 'r':
-                    out.push_back('\r');
-                    break;
-                case 'b':
-                case 'f':
-                case 'u':
-                    // Bench files never emit these; keep the reader
-                    // honest rather than silently mangling them.
-                    fail("unsupported string escape");
-                default:
-                    fail("bad string escape");
-                }
-                continue;
-            }
-            out.push_back(c);
-        }
-    }
-
-    JsonValue parseNumber()
-    {
-        skipWs();
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+'))
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '-' ||
-                text_[pos_] == '+'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        const std::string token = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double num = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
-            fail("bad number '" + token + "'");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = num;
-        return v;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
 
 /** Fetch a required numeric member of a sweep entry. */
 double
@@ -258,23 +46,6 @@ sweepEntries(const JsonValue &doc, const std::string &which,
 }
 
 } // namespace
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : object)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
-JsonValue
-parseJson(const std::string &text)
-{
-    return Parser(text).parseDocument();
-}
 
 double
 parseTolerance(const std::string &arg)

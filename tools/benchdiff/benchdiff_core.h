@@ -26,10 +26,10 @@
  * baseline does not publish); a current entry lacking it fails the
  * gate.
  *
- * Parsing is a self-contained recursive-descent JSON reader (the repo
- * takes no third-party deps); it accepts general JSON, and compare()
- * then requires the bench schema: a top-level object with a "sweep"
- * array of objects carrying numeric "qps" and the sweep key.
+ * Files are read with the repo's JSON codec (common/json.h), which
+ * accepts any strict JSON; compare() then requires the bench schema: a
+ * top-level object with a "sweep" array of objects carrying numeric
+ * "qps" and the sweep key.
  */
 
 #include <cstddef>
@@ -38,35 +38,9 @@
 #include <utility>
 #include <vector>
 
+#include "elasticrec/common/json.h"
+
 namespace erec::benchdiff {
-
-/** Minimal JSON value (objects keep insertion order via vector). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /** Object member lookup; null when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-};
-
-/** Parse a JSON document. Raises erec::ConfigError on malformed input
- *  (with a byte offset in the message). */
-JsonValue parseJson(const std::string &text);
 
 /**
  * Parse a tolerance argument: either a fraction ("0.15") or a

@@ -78,10 +78,8 @@ main(int argc, char **argv)
         for (const auto &m : metric_args)
             metric_tolerances.insert(
                 erec::benchdiff::parseMetricTolerance(m));
-        const auto baseline =
-            erec::benchdiff::parseJson(readFile(baseline_path));
-        const auto current =
-            erec::benchdiff::parseJson(readFile(current_path));
+        const auto baseline = erec::parseJson(readFile(baseline_path));
+        const auto current = erec::parseJson(readFile(current_path));
         const auto report =
             erec::benchdiff::compare(baseline, current, tolerance,
                                      metric_tolerances, key);

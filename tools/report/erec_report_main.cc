@@ -1,7 +1,7 @@
 /**
  * @file
- * erec_report: turn a `--metrics-out` dump into a human-readable run
- * report.
+ * erec_report: check a `--metrics-out` dump and turn it into a
+ * human-readable run report.
  *
  *   erec_report DIR [--stem STEM] [--fail-on-alert NAME[,NAME...]]
  *
@@ -11,10 +11,20 @@
  * (when tracing was on; simulator and serving-stack dumps alike), and
  * the SLO verdict plus alert timeline from `<stem>_alerts.jsonl`.
  *
+ * Every file is checked on the way, and a bad one is named on stderr:
+ * the `.prom` against the Prometheus text format (histogram
+ * invariants included), the trace and alert logs through their strict
+ * readers, the traces against the erec_trace/v3 schema (span ends
+ * after start, unique non-zero ids, parents resolve and the root span
+ * bounds every span on completed traces), and `<stem>_perfetto.json`
+ * against the Chrome trace-event profile (complete events, one per
+ * line, sorted timestamps). Without `--stem`, a trace, alert or
+ * Perfetto file in DIR whose `<stem>.prom` is missing is an error too.
+ *
  * `--fail-on-alert` names alert rules that must not have fired in any
- * reported run; the exit status is 1 when one did (or when a telemetry
- * file is malformed), which is how CI gates the fig19 smoke run on
- * "steady traffic loses no queries".
+ * reported run. The exit status is 1 when one did or when a telemetry
+ * file is malformed, which is how CI gates the smoke dumps on both
+ * "every file is well formed" and "steady traffic loses no queries".
  */
 
 #include <algorithm>
@@ -24,12 +34,15 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "elasticrec/common/table_printer.h"
 #include "elasticrec/obs/export.h"
+#include "elasticrec/obs/perfetto.h"
 #include "elasticrec/obs/report.h"
-#include "tools/promcheck/prom_parser.h"
+#include "elasticrec/obs/trace_schema.h"
+#include "tools/report/prom_parser.h"
 
 namespace {
 
@@ -43,6 +56,42 @@ readFile(const fs::path &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** Print `errors` against `path` on stderr; true when there are none. */
+bool
+printErrors(const fs::path &path, const std::vector<std::string> &errors,
+            const std::string &schema = "")
+{
+    for (const auto &e : errors)
+        std::cerr << path.filename().string() << ": "
+                  << (schema.empty() ? "" : schema + ": ") << e << "\n";
+    return errors.empty();
+}
+
+/** Trace, alert and Perfetto files in `dir` whose stem has no `.prom`
+ *  (each named on stderr); true when there are none. */
+bool
+checkOrphans(const fs::path &dir, const std::vector<std::string> &stems)
+{
+    bool ok = true;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        for (const std::string_view suffix :
+             {"_traces.jsonl", "_alerts.jsonl", "_perfetto.json"}) {
+            if (!name.ends_with(suffix))
+                continue;
+            const std::string stem =
+                name.substr(0, name.size() - suffix.size());
+            if (std::find(stems.begin(), stems.end(), stem) ==
+                stems.end()) {
+                std::cerr << name << ": no matching " << stem
+                          << ".prom\n";
+                ok = false;
+            }
+        }
+    }
+    return ok;
 }
 
 /**
@@ -75,13 +124,10 @@ reportStem(const fs::path &dir, const std::string &stem,
            std::vector<erec::obs::AlertEvent> *all_events)
 {
     std::cout << "\n=== run " << stem << " ===\n";
-    const auto prom =
-        erec::tools::parsePrometheusText(readFile(dir / (stem + ".prom")));
-    if (!prom.ok) {
-        for (const auto &e : prom.errors)
-            std::cerr << stem << ".prom: " << e << "\n";
+    const fs::path prom_path = dir / (stem + ".prom");
+    const auto prom = erec::tools::parsePrometheusText(readFile(prom_path));
+    if (!printErrors(prom_path, prom.errors))
         return false;
-    }
 
     const std::string frontend = frontendDeployment(prom);
     const std::map<std::string, std::string> fe_labels = {
@@ -106,8 +152,13 @@ reportStem(const fs::path &dir, const std::string &stem,
     const fs::path traces_path = dir / (stem + "_traces.jsonl");
     if (fs::exists(traces_path)) {
         try {
-            const auto trees = erec::obs::buildSpanTrees(
-                erec::obs::readTraceJsonLines(readFile(traces_path)));
+            const auto events =
+                erec::obs::readTraceJsonLines(readFile(traces_path));
+            if (!printErrors(traces_path,
+                             erec::obs::validateTraceSchema(events),
+                             erec::obs::kTraceSchemaVersion))
+                return false;
+            const auto trees = erec::obs::buildSpanTrees(events);
             erec::obs::writeStageTable(
                 std::cout, erec::obs::attributeStages(trees));
             std::cout << "\n";
@@ -123,6 +174,13 @@ reportStem(const fs::path &dir, const std::string &stem,
                      "(tracing was off)\n";
     }
     std::cout << "\n";
+
+    const fs::path perfetto_path = dir / (stem + "_perfetto.json");
+    if (fs::exists(perfetto_path) &&
+        !printErrors(perfetto_path,
+                     erec::obs::validatePerfettoJson(
+                         readFile(perfetto_path))))
+        return false;
 
     const fs::path alerts_path = dir / (stem + "_alerts.jsonl");
     std::vector<erec::obs::AlertEvent> events;
@@ -200,7 +258,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    bool ok = true;
+    bool ok = stem_filter.empty() ? checkOrphans(dir, stems) : true;
     std::vector<erec::obs::AlertEvent> all_events;
     for (const auto &stem : stems)
         ok = reportStem(dir, stem, &all_events) && ok;

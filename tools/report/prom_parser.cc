@@ -1,4 +1,4 @@
-#include "tools/promcheck/prom_parser.h"
+#include "tools/report/prom_parser.h"
 
 #include <algorithm>
 #include <cmath>

@@ -3,8 +3,7 @@
 /**
  * @file
  * Minimal validator for the Prometheus text exposition format, used by
- * the `promcheck` CLI and by tests to check what the obs exporters
- * emit. Non-throwing: all problems are collected into
+ * `erec_report` and by tests to check what the obs exporters emit. Non-throwing: all problems are collected into
  * PromParseResult::errors so callers can report every issue at once.
  *
  * Checks performed:
