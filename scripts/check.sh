@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-stop correctness gate. Runs one stage per invocation:
 #
-#   scripts/check.sh build   # RelWithDebInfo + -Werror, full ctest
+#   scripts/check.sh build   # RelWithDebInfo + -Werror, full ctest,
+#                            # then compile the perfbench harness
 #   scripts/check.sh asan    # ASan+UBSan build, full ctest
 #   scripts/check.sh tsan    # TSan build, full ctest
 #   scripts/check.sh analyze # erec_analyze + headers + clang-tidy + self-test
@@ -40,9 +41,16 @@ configure_build_test() {
         --timeout "$ctest_timeout"
 }
 
+# The benchmark harness (perfbench/) compiles the library from ../src
+# in its own CMake project, which no other stage builds: compile it
+# (without running it) so a src/ change that breaks it fails here.
 stage_build() {
     configure_build_test "$repo_root/build-check-release" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
+    local tree="$repo_root/build-check-perfbench"
+    cmake -S "$repo_root/perfbench" -B "$tree" \
+        "${cmake_launcher_args[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$tree" -j "$jobs" --target perfbench
 }
 
 stage_asan() {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "elasticrec/common/error.h"
-
 namespace erec::cluster {
 
 ResourceRequest
@@ -32,17 +30,7 @@ Deployment::Deployment(core::ShardSpec spec, std::uint32_t initial_replicas)
 void
 Deployment::setDesiredReplicas(std::uint32_t n)
 {
-    desired_ = std::clamp(n, minReplicas_, maxReplicas_);
-}
-
-void
-Deployment::setReplicaBounds(std::uint32_t min_r, std::uint32_t max_r)
-{
-    ERC_CHECK(min_r >= 1 && min_r <= max_r,
-              "invalid replica bounds [" << min_r << ", " << max_r << "]");
-    minReplicas_ = min_r;
-    maxReplicas_ = max_r;
-    desired_ = std::clamp(desired_, minReplicas_, maxReplicas_);
+    desired_ = std::clamp(n, kMinReplicas, kMaxReplicas);
 }
 
 } // namespace erec::cluster

@@ -33,8 +33,8 @@ ResourceRequest resourceRequestFor(const core::ShardSpec &spec);
  * requested CPU core, so a dispatcher on it runs one pump thread per
  * core the scheduler bin-packs for the replica. This is the bridge
  * between the planner's per-shard resource math and the functional
- * runtime; only runtime_serving_test calls it so far — the serving
- * benches size their executors by hand.
+ * runtime. Only runtime_serving_test calls it so far: it stays for
+ * ROADMAP item 10, whose real-stack HPA sizes its pools with it.
  */
 runtime::ExecutorOptions executorOptionsFor(const core::ShardSpec &spec);
 
@@ -47,19 +47,16 @@ class Deployment
     const core::ShardSpec &spec() const { return spec_; }
     ResourceRequest request() const { return resourceRequestFor(spec_); }
 
+    /** Bounds the desired count is clamped to. */
+    static constexpr std::uint32_t kMinReplicas = 1;
+    static constexpr std::uint32_t kMaxReplicas = 256;
+
     std::uint32_t desiredReplicas() const { return desired_; }
     void setDesiredReplicas(std::uint32_t n);
-
-    /** Bounds enforced on the desired count. */
-    std::uint32_t minReplicas() const { return minReplicas_; }
-    std::uint32_t maxReplicas() const { return maxReplicas_; }
-    void setReplicaBounds(std::uint32_t min_r, std::uint32_t max_r);
 
   private:
     core::ShardSpec spec_;
     std::uint32_t desired_;
-    std::uint32_t minReplicas_ = 1;
-    std::uint32_t maxReplicas_ = 256;
 };
 
 } // namespace erec::cluster

@@ -7,15 +7,6 @@
 
 namespace erec::cluster {
 
-Bytes
-Packing::totalMemory() const
-{
-    Bytes total = 0;
-    for (const auto &n : nodes)
-        total += n.usedMem;
-    return total;
-}
-
 Scheduler::Scheduler(hw::NodeSpec node) : node_(std::move(node))
 {
 }
@@ -85,20 +76,6 @@ Scheduler::pack(const std::vector<PodRequest> &pods) const
         slot->gpuUsed = slot->gpuUsed || req.gpu;
     }
     return packing;
-}
-
-Packing
-Scheduler::packDeployments(
-    const std::vector<std::pair<const Deployment *, std::uint32_t>>
-        &deployments) const
-{
-    std::vector<PodRequest> pods;
-    for (const auto &[dep, replicas] : deployments) {
-        ERC_CHECK(dep != nullptr, "null deployment");
-        for (std::uint32_t i = 0; i < replicas; ++i)
-            pods.push_back({dep->name(), dep->request()});
-    }
-    return pack(pods);
 }
 
 } // namespace erec::cluster

@@ -42,9 +42,6 @@ struct Packing
     {
         return static_cast<std::uint32_t>(nodes.size());
     }
-
-    /** Aggregate memory requested across all pods. */
-    Bytes totalMemory() const;
 };
 
 class Scheduler
@@ -58,14 +55,6 @@ class Scheduler
      * pod cannot fit an empty node.
      */
     Packing pack(const std::vector<PodRequest> &pods) const;
-
-    /**
-     * Convenience: expand (deployment, replicas) pairs into pods and
-     * pack them.
-     */
-    Packing packDeployments(
-        const std::vector<std::pair<const Deployment *, std::uint32_t>>
-            &deployments) const;
 
     const hw::NodeSpec &node() const { return node_; }
 

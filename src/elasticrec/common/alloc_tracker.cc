@@ -62,12 +62,6 @@ threadAllocCounts()
     return c;
 }
 
-bool
-allocTrackerInstalled()
-{
-    return true;
-}
-
 AllocRegion::AllocRegion(const char *name) : name_(name)
 {
     next_ = g_regions.load(std::memory_order_relaxed);

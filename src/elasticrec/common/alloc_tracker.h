@@ -50,14 +50,6 @@ struct AllocCounts
 /** This thread's counters since thread start. */
 AllocCounts threadAllocCounts();
 
-/**
- * True when the counting operator new/delete replacements are linked
- * into this binary. Calling any alloc_tracker function pulls in the
- * defining translation unit, so this returns true whenever it is
- * callable; it exists to document the linkage contract.
- */
-bool allocTrackerInstalled();
-
 /** Snapshot of one region for allocRegionStats(). */
 struct AllocRegionStats
 {
@@ -133,7 +125,8 @@ class AllocGate
     AllocGate(const AllocGate &) = delete;
     AllocGate &operator=(const AllocGate &) = delete;
 
-    /** Allocations this thread performed since the gate opened. */
+    /** Allocations this thread performed since the gate opened. A
+     *  probe for alloc_tracker_test. */
     std::uint64_t allocsInScope() const;
 
   private:

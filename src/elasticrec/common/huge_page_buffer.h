@@ -48,7 +48,8 @@ void unmapHugePageBlock(HugePageBlock block);
 
 } // namespace detail
 
-/** True when this build can place buffers on huge pages. */
+/** True when this build can place buffers on huge pages. Read by
+ *  huge_page_buffer_test, which pins hugePageBacked() to it. */
 bool hugePagesSupported();
 
 /**
@@ -115,7 +116,8 @@ class HugePageBuffer
     const T *end() const { return data() + size_; }
 
     /** True when the storage is a 2 MiB-aligned, huge-page-advised
-     *  mapping rather than heap memory. */
+     *  mapping rather than heap memory. A probe for
+     *  huge_page_buffer_test. */
     bool hugePageBacked() const { return block_.mapped > 0; }
 
   private:

@@ -29,7 +29,9 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
  * Replace the global sink (default: one line per record on stderr).
  * Pass nullptr to restore the default. Sink installation and every
  * record emission are serialized by an internal mutex, so concurrent
- * logMessage() calls never interleave within one record.
+ * logMessage() calls never interleave within one record. Only tests
+ * install a sink (logging_test, runtime_serving_test,
+ * thread_safety_test) to capture what the library logs.
  */
 void setLogSink(LogSink sink);
 

@@ -133,12 +133,6 @@ Rng::poisson(double mean)
     return x <= 0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
-}
-
 Rng
 Rng::split()
 {

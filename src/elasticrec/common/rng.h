@@ -62,9 +62,6 @@ class Rng
     /** Poisson-distributed count with the given mean. */
     std::uint64_t poisson(double mean);
 
-    /** Bernoulli trial with probability p of returning true. */
-    bool bernoulli(double p);
-
     /**
      * Derive an independent child stream. Used to give each component
      * (tables, traffic, service jitter) its own stream so adding draws in

@@ -83,20 +83,4 @@ TablePrinter::print(std::ostream &os) const
     rule();
 }
 
-void
-TablePrinter::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << cells[c];
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace erec

@@ -41,9 +41,6 @@ class TablePrinter
     /** Render as an aligned, boxed console table. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (header + rows). */
-    void printCsv(std::ostream &os) const;
-
     std::size_t rows() const { return rows_.size(); }
 
   private:

@@ -54,13 +54,6 @@ fromSeconds(double s)
     return static_cast<SimTime>(s * static_cast<double>(kSecond) + 0.5);
 }
 
-/** Convert floating-point milliseconds to a SimTime. */
-inline SimTime
-fromMillis(double ms)
-{
-    return static_cast<SimTime>(ms * static_cast<double>(kMillisecond) + 0.5);
-}
-
 /** Convert a byte count to floating-point GiB. */
 inline double
 toGiB(Bytes b)

@@ -59,7 +59,8 @@ class Bucketizer
     void bucketizeInto(const workload::SparseLookup &in,
                        std::vector<workload::SparseLookup> *out) const;
 
-    /** Shard that will serve the given original index ID. */
+    /** Shard that will serve the given original index ID. The
+     *  per-ID oracle bucketizer_test checks routing with. */
     std::uint32_t shardOf(std::uint32_t original_id) const;
 
     const std::vector<std::uint64_t> &boundaries() const

@@ -85,7 +85,6 @@ class CostModel
 
     const CostModelParams &params() const { return params_; }
     const embedding::AccessCdf &cdf() const { return *cdf_; }
-    const QpsModel &qpsModel() const { return *qps_; }
 
   private:
     std::shared_ptr<const embedding::AccessCdf> cdf_;

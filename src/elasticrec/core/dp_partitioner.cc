@@ -155,14 +155,4 @@ DpPartitioner::findOptimalPlan() const
     return planWithShards(best_s + 1);
 }
 
-std::vector<PartitionPlan>
-DpPartitioner::costFrontier() const
-{
-    std::vector<PartitionPlan> frontier;
-    frontier.reserve(maxShards_);
-    for (std::uint32_t s = 1; s <= maxShards_; ++s)
-        frontier.push_back(planWithShards(s));
-    return frontier;
-}
-
 } // namespace erec::core

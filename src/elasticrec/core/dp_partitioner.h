@@ -89,12 +89,6 @@ class DpPartitioner
      */
     PartitionPlan planWithShards(std::uint32_t num_shards) const;
 
-    /**
-     * Full cost frontier: entry s-1 holds the optimal plan with exactly
-     * s shards, for s = 1..maxShards. One DP pass computes all.
-     */
-    std::vector<PartitionPlan> costFrontier() const;
-
     const std::vector<std::uint64_t> &candidates() const
     {
         return candidates_;

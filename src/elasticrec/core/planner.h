@@ -152,7 +152,6 @@ class Planner
                                const hw::NodeSpec &node);
 
     const model::DlrmConfig &config() const { return config_; }
-    const hw::NodeSpec &nodeSpec() const { return lat_.node(); }
     const PlannerOptions &options() const { return options_; }
 
     /**
@@ -219,8 +218,6 @@ class Planner
 
     /** Monolithic sparse-stage latency (all tables, local). */
     SimTime monolithicSparseLatency() const;
-
-    const hw::LatencyModel &latencyModel() const { return lat_; }
 
   private:
     CostModelParams costParams() const;

@@ -32,7 +32,9 @@ struct ProfilePoint
 class QpsModel
 {
   public:
-    /** Fit from explicit profile points (gathers strictly increasing). */
+    /** Fit from explicit profile points (gathers strictly increasing).
+     *  Only tests call it so far: it is the entry point for ROADMAP
+     *  item 7's measured gather profiles. */
     explicit QpsModel(std::vector<ProfilePoint> points);
 
     /**

@@ -32,13 +32,6 @@ UtilityTracker::recordRank(std::uint64_t rank)
         it - boundaries_.begin())];
 }
 
-void
-UtilityTracker::recordRanks(const std::vector<std::uint64_t> &ranks)
-{
-    for (auto r : ranks)
-        recordRank(r);
-}
-
 std::uint64_t
 UtilityTracker::touchedRows(std::uint32_t s) const
 {

@@ -31,9 +31,6 @@ class UtilityTracker
     /** Mark one hotness rank as touched. */
     void recordRank(std::uint64_t rank);
 
-    /** Mark many ranks. */
-    void recordRanks(const std::vector<std::uint64_t> &ranks);
-
     /** Rows touched within shard s so far. */
     std::uint64_t touchedRows(std::uint32_t s) const;
 

@@ -69,16 +69,6 @@ AccessCdf::rowsAtGranule(std::uint32_t g) const
         static_cast<std::uint64_t>(g) * rowsPerGranule_, numRows_);
 }
 
-std::uint32_t
-AccessCdf::granuleForRows(std::uint64_t rows) const
-{
-    if (rows >= numRows_)
-        return granules();
-    const auto g = static_cast<std::uint32_t>(
-        (rows + rowsPerGranule_ / 2) / rowsPerGranule_);
-    return std::min(g, granules());
-}
-
 double
 AccessCdf::massOfTopRows(std::uint64_t x) const
 {

@@ -66,14 +66,8 @@ class AccessCdf
         return static_cast<std::uint32_t>(cum_.size() - 1);
     }
 
-    /** Rows per granule (last granule may be smaller). */
-    std::uint64_t rowsPerGranule() const { return rowsPerGranule_; }
-
     /** Row index (exclusive end) covered by granules [0, g). */
     std::uint64_t rowsAtGranule(std::uint32_t g) const;
-
-    /** Granule whose end is closest to covering `rows` rows. */
-    std::uint32_t granuleForRows(std::uint64_t rows) const;
 
     /**
      * Fraction of accesses covered by the x hottest rows; linear
@@ -84,7 +78,8 @@ class AccessCdf
     /** Mass falling inside the half-open rank range [begin, end). */
     double massOfRange(std::uint64_t begin, std::uint64_t end) const;
 
-    /** Cumulative mass at a granule boundary (exact, no interpolation). */
+    /** Cumulative mass at a granule boundary (exact, no interpolation).
+     *  A probe: determinism_test compares two CDFs granule by granule. */
     double massAtGranule(std::uint32_t g) const { return cum_[g]; }
 
     /** Locality metric P: mass on the top 10% of rows. */

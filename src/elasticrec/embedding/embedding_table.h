@@ -52,9 +52,6 @@ class EmbeddingTable
     /** Bytes of one embedding vector. */
     Bytes rowBytes() const { return Bytes{dim_} * sizeof(float); }
 
-    /** Logical size of the whole table in bytes. */
-    Bytes totalBytes() const { return numRows_ * rowBytes(); }
-
     /**
      * Read one row into `out` (length dim()). Virtual tables synthesize
      * the row on the fly.
@@ -96,15 +93,6 @@ class EmbeddingTable
      * no materialized bytes to view.
      */
     kernels::TableSlice wholeSlice() const;
-
-    /**
-     * Bytes of memory traffic one gatherPool over `num_gathers` rows
-     * causes (reads only; used by the hardware latency model).
-     */
-    Bytes gatherTrafficBytes(std::size_t num_gathers) const
-    {
-        return num_gathers * rowBytes();
-    }
 
   private:
     void synthesizeRow(std::uint64_t row, float *out) const;

@@ -66,7 +66,8 @@ class ShardedTable
     /** Which shard a sorted rank falls into. */
     std::uint32_t shardOfRank(std::uint64_t rank) const;
 
-    /** Shard-local ID of a sorted rank. */
+    /** Shard-local ID of a sorted rank. sharded_table_test gathers
+     *  shard by shard with it to check against the whole table. */
     std::uint64_t localId(std::uint64_t rank) const;
 
     /** Original table ID of a sorted rank. */

@@ -107,17 +107,4 @@ LatencyModel::cachedGatherTime(std::size_t num_gathers, double hit_rate,
     return secondsToTicks(total_s);
 }
 
-SimTime
-LatencyModel::gatherGpuTime(std::size_t num_gathers, Bytes row_bytes) const
-{
-    ERC_CHECK(node_.hasGpu, "node has no GPU");
-    // HBM gathers achieve a higher efficiency than CPU DRAM thanks to
-    // massive memory-level parallelism.
-    const double eff_bw = node_.gpu.hbmBandwidth * 0.5;
-    const double traffic_s =
-        static_cast<double>(num_gathers * row_bytes) / eff_bw;
-    const double overhead_s = node_.gpu.kernelOverheadUs * 1e-6;
-    return secondsToTicks(traffic_s + overhead_s);
-}
-
 } // namespace erec::hw

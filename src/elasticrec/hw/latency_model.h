@@ -56,15 +56,12 @@ class LatencyModel
                           std::uint32_t cores) const;
 
     /**
-     * Embedding gather latency when rows are resident in GPU HBM (used
-     * by the model-wise + GPU-cache baseline of Section VI-E).
-     */
-    SimTime gatherGpuTime(std::size_t num_gathers, Bytes row_bytes) const;
-
-    /**
      * One table's embedding-layer latency with a GPU-side embedding
      * cache: `hit_rate` of the gathers are served by a fused HBM
-     * lookup kernel, the rest fall back to the CPU gather path.
+     * lookup kernel, the rest fall back to the CPU gather path. Every
+     * HBM gather is charged here: the model-wise + GPU-cache baseline
+     * of Section VI-E and, at hit rate 1, the hot shards ElasticRec
+     * keeps resident in HBM.
      */
     SimTime cachedGatherTime(std::size_t num_gathers, double hit_rate,
                              Bytes row_bytes, std::uint32_t cores) const;

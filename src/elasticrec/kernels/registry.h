@@ -22,7 +22,8 @@
 
 namespace erec::kernels {
 
-/** The scalar reference backend (always registered). */
+/** The scalar reference backend (always registered). The oracle
+ *  kernels_test compares every SIMD backend against, byte for byte. */
 const KernelBackend &scalarBackend();
 
 /** Backends usable on this host; scalar first, widest ISA last. */

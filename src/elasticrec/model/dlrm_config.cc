@@ -12,16 +12,6 @@ DlrmConfig::gathersPerQueryPerTable() const
     return static_cast<std::uint64_t>(poolingFactor) * batchSize;
 }
 
-std::uint32_t
-DlrmConfig::interactionOutputDim() const
-{
-    // Pairwise dot products between the (numTables + 1) feature vectors
-    // (pooled embeddings + bottom-MLP output), concatenated with the
-    // bottom-MLP output itself, as in the DLRM reference implementation.
-    const std::uint32_t f = numTables + 1;
-    return f * (f - 1) / 2 + bottomMlp.outputDim();
-}
-
 std::uint64_t
 DlrmConfig::denseFlopsPerQuery() const
 {
@@ -77,13 +67,6 @@ DlrmConfig::denseMemoryFraction() const
 {
     return static_cast<double>(denseParamBytes()) /
            static_cast<double>(totalParamBytes());
-}
-
-Bytes
-DlrmConfig::sparseTrafficPerQuery() const
-{
-    return gathersPerQueryPerTable() * numTables *
-           Bytes{embeddingDim} * sizeof(float);
 }
 
 double

@@ -44,9 +44,6 @@ struct DlrmConfig
     /** Gathers per query per table: poolingFactor x batchSize (n_t). */
     std::uint64_t gathersPerQueryPerTable() const;
 
-    /** Width of the feature-interaction output (pairwise dots + dense). */
-    std::uint32_t interactionOutputDim() const;
-
     /** Dense-layer FLOPs for one query (bottom + interaction + top). */
     std::uint64_t denseFlopsPerQuery() const;
 
@@ -70,9 +67,6 @@ struct DlrmConfig
 
     /** Fraction of parameter bytes held by dense layers. */
     double denseMemoryFraction() const;
-
-    /** Memory traffic of one query's embedding gathers (bytes). */
-    Bytes sparseTrafficPerQuery() const;
 
     /**
      * Fraction of embedding parameters touched by one query assuming

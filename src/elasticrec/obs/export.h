@@ -31,6 +31,7 @@ std::string escapeLabelValue(const std::string &value);
 
 /** Render the whole registry in Prometheus text exposition format. */
 void writePrometheusText(std::ostream &os, const Registry &registry);
+/** The same text as a string, for the tests that compare runs by it. */
 std::string toPrometheusText(const Registry &registry);
 
 /**
@@ -41,6 +42,7 @@ std::string toPrometheusText(const Registry &registry);
  */
 void writeTraceJsonLines(std::ostream &os,
                          const std::vector<SpanEvent> &events);
+/** The same lines as a string, for round-trip tests. */
 std::string toTraceJsonLines(const std::vector<SpanEvent> &events);
 
 /**

@@ -161,11 +161,4 @@ FlightRecorder::droppedEvents() const
     return total;
 }
 
-std::size_t
-FlightRecorder::ringCount() const
-{
-    std::lock_guard<std::mutex> lock(registryMu_);
-    return rings_.size();
-}
-
 } // namespace erec::obs

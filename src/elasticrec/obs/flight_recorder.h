@@ -167,9 +167,6 @@ class FlightRecorder
     /** Total events dropped across all rings (overflow). */
     std::uint64_t droppedEvents() const;
 
-    /** Number of registered producer threads. */
-    std::size_t ringCount() const;
-
     /** Submissions accounted by maybeStartTrace. */
     std::uint64_t submissions() const
     {

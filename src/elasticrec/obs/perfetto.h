@@ -25,6 +25,7 @@ namespace erec::obs {
 /** Export span events as Chrome trace-event JSON. */
 void writePerfettoJson(std::ostream &os,
                        const std::vector<SpanEvent> &events);
+/** The same JSON as a string, for flight_recorder_test. */
 std::string toPerfettoJson(const std::vector<SpanEvent> &events);
 
 /**

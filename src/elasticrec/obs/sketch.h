@@ -90,9 +90,8 @@ class QuantileSketch
      * tail after folding.
      */
     double maxValue() const { return max_; }
-    double relativeAccuracy() const { return alpha_; }
-    /** Allocated bucket-array length (diagnostic: stops growing once
-     *  the value range has been seen). */
+    /** Allocated bucket-array length: stops growing once the value
+     *  range has been seen. A probe for sketch_test. */
     std::size_t bucketArraySize() const { return buckets_.size(); }
 
     void clear();

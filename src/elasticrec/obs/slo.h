@@ -111,8 +111,6 @@ class SloTracker
     /** Firing/resolved transitions in evaluation order. */
     const std::vector<AlertEvent> &events() const { return events_; }
 
-    std::size_t ruleCount() const { return rules_.size(); }
-
   private:
     struct RuleState
     {
@@ -140,6 +138,7 @@ class SloTracker
  */
 void writeAlertJsonLines(std::ostream &os,
                          const std::vector<AlertEvent> &events);
+/** The same lines as a string, for round-trip tests. */
 std::string toAlertJsonLines(const std::vector<AlertEvent> &events);
 
 /** Strict reader for writeAlertJsonLines output (ConfigError on

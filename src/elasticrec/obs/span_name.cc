@@ -55,12 +55,4 @@ spanName(NameId id)
     return t.names[id];
 }
 
-std::size_t
-spanNameCount()
-{
-    NameTable &t = table();
-    std::lock_guard<std::mutex> lock(t.mu);
-    return t.names.size() - 1; // exclude the sentinel
-}
-
 } // namespace erec::obs

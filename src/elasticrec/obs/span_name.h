@@ -41,7 +41,4 @@ NameId internSpanName(std::string_view name);
  */
 const std::string &spanName(NameId id);
 
-/** Number of interned names (diagnostics/tests). */
-std::size_t spanNameCount();
-
 } // namespace erec::obs

@@ -62,7 +62,8 @@ std::string canonicalTreeText(const SpanTree &tree);
 
 /**
  * Canonical text of a whole run: one canonicalTreeText block per
- * trace in trace-id (submission) order.
+ * trace in trace-id (submission) order. tracing_serving_test compares
+ * it byte for byte across worker counts.
  */
 std::string canonicalForestText(const std::vector<SpanTree> &trees);
 

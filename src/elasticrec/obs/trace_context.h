@@ -5,12 +5,12 @@
  * POD causal-trace context propagated across every RPC and runtime
  * boundary: `serving::QueryDispatcher` -> its `runtime::BatchQueue`
  * job (one query per job) -> shard servers, and `sim::Pod` work items
- * / `rpc` message headers in the simulator. It is the stand-in for the W3C `traceparent` header
- * the paper's Linkerd mesh would inject on every hop.
+ * in the simulator. It is the stand-in for the W3C `traceparent`
+ * header the paper's Linkerd mesh would inject on every hop.
  *
- * The context is 16 bytes of plain data so it can ride inside the
- * fixed `rpc::kMessageHeaderBytes` budget without perturbing modeled
- * wire sizes, and be copied into queue jobs with no allocation.
+ * The context is 16 bytes of plain data so it can be copied into queue
+ * jobs with no allocation. The simulator's modeled RPC wire sizes do
+ * not count it, so simulated timing is identical traced or not.
  *
  * Child span ids are derived *structurally* rather than drawn from a
  * counter: `child(slot)` packs the slot index into the low byte of a

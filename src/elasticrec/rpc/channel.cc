@@ -4,30 +4,31 @@
 
 namespace erec::rpc {
 
-Channel::Channel(hw::NetworkLink link, double serialization_bytes_per_sec,
-                 SimTime per_call_overhead)
-    : link_(link), serBytesPerSec_(serialization_bytes_per_sec),
-      perCallOverhead_(per_call_overhead)
+namespace {
+
+/** Time to stream `bytes` at `bytes_per_sec`, rounded to a tick. */
+SimTime
+streamTime(Bytes bytes, double bytes_per_sec)
 {
-    ERC_CHECK(serialization_bytes_per_sec > 0,
-              "serialization rate must be positive");
-    ERC_CHECK(per_call_overhead >= 0,
-              "per-call overhead must be non-negative");
+    const double s = static_cast<double>(bytes) / bytes_per_sec;
+    return static_cast<SimTime>(s * 1e6 + 0.5);
+}
+
+} // namespace
+
+Channel::Channel(const hw::NodeSpec &node)
+    : bandwidth_(node.netBandwidth), baseLatency_(node.netBaseLatency)
+{
+    ERC_CHECK(bandwidth_ > 0, "link bandwidth must be positive");
+    ERC_CHECK(baseLatency_ >= 0, "base latency must be non-negative");
 }
 
 SimTime
 Channel::oneWay(Bytes message_bytes) const
 {
-    const double ser_s =
-        static_cast<double>(message_bytes) / serBytesPerSec_;
-    return perCallOverhead_ + static_cast<SimTime>(ser_s * 1e6 + 0.5) +
-           link_.transferTime(message_bytes);
-}
-
-SimTime
-Channel::roundTrip(Bytes request_bytes, Bytes response_bytes) const
-{
-    return oneWay(request_bytes) + oneWay(response_bytes);
+    return kPerCallOverhead +
+           streamTime(message_bytes, kSerializationBytesPerSec) +
+           baseLatency_ + streamTime(message_bytes, bandwidth_);
 }
 
 } // namespace erec::rpc

@@ -2,43 +2,43 @@
 
 /**
  * @file
- * RPC channel cost model: per-call stack overhead, CPU-side
- * serialization throughput and network transfer. Composes a
- * hw::NetworkLink with gRPC-stack constants.
+ * RPC channel cost model: per-call gRPC stack overhead, CPU-side
+ * serialization throughput and the node-to-node network link (a fixed
+ * one-way base latency plus a size-proportional transfer). This is the
+ * source of ElasticRec's reported 31 ms / 60 ms added latency.
  */
 
 #include "elasticrec/common/units.h"
-#include "elasticrec/hw/network.h"
+#include "elasticrec/hw/platform.h"
 
 namespace erec::rpc {
 
 class Channel
 {
   public:
-    /**
-     * @param link The node-to-node network link.
-     * @param serialization_bytes_per_sec CPU proto encode/decode rate.
-     * @param per_call_overhead Fixed gRPC stack latency per call leg.
-     */
-    Channel(hw::NetworkLink link,
-            double serialization_bytes_per_sec = 2e9,
-            SimTime per_call_overhead = 150);
+    /** CPU proto encode/decode rate (bytes/sec). */
+    static constexpr double kSerializationBytesPerSec = 2e9;
+    /** Fixed gRPC stack latency per call leg. */
+    static constexpr SimTime kPerCallOverhead = 150;
 
-    /** One-way latency for a message of the given size. */
+    /**
+     * A channel between two nodes of this kind, over the node's NIC
+     * bandwidth and one-way base latency. Throws ConfigError unless
+     * the bandwidth is positive and the base latency non-negative.
+     */
+    explicit Channel(const hw::NodeSpec &node);
+
+    /**
+     * One-way latency for a message of the given size: per-call
+     * overhead + serialization + base latency + transfer, each stream
+     * term rounded to a tick on its own. The remote service time is
+     * not included; the simulator adds it between legs.
+     */
     SimTime oneWay(Bytes message_bytes) const;
 
-    /**
-     * Full round trip: request out, response back. The remote service
-     * time is *not* included; the simulator adds it between legs.
-     */
-    SimTime roundTrip(Bytes request_bytes, Bytes response_bytes) const;
-
-    const hw::NetworkLink &link() const { return link_; }
-
   private:
-    hw::NetworkLink link_;
-    double serBytesPerSec_;
-    SimTime perCallOverhead_;
+    double bandwidth_;
+    SimTime baseLatency_;
 };
 
 } // namespace erec::rpc

@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "elasticrec/common/units.h"
-#include "elasticrec/obs/trace_context.h"
 
 namespace erec::rpc {
 
@@ -26,14 +25,6 @@ struct GatherRequest
 {
     std::uint32_t numIndices = 0;
     std::uint32_t numOffsets = 0;
-    /**
-     * Propagated trace context (16 bytes: trace id + span id). Rides
-     * inside kMessageHeaderBytes — real tracing systems carry the
-     * context in existing HTTP/2 metadata (W3C traceparent fits in the
-     * 96-byte framing budget) — so wireBytes() is deliberately
-     * unchanged and simulated timing is identical traced or not.
-     */
-    obs::TraceContext trace = {};
 
     Bytes
     wireBytes() const
@@ -55,33 +46,6 @@ struct GatherResponse
     wireBytes() const
     {
         return kMessageHeaderBytes + Bytes{4} * batch * dim;
-    }
-};
-
-/** User-facing inference request (dense features + sparse IDs). */
-struct InferenceRequest
-{
-    std::uint32_t batch = 0;
-    std::uint32_t denseDim = 0;
-    std::uint32_t totalIndices = 0;
-
-    Bytes
-    wireBytes() const
-    {
-        return kMessageHeaderBytes + Bytes{4} * batch * denseDim +
-               Bytes{4} * totalIndices;
-    }
-};
-
-/** Inference response: one probability per batch item. */
-struct InferenceResponse
-{
-    std::uint32_t batch = 0;
-
-    Bytes
-    wireBytes() const
-    {
-        return kMessageHeaderBytes + Bytes{4} * batch;
     }
 };
 

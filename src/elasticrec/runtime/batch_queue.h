@@ -159,7 +159,9 @@ class BatchQueue
         return closed_;
     }
 
-    /** Items accepted since construction (drops excluded). */
+    /** Items accepted since construction (drops excluded). A probe:
+     *  batch_queue_test reads it to show rejected pushes are not
+     *  counted. */
     std::uint64_t totalPushed() const
     {
         const std::lock_guard<std::mutex> lock(mutex_);

@@ -25,7 +25,8 @@ class MonolithicServer
     /**
      * @param dlrm The model to serve whole.
      * @param backend Kernel backend gathers and GEMMs execute on; null
-     *        selects the process-wide dispatched default.
+     *        selects the process-wide dispatched default. Only
+     *        perfbench passes one, until ROADMAP item 2.
      */
     explicit MonolithicServer(std::shared_ptr<const model::Dlrm> dlrm,
                               const kernels::KernelBackend *backend =

@@ -87,8 +87,8 @@ class QueryDispatcher
 
     std::uint64_t queriesServed() const;
 
-    /** Kept for perfbench, which reads them: every pop serves one
-     *  query, so this equals queriesServed(). */
+    /** Kept for perfbench, which reads them until ROADMAP item 2:
+     *  every pop serves one query, so this equals queriesServed(). */
     std::uint64_t batchesServed() const { return queriesServed(); }
 
     /** Kept for perfbench: 1.0 once a query was served, else 0.0. */

@@ -39,6 +39,11 @@ ElasticRecStack::publishStats() const
         executor->publishStats(*observability);
     if (dispatcher != nullptr)
         dispatcher->publishStats(*observability);
+    if (recorder != nullptr)
+        observability
+            ->gauge("erec_trace_dropped_events",
+                    "Spans the flight recorder dropped on a full ring.")
+            .set(static_cast<double>(recorder->droppedEvents()));
     for (std::uint32_t t = 0; t < shards.size(); ++t) {
         for (std::uint32_t s = 0; s < shards[t].size(); ++s) {
             observability

@@ -79,7 +79,7 @@ struct ElasticRecStack
     std::shared_ptr<QueryDispatcher> dispatcher = {};
     /** The kernel backend every shard gather and MLP GEMM executes on:
      *  kernels::defaultBackend(), which ERC_KERNEL_BACKEND selects
-     *  (never null). */
+     *  (never null). perfbench reads it until ROADMAP item 2. */
     const kernels::KernelBackend *kernelBackend = nullptr;
     /** Flight recorder; non-null iff traceSampleEvery > 0. */
     std::shared_ptr<obs::FlightRecorder> recorder = {};
@@ -93,8 +93,9 @@ struct ElasticRecStack
 
     /**
      * Snapshot serving counters (frontend queries served, per-shard
-     * rows gathered, executor occupancy, dispatcher queue stats)
-     * into the registry. No-op without one.
+     * rows gathered, executor occupancy, dispatcher queue stats and,
+     * with a recorder, the spans it dropped) into the registry. No-op
+     * without one.
      */
     void publishStats() const;
 };

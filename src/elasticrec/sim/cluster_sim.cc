@@ -67,7 +67,7 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
     : plan_(std::move(plan)), node_(std::move(node)),
       traffic_(std::move(traffic)), options_(options),
       rng_(options.seed), arrivals_(traffic_, options.seed ^ 0xA551),
-      channel_(hw::NetworkLink(node_)),
+      channel_(node_),
       scheduler_(node_),
       obs_(options.observability ? options.observability
                                  : std::make_shared<obs::Registry>()),

@@ -76,7 +76,8 @@ namespace erec::sim {
  * for the fig19 golden and the telemetry smoke. EventTime skips the
  * per-pod gauges (their label strings are the one remaining per-tick
  * allocation source), which is what the million-query throughput
- * harness runs.
+ * harness runs. Both stay because perfbench sets EventTime; once
+ * ROADMAP item 2 stops it, item 9 folds them into one mode.
  */
 enum class SamplingMode
 {
@@ -199,10 +200,6 @@ class ClusterSimulation final : private EventSink, private PodSink
 
     /** Exportable metrics registry (shared with SimOptions' owner). */
     obs::Registry &observability() { return *obs_; }
-    std::shared_ptr<obs::Registry> observabilityPtr() const
-    {
-        return obs_;
-    }
 
     /**
      * Spans of the sampled queries, in record order, stamped in sim-µs

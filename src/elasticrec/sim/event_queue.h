@@ -128,6 +128,7 @@ class EventQueue
     /**
      * Execute the earliest event through the sink; returns false when
      * empty. Time-then-sequence order per the class contract.
+     * event_queue_test steps the queue with it.
      */
     bool runOne(EventSink &sink);
 

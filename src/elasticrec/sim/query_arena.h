@@ -89,7 +89,8 @@ class QueryArena
 
     /** Total slots ever created (capacity high-water mark). */
     std::size_t capacity() const { return arrival_.size(); }
-    /** Slots currently in flight. */
+    /** Slots currently in flight. A probe: query_arena_test checks
+     *  that finished queries free their slots. */
     std::size_t liveCount() const
     {
         return arrival_.size() - freeList_.size();

@@ -4,20 +4,10 @@
 
 namespace erec::workload {
 
-std::size_t
-Query::totalGathers() const
-{
-    std::size_t n = 0;
-    for (const auto &l : lookups)
-        n += l.numGathers();
-    return n;
-}
-
 QueryGenerator::QueryGenerator(QueryShape shape,
                                std::vector<AccessDistributionPtr> dists,
                                std::uint64_t seed)
-    : shape_(shape), dists_(std::move(dists)),
-      idMaps_(shape.numTables), rng_(seed)
+    : shape_(shape), dists_(std::move(dists)), rng_(seed)
 {
     ERC_CHECK(shape_.batchSize > 0, "batch size must be positive");
     ERC_CHECK(shape_.numTables > 0, "need at least one table");
@@ -37,15 +27,6 @@ QueryGenerator::QueryGenerator(QueryShape shape, AccessDistributionPtr dist,
 {
 }
 
-void
-QueryGenerator::setIdMap(std::uint32_t table, std::vector<std::uint32_t> map)
-{
-    ERC_CHECK(table < shape_.numTables, "table index out of range");
-    ERC_CHECK(map.size() == dists_[table]->numRows(),
-              "ID map must cover every row of the table");
-    idMaps_[table] = std::move(map);
-}
-
 // ERC_HOT_PATH_ALLOW("workload generation: shares the `next` base name with Rng's PRNG step, but runs in the driver ahead of submit(), not on the serving path")
 Query
 QueryGenerator::next(SimTime arrival)
@@ -59,7 +40,6 @@ QueryGenerator::next(SimTime arrival)
     for (std::uint32_t t = 0; t < shape_.numTables; ++t) {
         auto &lookup = q.lookups[t];
         const auto &dist = *dists_[t];
-        const auto &map = idMaps_[t];
         const std::size_t total =
             static_cast<std::size_t>(shape_.batchSize) *
             shape_.gathersPerItem;
@@ -69,12 +49,8 @@ QueryGenerator::next(SimTime arrival)
             lookup.offsets.push_back(
                 static_cast<std::uint32_t>(lookup.indices.size()));
             for (std::uint32_t g = 0; g < shape_.gathersPerItem; ++g) {
-                const auto rank = dist.sampleRank(rng_);
-                const auto id =
-                    map.empty()
-                        ? static_cast<std::uint32_t>(rank)
-                        : map[static_cast<std::size_t>(rank)];
-                lookup.indices.push_back(id);
+                lookup.indices.push_back(
+                    static_cast<std::uint32_t>(dist.sampleRank(rng_)));
             }
         }
     }

@@ -58,9 +58,6 @@ struct Query
     obs::TraceContext trace;
     /** One lookup set per embedding table. */
     std::vector<SparseLookup> lookups;
-
-    /** Total gathers across all tables. */
-    std::size_t totalGathers() const;
 };
 
 /** Static query-shape parameters. */
@@ -76,11 +73,10 @@ struct QueryShape
  * Generates queries whose table lookups follow per-table access
  * distributions.
  *
- * Distributions produce hotness *ranks*; an optional per-table ID map
- * (e.g. the inverse of the hotness sort permutation) converts ranks to
- * original table IDs, modeling unsorted production tables
- * (Figure 8(a)). With no ID map, emitted IDs are already in sorted-
- * hotness space (Figure 8(b)).
+ * Distributions produce hotness *ranks*, and the emitted IDs are those
+ * ranks: they are already in sorted-hotness space (Figure 8(b)). A
+ * caller that models an unsorted production table (Figure 8(a)) maps
+ * each rank through the inverse of the hotness sort permutation itself.
  */
 class QueryGenerator
 {
@@ -99,12 +95,6 @@ class QueryGenerator
     QueryGenerator(QueryShape shape, AccessDistributionPtr dist,
                    std::uint64_t seed = 1);
 
-    /**
-     * Install a rank -> original-ID map for a table. The map must be a
-     * permutation of [0, numRows).
-     */
-    void setIdMap(std::uint32_t table, std::vector<std::uint32_t> map);
-
     /** Generate the next query, stamped with the given arrival time. */
     Query next(SimTime arrival = 0);
 
@@ -113,7 +103,6 @@ class QueryGenerator
   private:
     QueryShape shape_;
     std::vector<AccessDistributionPtr> dists_;
-    std::vector<std::vector<std::uint32_t>> idMaps_;
     Rng rng_;
     std::uint64_t nextId_ = 0;
 };

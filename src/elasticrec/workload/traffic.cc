@@ -105,12 +105,6 @@ TrafficPattern::qpsAt(SimTime t) const
     return rate;
 }
 
-SimTime
-TrafficPattern::lastChange() const
-{
-    return steps_.back().start;
-}
-
 PoissonArrivals::PoissonArrivals(TrafficPattern pattern, std::uint64_t seed)
     : pattern_(std::move(pattern)), rng_(seed)
 {

@@ -82,9 +82,6 @@ class TrafficPattern
     /** Target rate at simulated time t (queries per second). */
     double qpsAt(SimTime t) const;
 
-    /** Last moment at which the rate changes. */
-    SimTime lastChange() const;
-
     const std::vector<Step> &steps() const { return steps_; }
 
   private:

@@ -40,7 +40,7 @@ TEST(AccessCdfTest, GranuleCompressionInterpolates)
     std::vector<std::uint64_t> counts(100, 7);
     AccessCdf cdf = AccessCdf::fromSortedCounts(counts, 10);
     EXPECT_EQ(cdf.granules(), 10u);
-    EXPECT_EQ(cdf.rowsPerGranule(), 10u);
+    EXPECT_EQ(cdf.rowsAtGranule(1), 10u);
     for (std::uint64_t x = 0; x <= 100; x += 7) {
         EXPECT_NEAR(cdf.massOfTopRows(x), x / 100.0, 1e-12)
             << "x=" << x;
@@ -75,9 +75,6 @@ TEST(AccessCdfTest, GranuleHelpers)
     EXPECT_EQ(cdf.rowsAtGranule(0), 0u);
     EXPECT_EQ(cdf.rowsAtGranule(2), 50u);
     EXPECT_EQ(cdf.rowsAtGranule(4), 100u);
-    EXPECT_EQ(cdf.granuleForRows(50), 2u);
-    EXPECT_EQ(cdf.granuleForRows(100), 4u);
-    EXPECT_EQ(cdf.granuleForRows(1000), 4u);
 }
 
 TEST(AccessCdfTest, MoreGranulesThanRowsClamps)

@@ -44,11 +44,6 @@ allocateOnce(std::size_t bytes)
     delete[] p;
 }
 
-TEST(AllocTracker, ReplacementOperatorsAreInstalled)
-{
-    EXPECT_TRUE(erec::allocTrackerInstalled());
-}
-
 TEST(AllocTracker, ThreadCountersAreMonotoneAndCountNewDelete)
 {
     const auto before = erec::threadAllocCounts();

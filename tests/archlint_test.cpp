@@ -80,7 +80,7 @@ TEST(ArchLintTest, ModuleOfMapsLibraryAndTopLevelPaths)
     EXPECT_EQ(moduleOf("tools/analyze/arch_pack.cc"), "tools");
     EXPECT_EQ(moduleOf("tests/planner_test.cpp"), "tests");
     EXPECT_EQ(moduleOf("bench/bench_util.h"), "bench");
-    EXPECT_EQ(moduleOf("./src/elasticrec/hw/network.h"), "hw");
+    EXPECT_EQ(moduleOf("./src/elasticrec/hw/platform.h"), "hw");
 }
 
 TEST(ArchLintTest, ParseLayerConfigBuildsTransitiveClosure)

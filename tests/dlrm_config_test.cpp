@@ -74,12 +74,6 @@ TEST(DlrmConfigTest, TouchFractionMatchesPaperClaim)
     EXPECT_GT(f, 1e-6);
 }
 
-TEST(DlrmConfigTest, InteractionDim)
-{
-    // RM1: 11 feature vectors -> 55 pairs + 32 bottom outputs.
-    EXPECT_EQ(rm1().interactionOutputDim(), 55u + 32);
-}
-
 TEST(DlrmConfigTest, MicrobenchmarkVariants)
 {
     const auto light = microBenchmark(MlpSize::Light,
@@ -97,13 +91,6 @@ TEST(DlrmConfigTest, MicrobenchmarkVariants)
                                     LocalityLevel::High, 16);
     EXPECT_EQ(n16.numTables, 16u);
     EXPECT_NE(n16.name.find("N16"), std::string::npos);
-}
-
-TEST(DlrmConfigTest, SparseTrafficPerQuery)
-{
-    // RM1: 4096 gathers x 10 tables x 128 B rows.
-    EXPECT_EQ(rm1().sparseTrafficPerQuery(),
-              4096ull * 10 * 128);
 }
 
 } // namespace

@@ -63,14 +63,12 @@ TEST(DpPartitionerTest, FindOptimalPicksCheapestShardCount)
     opt.maxShards = 5;
     opt.granules = 5;
     DpPartitioner dp(5, fig10Cost, opt);
-    const auto frontier = dp.costFrontier();
-    ASSERT_EQ(frontier.size(), 5u);
     const auto best = dp.findOptimalPlan();
-    for (const auto &plan : frontier)
+    for (std::uint32_t s = 1; s <= opt.maxShards; ++s) {
+        const PartitionPlan plan = dp.planWithShards(s);
         EXPECT_LE(best.cost, plan.cost + 1e-12);
-    // Frontier entry s has exactly s+1 shards.
-    for (std::size_t s = 0; s < frontier.size(); ++s)
-        EXPECT_EQ(frontier[s].numShards(), s + 1);
+        EXPECT_EQ(plan.numShards(), s);
+    }
 }
 
 TEST(DpPartitionerTest, BoundariesAlwaysCoverTable)
@@ -195,9 +193,9 @@ TEST(DpPartitionerTest, MoreShardsNeverIncreaseCostWhenFree)
     opt.maxShards = 6;
     opt.granules = 12;
     DpPartitioner dp(12, additive, opt);
-    const auto frontier = dp.costFrontier();
-    for (std::size_t i = 1; i < frontier.size(); ++i)
-        EXPECT_LE(frontier[i].cost, frontier[i - 1].cost + 1e-12);
+    for (std::uint32_t s = 2; s <= opt.maxShards; ++s)
+        EXPECT_LE(dp.planWithShards(s).cost,
+                  dp.planWithShards(s - 1).cost + 1e-12);
 }
 
 } // namespace

@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the hardware platform specs, the roofline latency model and
- * the network link.
+ * Tests for the hardware platform specs and the roofline latency model.
  */
 
 #include <gtest/gtest.h>
 
 #include "elasticrec/common/error.h"
 #include "elasticrec/hw/latency_model.h"
-#include "elasticrec/hw/network.h"
 #include "elasticrec/hw/platform.h"
 
 namespace erec::hw {
@@ -41,8 +39,8 @@ TEST(LatencyModelTest, DenseCpuScalesWithFlopsAndCores)
     EXPECT_LT(t3, t1);
     // Dispatch floor: even tiny work pays the framework overhead.
     const auto floor = lat.denseCpuTime(1, 64);
-    EXPECT_GE(floor, units::fromMillis(
-                         cpuOnlyNode().cpu.denseDispatchUs / 1000.0));
+    EXPECT_GE(floor, units::fromSeconds(
+                         cpuOnlyNode().cpu.denseDispatchUs * 1e-6));
 }
 
 TEST(LatencyModelTest, GatherScalesWithCountAndDim)
@@ -68,7 +66,7 @@ TEST(LatencyModelTest, GpuPathRequiresGpu)
 {
     LatencyModel cpu(cpuOnlyNode());
     EXPECT_THROW(cpu.denseGpuTime(1000, 100), ConfigError);
-    EXPECT_THROW(cpu.gatherGpuTime(10, 128), ConfigError);
+    EXPECT_THROW(cpu.cachedGatherTime(10, 1.0, 128, 1), ConfigError);
 
     LatencyModel gpu(cpuGpuNode());
     EXPECT_GT(gpu.denseGpuTime(1'000'000, 1000), 0);
@@ -105,27 +103,6 @@ TEST(LatencyModelTest, CachedGatherFullHitHasNoCpuTerm)
     const auto full = lat.cachedGatherTime(4096, 1.0, 128, 32);
     const auto partial = lat.cachedGatherTime(4096, 0.5, 128, 32);
     EXPECT_LT(full, partial);
-}
-
-TEST(NetworkLinkTest, TransferTime)
-{
-    NetworkLink link(1e9, 100); // 1 GB/s, 100 us base
-    EXPECT_EQ(link.transferTime(0), 100);
-    // 1 MB at 1 GB/s = 1 ms.
-    EXPECT_EQ(link.transferTime(1'000'000), 100 + 1000);
-}
-
-TEST(NetworkLinkTest, FromNodeSpec)
-{
-    NetworkLink link(cpuOnlyNode());
-    EXPECT_DOUBLE_EQ(link.bandwidth(), 10e9 / 8.0);
-    EXPECT_EQ(link.baseLatency(), 100);
-}
-
-TEST(NetworkLinkTest, RejectsBadParameters)
-{
-    EXPECT_THROW(NetworkLink(0.0, 10), ConfigError);
-    EXPECT_THROW(NetworkLink(1e9, -1), ConfigError);
 }
 
 } // namespace

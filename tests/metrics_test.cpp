@@ -7,7 +7,6 @@
 
 #include "elasticrec/cluster/deployment.h"
 #include "elasticrec/cluster/metrics.h"
-#include "elasticrec/common/error.h"
 
 namespace erec::cluster {
 namespace {
@@ -118,13 +117,12 @@ TEST(DeploymentTest, ClampsDesiredReplicas)
     spec.name = "d";
     Deployment d(spec, 3);
     EXPECT_EQ(d.desiredReplicas(), 3u);
-    d.setReplicaBounds(2, 10);
-    d.setDesiredReplicas(100);
-    EXPECT_EQ(d.desiredReplicas(), 10u);
+    d.setDesiredReplicas(1000);
+    EXPECT_EQ(d.desiredReplicas(), 256u);
     d.setDesiredReplicas(0);
-    EXPECT_EQ(d.desiredReplicas(), 2u);
-    EXPECT_THROW(d.setReplicaBounds(0, 5), ConfigError);
-    EXPECT_THROW(d.setReplicaBounds(6, 5), ConfigError);
+    EXPECT_EQ(d.desiredReplicas(), 1u);
+    d.setDesiredReplicas(256);
+    EXPECT_EQ(d.desiredReplicas(), 256u);
 }
 
 TEST(DeploymentTest, ResourceRequestFromSpec)

@@ -128,17 +128,6 @@ TEST(RngTest, PoissonZeroMeanIsZero)
         EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
-TEST(RngTest, BernoulliFrequency)
-{
-    Rng rng(31);
-    int heads = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        if (rng.bernoulli(0.3))
-            ++heads;
-    EXPECT_NEAR(static_cast<double>(heads) / n, 0.3, 0.01);
-}
-
 TEST(RngTest, SplitStreamsAreIndependent)
 {
     Rng parent(5);

@@ -164,7 +164,7 @@ TEST(ServingTest, ShardMemoryTilesTable)
     Bytes total = 0;
     for (const auto &s : stack.shards[0])
         total += s->memBytes();
-    EXPECT_EQ(total, dlrm->table(0)->totalBytes());
+    EXPECT_EQ(total, dlrm->table(0)->numRows() * dlrm->table(0)->rowBytes());
 }
 
 TEST(ServingTest, MonolithicMemBytes)

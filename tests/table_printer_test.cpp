@@ -48,15 +48,6 @@ TEST(TablePrinterTest, PrintsAlignedTable)
     }
 }
 
-TEST(TablePrinterTest, CsvOutput)
-{
-    TablePrinter t({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinterTest, RowCount)
 {
     TablePrinter t({"h"});

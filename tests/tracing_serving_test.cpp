@@ -208,6 +208,10 @@ TEST(TracingServingTest, RingOverflowDropsAreCountedNotFatal)
         EXPECT_FALSE(stack.submit(makeQuery(config, seed)).get().empty());
     stack.dispatcher->drain();
     EXPECT_GT(stack.recorder->droppedEvents(), 0u);
+    // A dump shows the loss: publishStats exports the drop count.
+    stack.publishStats();
+    EXPECT_EQ(stack.observability->value("erec_trace_dropped_events"),
+              static_cast<double>(stack.recorder->droppedEvents()));
 }
 
 TEST(TracingServingTest, SteadyStateTracedServingDoesNotAllocateInGates)

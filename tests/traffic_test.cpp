@@ -30,7 +30,6 @@ TEST(TrafficPatternTest, StepLookup)
     EXPECT_DOUBLE_EQ(p.qpsAt(10 * units::kSecond), 20.0);
     EXPECT_DOUBLE_EQ(p.qpsAt(19 * units::kSecond), 20.0);
     EXPECT_DOUBLE_EQ(p.qpsAt(25 * units::kSecond), 5.0);
-    EXPECT_EQ(p.lastChange(), 20 * units::kSecond);
 }
 
 TEST(TrafficPatternTest, Fig19Schedule)

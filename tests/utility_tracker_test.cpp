@@ -42,14 +42,6 @@ TEST(UtilityTrackerTest, MonolithicLayout)
     EXPECT_DOUBLE_EQ(t.overallUtility(), 0.06);
 }
 
-TEST(UtilityTrackerTest, RecordRanksBatch)
-{
-    UtilityTracker t({5, 10});
-    t.recordRanks({0, 1, 9});
-    EXPECT_EQ(t.touchedRows(0), 2u);
-    EXPECT_EQ(t.touchedRows(1), 1u);
-}
-
 TEST(UtilityTrackerTest, HotShardHasHigherUtility)
 {
     // Property from the paper: with skewed access, the hot shard's
