@@ -36,7 +36,7 @@ main()
         const auto er = planner.planElasticRec({cdf});
         const auto hot = planner.planElasticRecHotCache({cdf}, hot_rows);
         const auto mw = planner.planModelWise();
-        const auto mwc = planner.planModelWiseGpuCache(0.9);
+        const auto mwc = planner.planModelWiseGpuCache();
 
         std::cout << "\n" << config.name << " (hot prefix " << hot_rows
                   << " rows/table = "

@@ -32,7 +32,7 @@ main()
         const auto cdf = sim::cdfFor(config);
         const auto er = planner.planElasticRec({cdf});
         const auto mw = planner.planModelWise();
-        const auto cache = planner.planModelWiseGpuCache(0.9);
+        const auto cache = planner.planModelWiseGpuCache();
 
         const auto mw_mem = mw.memoryForTarget(target);
         const auto cache_mem = cache.memoryForTarget(target);
@@ -52,7 +52,7 @@ main()
         core::Planner planner =
             core::Planner::forPlatform(model::rm1(), node);
         const auto mw = planner.planModelWise();
-        const auto cache = planner.planModelWiseGpuCache(0.9);
+        const auto cache = planner.planModelWiseGpuCache();
         const double plain =
             units::toMillis(mw.frontendShard().stageLatencies[1]);
         const double cached =

@@ -1,44 +1,39 @@
 /**
  * @file
- * Microbenchmarks of the library's hot kernels. Two modes:
+ * The kernel-backend sweep behind the CI perf gate. Runs the
+ * gather-sum-pool at d in {32, 64, 128, 256} over a cache-resident
+ * table, the blocked GEMM on a 256 -> 128 layer, a DRAM-resident
+ * gather (d = 32, a table of max(4 x LLC, 64 MiB) read at locality-P
+ * ranks through a shuffled hotness permutation) and the GEMM on RM3's
+ * 2560 -> 512 first bottom layer (5 MiB of weights) on every backend
+ * the host supports (scalar always; avx2/avx512 when usable), and
+ * prints one table row per point. These measure *this host's* real
+ * performance (the analogue of the paper's one-time profiling pass,
+ * Figure 9), independent of the calibrated cluster model the figure
+ * benches use.
  *
- * Default (google-benchmark): the embedding gather+pool, the MLP
- * forward pass, query bucketization, Zipf/locality sampling and the DP
- * partitioner. These measure *this host's* real performance (they are
- * the analogue of the paper's one-time profiling pass, Figure 9),
- * independent of the calibrated cluster model used by the figure
- * benches. All google-benchmark flags pass through.
- *
- * `--json PATH`: the kernel-backend sweep feeding the CI perf gate.
- * Runs the gather-sum-pool at d in {32, 64, 128, 256} over a
- * cache-resident table, the blocked GEMM on a 256 -> 128 layer, a
- * DRAM-resident gather (d = 32, a table of max(4 x LLC, 64 MiB) read
- * at locality-P ranks through a shuffled hotness permutation) and the
- * GEMM on RM3's 2560 -> 512 first bottom layer (5 MiB of weights) on
- * every backend the host supports (scalar always; avx2/avx512 when
- * usable) and writes benchdiff-schema JSON: one sweep entry per
- * (backend, kernel, dim) point, keyed by a stable numeric "point" id
- * (backend_index * 10 + {0..3 gather by dim, 4 gemm, 5 DRAM gather,
- * 6 RM3-layer gemm}), with "qps" holding
- * GB/s (gather) or GFLOP/s (GEMM) and "allocs_per_call" the heap
- * allocations inside the gather AllocGate regions. The gate only
- * checks the scalar points (0-4) against bench/baselines/
- * BENCH_kernels.json, so baselines hold across hosts with different
- * ISAs and cache sizes:
+ * With `--json PATH` it also writes benchdiff-schema JSON: one sweep
+ * entry per (backend, kernel, dim) point, keyed by a stable numeric
+ * "point" id (backend_index * 10 + {0..3 gather by dim, 4 gemm, 5 DRAM
+ * gather, 6 RM3-layer gemm}), with "qps" holding GB/s (gather) or
+ * GFLOP/s (GEMM) and "allocs_per_call" the heap allocations inside the
+ * gather AllocGate regions. The gate only checks the scalar points
+ * (0-4) against bench/baselines/BENCH_kernels.json, so baselines hold
+ * across hosts with different ISAs and cache sizes:
  *
  *     kernel_bench --json BENCH_kernels.json --quick
  *     erec_benchdiff bench/baselines/BENCH_kernels.json \
  *         BENCH_kernels.json --key point --tolerance 40% \
  *         --metric-tolerance allocs_per_call=0
  *
- * JSON-mode flags:
+ * Flags:
+ *   --json PATH       also write the sweep as JSON
  *   --quick           fewer reps per point for CI (default full run)
  *   --throttle-us N   sleep N us between reps — deliberately depresses
  *                     the measured rate so CI can demonstrate the
  *                     benchdiff regression gate firing
  */
 
-#include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -58,152 +53,21 @@
 #include "elasticrec/common/error.h"
 #include "elasticrec/common/json.h"
 #include "elasticrec/common/table_printer.h"
-#include "elasticrec/core/bucketizer.h"
-#include "elasticrec/core/dp_partitioner.h"
 #include "elasticrec/embedding/embedding_table.h"
 #include "elasticrec/embedding/sharded_table.h"
 #include "elasticrec/kernels/registry.h"
 #include "elasticrec/model/mlp.h"
 #include "elasticrec/workload/access_distribution.h"
-#include "elasticrec/workload/query_generator.h"
-
-using namespace erec;
-
-namespace {
-
-void
-BM_GatherPool(benchmark::State &state)
-{
-    const auto gathers = static_cast<std::size_t>(state.range(0));
-    const auto dim = static_cast<std::uint32_t>(state.range(1));
-    embedding::EmbeddingTable table(1u << 20, dim);
-    Rng rng(1);
-    std::vector<std::uint32_t> indices(gathers);
-    for (auto &i : indices)
-        i = static_cast<std::uint32_t>(rng.uniformInt(
-            std::uint64_t{1u << 20}));
-    std::vector<std::uint32_t> offsets = {0};
-    std::vector<float> out(dim);
-    const kernels::GatherRequest req(indices, offsets);
-    for (auto _ : state) {
-        table.gatherPool(req, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(gathers));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(gathers * dim * 4));
-}
-BENCHMARK(BM_GatherPool)
-    ->Args({128, 32})
-    ->Args({1024, 32})
-    ->Args({4096, 32})
-    ->Args({4096, 128})
-    ->Args({4096, 512});
-
-void
-BM_MlpForward(benchmark::State &state)
-{
-    const auto batch = static_cast<std::size_t>(state.range(0));
-    model::Mlp mlp(model::MlpSpec{{256, 128, 32}});
-    std::vector<float> in(batch * 256, 0.1f);
-    std::vector<float> out(batch * 32);
-    for (auto _ : state) {
-        mlp.forward(in.data(), batch, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_MlpForward)->Arg(1)->Arg(8)->Arg(32);
-
-void
-BM_Bucketize(benchmark::State &state)
-{
-    const auto shards = static_cast<std::uint32_t>(state.range(0));
-    const std::uint64_t rows = 1'000'000;
-    std::vector<std::uint64_t> boundaries;
-    for (std::uint32_t s = 1; s <= shards; ++s)
-        boundaries.push_back(rows * s / shards);
-    core::Bucketizer bucketizer(boundaries);
-
-    workload::QueryShape shape;
-    shape.batchSize = 32;
-    shape.numTables = 1;
-    shape.gathersPerItem = 128;
-    workload::QueryGenerator gen(
-        shape, std::make_shared<workload::LocalityDistribution>(
-                   rows, 0.9));
-    const auto q = gen.next();
-    for (auto _ : state) {
-        auto buckets = bucketizer.bucketize(q.lookups[0]);
-        benchmark::DoNotOptimize(buckets);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q.lookups[0].numGathers()));
-}
-BENCHMARK(BM_Bucketize)->Arg(1)->Arg(4)->Arg(16);
-
-void
-BM_LocalitySample(benchmark::State &state)
-{
-    workload::LocalityDistribution dist(20'000'000, 0.9);
-    Rng rng(3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dist.sampleRank(rng));
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LocalitySample);
-
-void
-BM_ZipfSample(benchmark::State &state)
-{
-    workload::ZipfDistribution dist(20'000'000, 0.99);
-    Rng rng(3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dist.sampleRank(rng));
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ZipfSample);
-
-void
-BM_DpPartitioner(benchmark::State &state)
-{
-    const auto granules = static_cast<std::uint32_t>(state.range(0));
-    auto cost = [](std::uint64_t b, std::uint64_t e) {
-        const double len = static_cast<double>(e - b);
-        return len * len / static_cast<double>(b + 1);
-    };
-    for (auto _ : state) {
-        core::DpPartitioner::Options opt;
-        opt.maxShards = 16;
-        opt.granules = granules;
-        core::DpPartitioner dp(20'000'000, cost, opt);
-        auto plan = dp.findOptimalPlan();
-        benchmark::DoNotOptimize(plan);
-    }
-}
-BENCHMARK(BM_DpPartitioner)->Arg(128)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// `--json` mode: the per-backend kernel sweep behind the CI perf gate.
-// ---------------------------------------------------------------------
 
 namespace erec::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct JsonOptions
+/** Compiler barrier: the timed call's output at `p` counts as read. */
+inline void keep(const void *p) { asm volatile("" : : "g"(p) : "memory"); }
+
+struct SweepOptions
 {
     std::string out;
     std::uint64_t throttleUs = 0;
@@ -223,10 +87,10 @@ struct KernelResult
     double allocsPerCall = 0.0;
 };
 
-JsonOptions
-parseJsonArgs(int argc, char **argv)
+SweepOptions
+parseArgs(int argc, char **argv)
 {
-    JsonOptions opts;
+    SweepOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc) {
@@ -236,10 +100,9 @@ parseJsonArgs(int argc, char **argv)
         } else if (arg == "--throttle-us" && i + 1 < argc) {
             opts.throttleUs = std::stoull(argv[++i]);
         } else {
-            erec::fatal("unknown kernel_bench --json flag: " + arg);
+            erec::fatal("unknown kernel_bench flag: " + arg);
         }
     }
-    ERC_CHECK(!opts.out.empty(), "--json needs an output path");
     return opts;
 }
 
@@ -288,7 +151,7 @@ timedLoop(std::size_t reps, std::uint64_t throttle_us, double units,
 KernelResult
 runGatherPoint(const kernels::KernelBackend &backend,
                std::size_t backend_index, std::size_t variant,
-               std::uint32_t dim, const JsonOptions &opts)
+               std::uint32_t dim, const SweepOptions &opts)
 {
     constexpr std::uint64_t kRows = 4096;
     constexpr std::size_t kBatch = 32;
@@ -314,7 +177,7 @@ runGatherPoint(const kernels::KernelBackend &backend,
     const auto [rate, allocs] =
         timedLoop(reps, opts.throttleUs, bytes_per_call, [&] {
             table.gatherPool(req, out.data(), backend);
-            benchmark::DoNotOptimize(out.data());
+            keep(out.data());
         });
 
     KernelResult r;
@@ -380,14 +243,14 @@ struct DramGather
 KernelResult
 runDramGatherPoint(const DramGather &work,
                    const kernels::KernelBackend &backend,
-                   std::size_t backend_index, const JsonOptions &opts)
+                   std::size_t backend_index, const SweepOptions &opts)
 {
     std::vector<float> out(DramGather::kBatch * DramGather::kDim);
     std::size_t next = 0;
     auto gather = [&] {
         const kernels::GatherRequest req(work.indices[next], work.offsets);
         work.table->gatherPool(0, req, out.data(), backend);
-        benchmark::DoNotOptimize(out.data());
+        keep(out.data());
         next = (next + 1) % DramGather::kRequests;
     };
     for (std::size_t w = 0; w < DramGather::kRequests; ++w)
@@ -421,7 +284,7 @@ KernelResult
 runGemmPoint(const kernels::KernelBackend &backend,
              std::size_t backend_index, std::size_t variant,
              const char *kernel, std::size_t in_dim, std::size_t out_dim,
-             const JsonOptions &opts)
+             const SweepOptions &opts)
 {
     constexpr std::size_t kBatch = 32;
     model::Mlp mlp(model::MlpSpec{{static_cast<std::uint32_t>(in_dim),
@@ -445,7 +308,7 @@ runGemmPoint(const kernels::KernelBackend &backend,
     const auto [rate, allocs] =
         timedLoop(reps, opts.throttleUs, flops_per_call, [&] {
             mlp.forward(in.data(), kBatch, out.data(), backend);
-            benchmark::DoNotOptimize(out.data());
+            keep(out.data());
         });
 
     KernelResult r;
@@ -468,7 +331,7 @@ jsonNum(double v)
 
 /** Deterministic-format JSON for tools/benchdiff, keyed by "point". */
 void
-writeJson(const JsonOptions &opts,
+writeJson(const SweepOptions &opts,
           const std::vector<KernelResult> &sweep)
 {
     std::ofstream out(opts.out);
@@ -495,10 +358,10 @@ writeJson(const JsonOptions &opts,
 }
 
 int
-runJson(int argc, char **argv)
+run(int argc, char **argv)
 {
     quietLogs();
-    const JsonOptions opts = parseJsonArgs(argc, argv);
+    const SweepOptions opts = parseArgs(argc, argv);
     banner("Kernel-backend sweep (gather-sum-pool + blocked GEMM)",
            "DESIGN.md section 11 (no paper figure; CI perf gate input)");
     const auto &backends = kernels::availableBackends();
@@ -551,8 +414,10 @@ runJson(int argc, char **argv)
                      "scalar): "
                   << TablePrinter::ratio(best128 / scalar128) << "\n";
 
-    writeJson(opts, sweep);
-    std::cout << "\nwrote " << opts.out << "\n";
+    if (!opts.out.empty()) {
+        writeJson(opts, sweep);
+        std::cout << "\nwrote " << opts.out << "\n";
+    }
     return 0;
 }
 
@@ -562,13 +427,5 @@ runJson(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--json")
-            return erec::bench::runJson(argc, argv);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return erec::bench::run(argc, argv);
 }

@@ -22,15 +22,4 @@ executorOptionsFor(const core::ShardSpec &spec)
     return opts;
 }
 
-Deployment::Deployment(core::ShardSpec spec, std::uint32_t initial_replicas)
-    : spec_(std::move(spec)), desired_(std::max(1u, initial_replicas))
-{
-}
-
-void
-Deployment::setDesiredReplicas(std::uint32_t n)
-{
-    desired_ = std::clamp(n, kMinReplicas, kMaxReplicas);
-}
-
 } // namespace erec::cluster

@@ -2,15 +2,14 @@
 
 /**
  * @file
- * Deployment bookkeeping: a deployment is the unit Kubernetes scales —
- * one per shard type in ElasticRec, one per whole model in the
- * baseline. It tracks the desired replica count (set by the HPA) and
- * the identities of its pods (owned by the simulator).
+ * What a deployment's pods ask of the cluster: a deployment is the
+ * unit Kubernetes scales (one per shard type in ElasticRec, one per
+ * whole model in the baseline), and each of its pods requests the
+ * resources its shard spec names. The simulator keeps each
+ * deployment's replica count and pods (sim::ClusterSimulation).
  */
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "elasticrec/core/planner.h"
 #include "elasticrec/runtime/executor.h"
@@ -37,26 +36,5 @@ ResourceRequest resourceRequestFor(const core::ShardSpec &spec);
  * ROADMAP item 10, whose real-stack HPA sizes its pools with it.
  */
 runtime::ExecutorOptions executorOptionsFor(const core::ShardSpec &spec);
-
-class Deployment
-{
-  public:
-    Deployment(core::ShardSpec spec, std::uint32_t initial_replicas);
-
-    const std::string &name() const { return spec_.name; }
-    const core::ShardSpec &spec() const { return spec_; }
-    ResourceRequest request() const { return resourceRequestFor(spec_); }
-
-    /** Bounds the desired count is clamped to. */
-    static constexpr std::uint32_t kMinReplicas = 1;
-    static constexpr std::uint32_t kMaxReplicas = 256;
-
-    std::uint32_t desiredReplicas() const { return desired_; }
-    void setDesiredReplicas(std::uint32_t n);
-
-  private:
-    core::ShardSpec spec_;
-    std::uint32_t desired_;
-};
 
 } // namespace erec::cluster

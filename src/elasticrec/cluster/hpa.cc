@@ -7,38 +7,28 @@
 
 namespace erec::cluster {
 
-Hpa::Hpa(HpaPolicy policy) : policy_(policy)
+Hpa::Hpa(double target) : target_(target)
 {
-    ERC_CHECK(policy_.target > 0, "HPA target must be positive");
-    ERC_CHECK(policy_.tolerance >= 0 && policy_.tolerance < 1,
-              "HPA tolerance must be in [0, 1)");
-    ERC_CHECK(policy_.syncPeriod > 0, "sync period must be positive");
+    ERC_CHECK(target_ > 0, "HPA target must be positive");
 }
 
 void
-Hpa::bindObservability(obs::Registry *registry,
+Hpa::bindObservability(obs::Registry &registry,
                        const std::string &deployment)
 {
-    if (registry == nullptr) {
-        obsScaleUp_ = nullptr;
-        obsScaleDown_ = nullptr;
-        obsMetricValue_ = nullptr;
-        obsTriggerValue_ = nullptr;
-        return;
-    }
-    obsScaleUp_ = &registry->counter(
+    obsScaleUp_ = &registry.counter(
         "erec_hpa_scale_events_total",
         "Desired-replica changes decided by the HPA.",
         {{"deployment", deployment}, {"direction", "up"}});
-    obsScaleDown_ = &registry->counter(
+    obsScaleDown_ = &registry.counter(
         "erec_hpa_scale_events_total",
         "Desired-replica changes decided by the HPA.",
         {{"deployment", deployment}, {"direction", "down"}});
-    obsMetricValue_ = &registry->gauge(
+    obsMetricValue_ = &registry.gauge(
         "erec_hpa_metric_value",
         "Metric value observed at the last HPA reconcile.",
         {{"deployment", deployment}});
-    obsTriggerValue_ = &registry->gauge(
+    obsTriggerValue_ = &registry.gauge(
         "erec_hpa_scale_trigger_value",
         "Metric value that triggered the last scale event.",
         {{"deployment", deployment}});
@@ -48,24 +38,24 @@ std::uint32_t
 Hpa::reconcile(SimTime now, std::uint32_t current, double measured)
 {
     ERC_CHECK(current >= 1, "reconcile requires at least one replica");
-    const double ratio = measured / policy_.target;
+    const double ratio = measured / target_;
 
     std::uint32_t recommendation = current;
-    if (std::abs(ratio - 1.0) > policy_.tolerance) {
+    if (std::abs(ratio - 1.0) > kTolerance) {
         recommendation = static_cast<std::uint32_t>(std::max(
             1.0, std::ceil(static_cast<double>(current) * ratio)));
     }
 
-    // Rate-limit scale-up per sync period (Kubernetes default policy).
+    // Rate-limit scale-up per reconcile (Kubernetes default policy).
     const auto cap = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(std::ceil(
-            static_cast<double>(current) * policy_.maxScaleUpFactor)),
-        current + policy_.maxScaleUpPods);
+            static_cast<double>(current) * kMaxScaleUpFactor)),
+        current + kMaxScaleUpPods);
     recommendation = std::min(recommendation, cap);
 
     // Record and trim the recommendation history.
     history_.emplace_back(now, recommendation);
-    const SimTime cutoff = now - policy_.stabilizationWindow;
+    const SimTime cutoff = now - kStabilizationWindow;
     while (!history_.empty() && history_.front().first < cutoff)
         history_.pop_front();
 

@@ -13,7 +13,9 @@
  *
  * with a +/- tolerance dead band and a scale-down stabilization window
  * (scale-down uses the maximum desired count recommended over the
- * window, mirroring Kubernetes' behaviour).
+ * window, mirroring Kubernetes' behaviour). The tolerance, the window
+ * and the scale-up rate limit are constants, so only the target is a
+ * parameter. The caller schedules the reconciles.
  */
 
 #include <cstdint>
@@ -25,51 +27,37 @@
 
 namespace erec::cluster {
 
-/** What the HPA measures. */
-enum class HpaMetric
+class Hpa
 {
-    /** Queries/sec per ready replica vs. a QPS_max target. */
-    QpsPerReplica,
-    /** P95 latency of the deployment vs. a latency target. */
-    TailLatency,
-};
-
-struct HpaPolicy
-{
-    HpaMetric metric = HpaMetric::QpsPerReplica;
-    /** Target value: QPS_max (queries/sec) or latency target (us). */
-    double target = 1.0;
-    /** Dead band: no action when |measured/target - 1| <= tolerance. */
-    double tolerance = 0.10;
-    /** Controller sync period. */
-    SimTime syncPeriod = 15 * units::kSecond;
-    /** Scale-down stabilization window. */
-    SimTime stabilizationWindow = 180 * units::kSecond;
+  public:
+    /** Dead band: no action when |measured/target - 1| <= kTolerance
+     *  (the Kubernetes default). */
+    static constexpr double kTolerance = 0.10;
+    /** Scale-down stabilization window (Kubernetes defaults to 300 s). */
+    static constexpr SimTime kStabilizationWindow = 180 * units::kSecond;
     /**
-     * Scale-up rate limit per sync period, mirroring the Kubernetes
+     * Scale-up rate limit per reconcile, mirroring the Kubernetes
      * default scaling policy (at most double, or +4 pods, whichever is
      * larger). Prevents queue-buildup latency spikes from exploding
      * the replica count in one step.
      */
-    double maxScaleUpFactor = 2.0;
-    std::uint32_t maxScaleUpPods = 4;
-};
+    static constexpr double kMaxScaleUpFactor = 2.0;
+    static constexpr std::uint32_t kMaxScaleUpPods = 4;
 
-class Hpa
-{
-  public:
-    explicit Hpa(HpaPolicy policy);
-
-    const HpaPolicy &policy() const { return policy_; }
+    /**
+     * @param target Target value: QPS_max per replica (queries/sec), or
+     *        the P95 latency target (SimTime us).
+     */
+    explicit Hpa(double target);
 
     /**
      * Publish scale decisions to an exportable registry under the
      * given deployment label: the measured metric value every
      * reconcile, and a scale-event counter (with direction) plus the
      * triggering metric value whenever the desired count changes.
-     * Pass nullptr to detach. The registry must outlive this object.
+     * The registry must outlive this object.
      */
-    void bindObservability(obs::Registry *registry,
+    void bindObservability(obs::Registry &registry,
                            const std::string &deployment);
 
     /**
@@ -77,8 +65,7 @@ class Hpa
      *
      * @param now Current simulated time.
      * @param current Current (ready) replica count.
-     * @param measured Measured metric value (QPS per replica, or P95
-     *        latency in SimTime us depending on the policy metric).
+     * @param measured Measured metric value, in the target's unit.
      * @return The new desired replica count.
      */
     std::uint32_t reconcile(SimTime now, std::uint32_t current,
@@ -89,7 +76,7 @@ class Hpa
     std::uint64_t scaleDownEvents() const { return scaleDownEvents_; }
 
   private:
-    HpaPolicy policy_;
+    double target_;
     /** (time, recommendation) history for scale-down stabilization. */
     std::deque<std::pair<SimTime, std::uint32_t>> history_;
     /** Last desired count, for scale-event edge detection. */
@@ -97,7 +84,7 @@ class Hpa
     bool hasLastDesired_ = false;
     std::uint64_t scaleUpEvents_ = 0;
     std::uint64_t scaleDownEvents_ = 0;
-    // Resolved obs handles; null when no registry is bound.
+    // Resolved obs handles; null until a registry is bound.
     obs::Counter *obsScaleUp_ = nullptr;
     obs::Counter *obsScaleDown_ = nullptr;
     obs::Gauge *obsMetricValue_ = nullptr;

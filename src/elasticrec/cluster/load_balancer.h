@@ -47,8 +47,6 @@ class LoadBalancer
   public:
     explicit LoadBalancer(LbPolicy policy, std::uint64_t seed = 1);
 
-    LbPolicy policy() const { return policy_; }
-
     /**
      * Pick one candidate. Returns the chosen candidate's `index`.
      * The candidate list must be non-empty.

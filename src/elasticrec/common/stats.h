@@ -2,9 +2,8 @@
 
 /**
  * @file
- * Statistics primitives used by the metrics registry and the
- * simulator: rate (QPS) windows and simple time series. Quantiles live
- * in obs/sketch.h.
+ * Statistics primitives used by the simulator: rate (QPS) windows and
+ * simple time series. Quantiles live in obs/sketch.h.
  */
 
 #include <cstddef>
@@ -19,8 +18,8 @@ namespace erec {
 
 /**
  * Event-rate window: counts events over a sliding window of simulated
- * time and reports a rate in events per second. This is how the metrics
- * server measures QPS.
+ * time and reports a rate in events per second. This is how the
+ * simulator measures each deployment's QPS.
  *
  * Backed by a Ring rather than a deque: add() sits on the simulator's
  * per-completion path, which must be allocation-free once the window

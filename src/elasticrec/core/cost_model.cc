@@ -37,8 +37,6 @@ double
 CostModel::replicas(std::uint64_t begin, std::uint64_t end) const
 {
     const double raw = params_.targetTraffic / shardQps(begin, end);
-    if (!params_.ceilReplicas)
-        return raw;
     return std::max(1.0, std::ceil(raw));
 }
 

@@ -48,13 +48,6 @@ struct CostModelParams
      * produces the Figure 12(d) plateau.
      */
     Bytes minMemAlloc = 512 * units::kMiB;
-    /**
-     * When true (deployment semantics), replica counts are rounded up
-     * and floored at one. When false, fractional replicas are used,
-     * matching Algorithm 1 literally; the DP default keeps the ceil so
-     * plans account for the at-least-one-replica cost of cold shards.
-     */
-    bool ceilReplicas = true;
 };
 
 class CostModel
@@ -74,7 +67,12 @@ class CostModel
     /** Estimated QPS of a shard covering rows [begin, end). */
     double shardQps(std::uint64_t begin, std::uint64_t end) const;
 
-    /** REPLICAS(begin, end): replicas needed to meet targetTraffic. */
+    /**
+     * REPLICAS(begin, end): replicas needed to meet targetTraffic,
+     * rounded up and floored at one (deployment semantics).
+     * Algorithm 1 uses fractional replicas; the ceil makes plans
+     * account for the at-least-one-replica cost of cold shards.
+     */
     double replicas(std::uint64_t begin, std::uint64_t end) const;
 
     /** CAPACITY(begin, end): shard embedding bytes. */
@@ -82,9 +80,6 @@ class CostModel
 
     /** COST(begin, end): expected memory consumption in bytes. */
     double cost(std::uint64_t begin, std::uint64_t end) const;
-
-    const CostModelParams &params() const { return params_; }
-    const embedding::AccessCdf &cdf() const { return *cdf_; }
 
   private:
     std::shared_ptr<const embedding::AccessCdf> cdf_;

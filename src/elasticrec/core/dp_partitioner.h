@@ -89,11 +89,6 @@ class DpPartitioner
      */
     PartitionPlan planWithShards(std::uint32_t num_shards) const;
 
-    const std::vector<std::uint64_t> &candidates() const
-    {
-        return candidates_;
-    }
-
   private:
     void runDp() const;
 

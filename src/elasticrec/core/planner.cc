@@ -114,7 +114,6 @@ CostModelParams
 Planner::costParams() const
 {
     CostModelParams p;
-    p.targetTraffic = options_.dpTargetTraffic;
     p.gathersPerQuery =
         static_cast<double>(config_.gathersPerQueryPerTable());
     p.rowBytes = Bytes{config_.embeddingDim} * sizeof(float);
@@ -471,12 +470,10 @@ Planner::planElasticRecHotCache(
 }
 
 DeploymentPlan
-Planner::planModelWiseGpuCache(double hit_rate) const
+Planner::planModelWiseGpuCache() const
 {
     ERC_CHECK(lat_.node().hasGpu,
               "the GPU-cache baseline needs a GPU platform");
-    ERC_CHECK(hit_rate > 0.0 && hit_rate < 1.0,
-              "cache hit rate must be in (0, 1)");
     DeploymentPlan plan;
     plan.policy = "model-wise-cache";
     plan.config = config_;
@@ -487,7 +484,7 @@ Planner::planModelWiseGpuCache(double hit_rate) const
 
     const SimTime dense_t = denseStageLatency(cores);
     const SimTime sparse_t =
-        lat_.cachedGatherTime(n_t, hit_rate, row_bytes, cores) *
+        lat_.cachedGatherTime(n_t, kGpuCacheHitRate, row_bytes, cores) *
         config_.numTables;
 
     ShardSpec spec;

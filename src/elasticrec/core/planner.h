@@ -118,8 +118,6 @@ struct PlannerOptions
     std::uint32_t denseCores = 16;
     /** Cores requested by one sparse shard replica. */
     std::uint32_t sparseCores = 1;
-    /** Target-traffic constant of the DP cost model (Algorithm 1). */
-    double dpTargetTraffic = 1000.0;
     /**
      * Manual shard-count override for the Figure 12(d) sweep: when
      * non-zero, every table is partitioned into exactly this many
@@ -166,12 +164,15 @@ class Planner
     /** Build the model-wise baseline plan. */
     DeploymentPlan planModelWise() const;
 
+    /** Hit rate of the GPU embedding cache (the paper evaluates 0.9). */
+    static constexpr double kGpuCacheHitRate = 0.9;
+
     /**
-     * Model-wise + GPU embedding cache (Section VI-E): `hit_rate` of
-     * embedding gathers are served from GPU HBM (the paper evaluates
-     * 0.9). Requires a GPU platform.
+     * Model-wise + GPU embedding cache (Section VI-E): kGpuCacheHitRate
+     * of embedding gathers are served from GPU HBM. Requires a GPU
+     * platform.
      */
-    DeploymentPlan planModelWiseGpuCache(double hit_rate = 0.9) const;
+    DeploymentPlan planModelWiseGpuCache() const;
 
     /**
      * Column-wise partitioning baseline (the alternative table-

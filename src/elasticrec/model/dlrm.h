@@ -35,8 +35,6 @@ class Dlrm
          std::uint64_t seed = 42);
 
     const DlrmConfig &config() const { return config_; }
-    const Mlp &bottomMlp() const { return bottomMlp_; }
-    const Mlp &topMlp() const { return topMlp_; }
 
     std::shared_ptr<const embedding::EmbeddingTable>
     table(std::uint32_t t) const;

@@ -115,7 +115,6 @@ class FlightRecorder
     explicit FlightRecorder(const FlightRecorderOptions &options = {});
 
     bool enabled() const { return options_.sampleEvery != 0; }
-    std::uint32_t sampleEvery() const { return options_.sampleEvery; }
 
     /**
      * Account one query submission; returns a root context

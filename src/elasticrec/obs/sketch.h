@@ -142,8 +142,6 @@ class WindowedQuantileSketch
     /** Samples inside the window as of `now`. */
     std::uint64_t count(SimTime now) const;
 
-    SimTime window() const { return window_; }
-
   private:
     struct Slice
     {

@@ -25,7 +25,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -96,7 +95,6 @@ class BatchQueue
             return false;
         ring_[(head_ + size_) % opts_.capacity] = std::move(item);
         ++size_;
-        ++totalPushed_;
         notEmpty_.notify_one();
         return true;
     }
@@ -159,15 +157,6 @@ class BatchQueue
         return closed_;
     }
 
-    /** Items accepted since construction (drops excluded). A probe:
-     *  batch_queue_test reads it to show rejected pushes are not
-     *  counted. */
-    std::uint64_t totalPushed() const
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return totalPushed_;
-    }
-
     const BatchQueueOptions &options() const { return opts_; }
 
   private:
@@ -180,7 +169,6 @@ class BatchQueue
     std::size_t head_ ERC_GUARDED_BY(mutex_) = 0;
     std::size_t size_ ERC_GUARDED_BY(mutex_) = 0;
     bool closed_ ERC_GUARDED_BY(mutex_) = false;
-    std::uint64_t totalPushed_ ERC_GUARDED_BY(mutex_) = 0;
     /** Consumers wait for an item here; registered on the board, if
      *  any. Every waiter is idle, so a board wake is never lost. */
     ForkJoinBoard::Sleeper sleeper_;

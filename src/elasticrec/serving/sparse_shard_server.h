@@ -35,7 +35,6 @@ class SparseShardServer
                       std::uint32_t shard_id,
                       const kernels::KernelBackend *backend = nullptr);
 
-    std::uint32_t shardId() const { return shardId_; }
     embedding::ShardRange range() const;
     Bytes memBytes() const;
 

@@ -60,70 +60,56 @@ simQueryRegion()
 
 } // namespace
 
-ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
-                                     hw::NodeSpec node,
+ClusterSimulation::ClusterSimulation(const core::DeploymentPlan &plan,
+                                     const hw::NodeSpec &node,
                                      workload::TrafficPattern traffic,
                                      SimOptions options)
-    : plan_(std::move(plan)), node_(std::move(node)),
-      traffic_(std::move(traffic)), options_(options),
+    : traffic_(std::move(traffic)), options_(options),
       rng_(options.seed), arrivals_(traffic_, options.seed ^ 0xA551),
-      channel_(node_),
-      scheduler_(node_),
-      obs_(options.observability ? options.observability
-                                 : std::make_shared<obs::Registry>()),
+      channel_(node),
+      scheduler_(node),
       slo_([this](const obs::SloSignal &signal, SimTime now) {
           return readSloSignal(signal, now);
       })
 {
-    ERC_CHECK(!plan_.shards.empty(), "deployment plan has no shards");
-    metrics_.bindObservability(obs_.get());
-    obsArrivals_ = &obs_->counter("erec_arrivals_total",
-                                  "Queries arrived at the frontend.");
+    ERC_CHECK(!plan.shards.empty(), "deployment plan has no shards");
+    obsArrivals_ = &obs_.counter("erec_arrivals_total",
+                                 "Queries arrived at the frontend.");
     const double initial_qps = traffic_.qpsAt(0);
 
     unsigned sparseCount = 0;
-    for (const auto &spec : plan_.shards) {
-        DeploymentState ds;
-        const std::uint32_t initial =
-            options_.warmStart
-                ? core::DeploymentPlan::replicasForTarget(spec,
-                                                          initial_qps)
-                : 1;
-        ds.deployment =
-            std::make_unique<cluster::Deployment>(spec, initial);
-
-        cluster::HpaPolicy policy;
-        policy.syncPeriod = options_.hpaSyncPeriod;
-        policy.stabilizationWindow = options_.hpaStabilization;
-        if (spec.kind == core::ShardKind::SparseEmbedding) {
-            policy.metric = cluster::HpaMetric::QpsPerReplica;
-            policy.target =
-                spec.qpsPerReplica * options_.sparseUtilizationTarget;
-        } else {
-            policy.metric = cluster::HpaMetric::TailLatency;
-            policy.target = static_cast<double>(options_.sla) *
-                            options_.denseLatencyTargetFraction;
-        }
-        ds.hpa = std::make_unique<cluster::Hpa>(policy);
-        ds.hpa->bindObservability(obs_.get(), spec.name);
+    for (const auto &spec : plan.shards) {
+        const double hpa_target =
+            spec.kind == core::ShardKind::SparseEmbedding
+                ? spec.qpsPerReplica * kSparseUtilizationTarget
+                : static_cast<double>(kSla) * kDenseLatencyTargetFraction;
+        auto [it, inserted] =
+            deployments_.try_emplace(spec.name, spec, hpa_target);
+        ERC_CHECK(inserted, "duplicate deployment " << spec.name);
+        DeploymentState &ds = it->second;
+        // Start at the replica count the plan predicts for the
+        // traffic's initial rate.
+        setDesired(ds, core::DeploymentPlan::replicasForTarget(
+                           spec, initial_qps));
+        ds.hpa.bindObservability(obs_, spec.name);
 
         const obs::Labels labels = {{"deployment", spec.name}};
-        ds.obsColdStarts = &obs_->counter(
+        ds.obsColdStarts = &obs_.counter(
             "erec_cold_starts_total",
             "Pods started cold (container boot + parameter load).",
             labels);
-        ds.obsQueueDepth = &obs_->gauge(
+        ds.obsQueueDepth = &obs_.gauge(
             "erec_queue_depth",
             "Requests pending or in flight across the deployment.",
             labels);
-        ds.obsUtilization = &obs_->gauge(
+        ds.obsUtilization = &obs_.gauge(
             "erec_utilization",
             "Fraction of ready-replica service capacity busy over the "
             "last sample interval.",
             labels);
-        ds.obsReady = &obs_->gauge(
+        ds.obsReady = &obs_.gauge(
             "erec_ready_replicas", "Pods in the Ready state.", labels);
-        ds.obsDesired = &obs_->gauge(
+        ds.obsDesired = &obs_.gauge(
             "erec_desired_replicas",
             "Replica count the controller is converging toward.",
             labels);
@@ -145,10 +131,10 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
             rpc::GatherRequest req;
             req.numIndices = static_cast<std::uint32_t>(
                 std::ceil(spec.expectedGathers));
-            req.numOffsets = plan_.config.batchSize;
+            req.numOffsets = plan.config.batchSize;
             rpc::GatherResponse resp;
-            resp.batch = plan_.config.batchSize;
-            resp.dim = plan_.config.embeddingDim;
+            resp.batch = plan.config.batchSize;
+            resp.dim = plan.config.embeddingDim;
             ds.requestBytes = req.wireBytes();
             ds.responseBytes = resp.wireBytes();
             // The channel model is pure: one-way leg times per
@@ -159,21 +145,14 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
 
         if (spec.kind == core::ShardKind::Dense ||
             spec.kind == core::ShardKind::Monolithic) {
-            ERC_CHECK(frontendName_.empty(),
+            ERC_CHECK(frontend_ == nullptr,
                       "plan has more than one frontend shard");
-            frontendName_ = spec.name;
+            frontend_ = &ds;
         }
-        ds.ordinal =
-            static_cast<std::uint16_t>(deploymentOrder_.size());
-        deploymentOrder_.push_back(spec.name);
-        auto [it, inserted] =
-            deployments_.emplace(spec.name, std::move(ds));
-        ERC_CHECK(inserted, "duplicate deployment " << spec.name);
-        depByOrdinal_.push_back(&it->second);
-        if (it->first == frontendName_)
-            frontend_ = &it->second;
+        ds.ordinal = static_cast<std::uint16_t>(depByOrdinal_.size());
+        depByOrdinal_.push_back(&ds);
     }
-    ERC_CHECK(!frontendName_.empty(), "plan has no frontend shard");
+    ERC_CHECK(frontend_ != nullptr, "plan has no frontend shard");
     numSparse_ = sparseCount;
 
     // Default SLO rules: mirror the control loop's own targets so a
@@ -181,15 +160,16 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
     {
         obs::AlertRule p95;
         p95.name = "frontend-p95";
-        p95.signal = {obs::SignalKind::P95, frontendName_};
-        p95.threshold = units::toMillis(options_.sla) *
-                        options_.denseLatencyTargetFraction;
+        p95.signal = {obs::SignalKind::P95, frontend_->spec.name};
+        p95.threshold =
+            units::toMillis(kSla) * kDenseLatencyTargetFraction;
         p95.holdFor = 5 * units::kSecond;
         slo_.addRule(std::move(p95));
 
         obs::AlertRule ratio;
         ratio.name = "sla-violation-ratio";
-        ratio.signal = {obs::SignalKind::ViolationRatio, frontendName_};
+        ratio.signal = {obs::SignalKind::ViolationRatio,
+                        frontend_->spec.name};
         ratio.threshold = 0.01;
         slo_.addRule(std::move(ratio));
 
@@ -198,28 +178,30 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
         lost.signal = {obs::SignalKind::LostQueries, ""};
         slo_.addRule(std::move(lost));
     }
-    slo_.bindObservability(obs_.get());
+    slo_.bindObservability(&obs_);
 }
 
 double
 ClusterSimulation::readSloSignal(const obs::SloSignal &signal, SimTime now)
 {
+    // A deployment signal whose target names no deployment reads 0.
+    const auto it = deployments_.find(signal.target);
+    DeploymentState *ds =
+        it == deployments_.end() ? nullptr : &it->second;
     switch (signal.kind) {
       case obs::SignalKind::P95:
-        return units::toMillis(
-            metrics_.latencyQuantile(signal.target, now, 0.95));
+        return ds == nullptr ? 0.0 : units::toMillis(p95Of(*ds, now));
       case obs::SignalKind::ViolationRatio: {
-        const std::uint64_t done = metrics_.completions(signal.target);
+        const std::uint64_t done = ds == nullptr ? 0 : ds->qps.total();
         if (done == 0)
             return 0.0;
-        return static_cast<double>(
-                   metrics_.slaViolations(signal.target)) /
+        return static_cast<double>(ds->slaViolations) /
                static_cast<double>(done);
       }
       case obs::SignalKind::Qps:
-        return metrics_.qps(signal.target, now);
+        return ds == nullptr ? 0.0 : ds->qps.rate(now);
       case obs::SignalKind::GaugeValue:
-        return obs_->sum(signal.target);
+        return obs_.sum(signal.target);
       case obs::SignalKind::LostQueries:
         return static_cast<double>(lostQueries_);
     }
@@ -236,11 +218,23 @@ ClusterSimulation::state(const std::string &name)
 }
 
 void
+ClusterSimulation::setDesired(DeploymentState &ds, std::uint32_t n)
+{
+    ds.desired = std::clamp(n, kMinReplicas, kMaxReplicas);
+}
+
+SimTime
+ClusterSimulation::p95Of(const DeploymentState &ds, SimTime now)
+{
+    return static_cast<SimTime>(ds.latency.quantile(now, 0.95));
+}
+
+void
 ClusterSimulation::setFixedReplicas(const std::string &deployment,
                                     std::uint32_t replicas)
 {
     auto &ds = state(deployment);
-    ds.deployment->setDesiredReplicas(replicas);
+    setDesired(ds, replicas);
     ds.fixed = true;
 }
 
@@ -267,7 +261,7 @@ ClusterSimulation::liveMemory() const
 {
     Bytes total = 0;
     for (const auto &[name, ds] : deployments_)
-        total += Bytes{ds.pods.size()} * ds.deployment->spec().memBytes;
+        total += Bytes{ds.pods.size()} * ds.spec.memBytes;
     return total;
 }
 
@@ -280,7 +274,7 @@ ClusterSimulation::liveNodes() const
         return packedNodes_;
     std::vector<cluster::PodRequest> pods;
     for (const auto &[name, ds] : deployments_) {
-        const auto req = ds.deployment->request();
+        const auto req = cluster::resourceRequestFor(ds.spec);
         for (std::size_t i = 0; i < ds.pods.size(); ++i)
             pods.push_back({name, req});
     }
@@ -300,8 +294,7 @@ ClusterSimulation::jitter()
 void
 ClusterSimulation::addPod(DeploymentState &ds, bool instant)
 {
-    const auto &spec = ds.deployment->spec();
-    auto pod = std::make_unique<Pod>(nextPodId_++, spec.stageLatencies);
+    auto pod = std::make_unique<Pod>(nextPodId_++, ds.spec.stageLatencies);
     Pod *raw = pod.get();
     ds.pods.push_back(std::move(pod));
     packDirty_ = true;
@@ -315,9 +308,8 @@ ClusterSimulation::addPod(DeploymentState &ds, bool instant)
     // the pointer: the pod may be terminated — even reaped — while
     // starting, and the handler looks it up before touching it.
     const SimTime load = units::fromSeconds(
-        static_cast<double>(spec.memBytes) /
-        options_.modelLoadBandwidth);
-    queue_.scheduleAfter(options_.podStartBase + load,
+        static_cast<double>(ds.spec.memBytes) / kModelLoadBandwidth);
+    queue_.scheduleAfter(kPodStartBase + load,
                          EventType::kPodReady, raw->id(), ds.ordinal);
 }
 
@@ -385,8 +377,8 @@ ClusterSimulation::reapDrained(DeploymentState &ds)
             // Keep the utilization accounting and the export clean:
             // carry the dead pod's busy time, drop its per-pod gauge.
             ds.reapedBusy += p->busyTime();
-            obs_->remove("erec_pod_queue_depth",
-                         podLabels(ds.deployment->name(), p->id()));
+            obs_.remove("erec_pod_queue_depth",
+                        podLabels(ds.spec.name, p->id()));
             return true;
         });
     if (removed != 0)
@@ -420,8 +412,7 @@ ClusterSimulation::startQuery()
 {
     DeploymentState &fe = *frontend_;
     const SimTime arrival = queue_.now();
-    const bool monolithic =
-        fe.deployment->spec().kind == core::ShardKind::Monolithic;
+    const bool monolithic = fe.spec.kind == core::ShardKind::Monolithic;
 
     // Deterministic every-Nth sampling (trace id = arrival index + 1):
     // no RNG draw, no extra events, so traced and untraced runs play
@@ -468,8 +459,7 @@ ClusterSimulation::startQuery()
     // leg's network flight.
     for (DeploymentState *dsp : depByOrdinal_) {
         DeploymentState &ds = *dsp;
-        if (ds.deployment->spec().kind !=
-            core::ShardKind::SparseEmbedding)
+        if (ds.spec.kind != core::ShardKind::SparseEmbedding)
             continue;
         queue_.scheduleAfter(ds.rpcOut, EventType::kRpcArrive, slot,
                              ds.ordinal);
@@ -547,20 +537,53 @@ ClusterSimulation::workLost(const WorkItem &item)
 }
 
 void
-ClusterSimulation::monoDone(const WorkItem &item, SimTime done)
+ClusterSimulation::bindCompletionCounters(DeploymentState &ds)
 {
-    const std::uint32_t slot = item.ctx;
-    const SimTime latency = done - arena_.arrival(slot);
-    if (frontendSeries_ == nullptr)
-        frontendSeries_ = &metrics_.seriesFor(frontendName_);
-    metrics_.recordCompletion(*frontendSeries_, done, latency);
+    const obs::Labels labels = {{"deployment", ds.spec.name}};
+    ds.obsCompletions = &obs_.counter(
+        "erec_completions_total", "Completed queries per deployment.",
+        labels);
+    ds.obsSlaViolations = &obs_.counter(
+        "erec_sla_violations_total",
+        "Completions that exceeded the SLA bound.", labels);
+    ds.obsLatencyMs = &obs_.histogram(
+        "erec_latency_ms", "End-to-end query latency in milliseconds.",
+        obs::defaultLatencyBucketsMs(), labels);
+}
+
+// ERC_HOT_PATH_ALLOW("completion recording: the counters bind once per deployment, at its first completion, and the rate and latency windows recycle their storage, so growth is amortized; the sim's AllocGate pins the gated query path at zero at runtime")
+void
+ClusterSimulation::recordCompletion(DeploymentState &ds, SimTime now,
+                                    SimTime latency)
+{
+    if (ds.obsCompletions == nullptr)
+        bindCompletionCounters(ds);
+    ds.qps.add(now);
+    ds.latency.add(now, static_cast<double>(latency));
+    ds.obsCompletions->inc();
+    ds.obsLatencyMs->observe(static_cast<double>(latency) /
+                             static_cast<double>(units::kMillisecond));
+}
+
+void
+ClusterSimulation::completeQuery(SimTime done, SimTime latency)
+{
+    recordCompletion(*frontend_, done, latency);
     // ERC_HOT_PATH_ALLOW("DDSketch insert: bucket storage extends only on first sight of a value range; steady-state inserts are allocation-free and the AllocGate pins them")
     latencyAll_.insert(units::toMillis(latency));
     ++result_.completed;
-    if (latency > options_.sla) {
-        metrics_.recordSlaViolation(*frontendSeries_);
+    if (latency > kSla) {
+        ++frontend_->slaViolations;
+        frontend_->obsSlaViolations->inc();
         ++result_.slaViolations;
     }
+}
+
+void
+ClusterSimulation::monoDone(const WorkItem &item, SimTime done)
+{
+    const std::uint32_t slot = item.ctx;
+    completeQuery(done, done - arena_.arrival(slot));
     if (arena_.root(slot).sampled())
         tracedMonoDone(item, done);
     arena_.release(slot);
@@ -570,9 +593,7 @@ void
 ClusterSimulation::sparseLegDone(const WorkItem &item, SimTime done)
 {
     DeploymentState &ds = *depByOrdinal_[item.dep];
-    if (ds.series == nullptr)
-        ds.series = &metrics_.seriesFor(ds.deployment->name());
-    metrics_.recordCompletion(*ds.series, done, 0);
+    recordCompletion(ds, done, 0);
     if (arena_.root(item.ctx).sampled())
         tracedSparseDone(item, done);
     reapDrained(ds);
@@ -593,17 +614,7 @@ ClusterSimulation::componentDone(std::uint32_t slot, SimTime done)
         return;
     }
     const SimTime last = arena_.lastDone(slot);
-    const SimTime latency = last - arena_.arrival(slot);
-    if (frontendSeries_ == nullptr)
-        frontendSeries_ = &metrics_.seriesFor(frontendName_);
-    metrics_.recordCompletion(*frontendSeries_, last, latency);
-    // ERC_HOT_PATH_ALLOW("DDSketch insert: bucket storage extends only on first sight of a value range; steady-state inserts are allocation-free and the AllocGate pins them")
-    latencyAll_.insert(units::toMillis(latency));
-    ++result_.completed;
-    if (latency > options_.sla) {
-        metrics_.recordSlaViolation(*frontendSeries_);
-        ++result_.slaViolations;
-    }
+    completeQuery(last, last - arena_.arrival(slot));
     if (arena_.root(slot).sampled())
         tracedQueryDone(slot);
     arena_.release(slot);
@@ -731,52 +742,48 @@ ClusterSimulation::onFailure(std::size_t failure_idx)
 void
 ClusterSimulation::hpaTick()
 {
+    const SimTime now = queue_.now();
+    // Plan order throughout: it fixes pod ids and event order.
     if (options_.autoscale) {
-        for (const auto &name : deploymentOrder_) {
-            auto &ds = state(name);
+        for (DeploymentState *dsp : depByOrdinal_) {
+            DeploymentState &ds = *dsp;
             if (ds.fixed)
                 continue;
             const std::uint32_t ready = readyReplicas(ds);
             if (ready == 0)
                 continue;
-            const auto &spec = ds.deployment->spec();
             double measured = 0.0;
-            if (spec.kind == core::ShardKind::SparseEmbedding) {
-                measured = metrics_.qps(name, queue_.now()) /
-                           static_cast<double>(ready);
+            if (ds.spec.kind == core::ShardKind::SparseEmbedding) {
+                measured =
+                    ds.qps.rate(now) / static_cast<double>(ready);
             } else {
-                measured = static_cast<double>(metrics_.latencyQuantile(
-                    frontendName_, queue_.now(), 0.95));
+                measured = static_cast<double>(p95Of(*frontend_, now));
             }
-            const std::uint32_t desired =
-                ds.hpa->reconcile(queue_.now(), ready, measured);
-            ds.deployment->setDesiredReplicas(desired);
+            setDesired(ds, ds.hpa.reconcile(now, ready, measured));
         }
     }
 
     // Reconcile pod counts toward desired (fixed deployments too).
-    for (const auto &name : deploymentOrder_) {
-        auto &ds = state(name);
+    for (DeploymentState *dsp : depByOrdinal_) {
+        DeploymentState &ds = *dsp;
         reapDrained(ds);
         std::uint32_t live = 0;
         for (const auto &p : ds.pods)
             if (p->state() == PodState::Ready ||
                 p->state() == PodState::Starting)
                 ++live;
-        const std::uint32_t desired = ds.deployment->desiredReplicas();
-        while (live < desired) {
+        while (live < ds.desired) {
             addPod(ds, false);
             ++live;
         }
-        while (live > desired) {
+        while (live > ds.desired) {
             removePod(ds);
             --live;
         }
     }
 
-    if (queue_.now() + options_.hpaSyncPeriod <= endTime_)
-        queue_.scheduleAfter(options_.hpaSyncPeriod,
-                             EventType::kHpaTick);
+    if (now + kHpaSyncPeriod <= endTime_)
+        queue_.scheduleAfter(kHpaSyncPeriod, EventType::kHpaTick);
 }
 
 void
@@ -784,13 +791,11 @@ ClusterSimulation::sampleTick(SimTime end)
 {
     const SimTime now = queue_.now();
     result_.targetQps.add(now, traffic_.qpsAt(now));
-    result_.achievedQps.add(now, metrics_.qps(frontendName_, now));
+    result_.achievedQps.add(now, frontend_->qps.rate(now));
     const Bytes mem = liveMemory();
     result_.memoryGiB.add(now, units::toGiB(mem));
     result_.peakMemory = std::max(result_.peakMemory, mem);
-    result_.p95LatencyMs.add(
-        now, units::toMillis(metrics_.latencyQuantile(frontendName_,
-                                                      now, 0.95)));
+    result_.p95LatencyMs.add(now, units::toMillis(p95Of(*frontend_, now)));
     std::uint32_t ready = 0;
     for (const auto &[name, ds] : deployments_)
         ready += readyReplicas(ds);
@@ -812,7 +817,7 @@ ClusterSimulation::sampleTick(SimTime end)
             if (p->state() == PodState::Ready) {
                 ++dep_ready;
                 if (options_.sampling == SamplingMode::CompatTick)
-                    obs_->gauge(
+                    obs_.gauge(
                             "erec_pod_queue_depth",
                             "Requests queued or in service at one pod.",
                             podLabels(name, p->id()))
@@ -821,11 +826,11 @@ ClusterSimulation::sampleTick(SimTime end)
         }
         ds.obsQueueDepth->set(depth);
         ds.obsReady->set(dep_ready);
-        ds.obsDesired->set(ds.deployment->desiredReplicas());
-        const auto stages = static_cast<double>(
-            ds.deployment->spec().stageLatencies.size());
+        ds.obsDesired->set(ds.desired);
+        const auto stages =
+            static_cast<double>(ds.spec.stageLatencies.size());
         const double capacity =
-            static_cast<double>(options_.sampleInterval) *
+            static_cast<double>(kSampleInterval) *
             static_cast<double>(dep_ready) * stages;
         const double util =
             capacity > 0
@@ -838,9 +843,8 @@ ClusterSimulation::sampleTick(SimTime end)
 
     slo_.evaluate(now);
 
-    if (now + options_.sampleInterval <= end)
-        queue_.scheduleAfter(options_.sampleInterval,
-                             EventType::kSampleTick);
+    if (now + kSampleInterval <= end)
+        queue_.scheduleAfter(kSampleInterval, EventType::kSampleTick);
 }
 
 void
@@ -901,43 +905,39 @@ ClusterSimulation::run(SimTime duration)
     // Baseline the scale-event counters so result_ reports only this
     // run's events even when the simulation object is reused.
     std::map<std::string, std::uint64_t> scaleBaseline;
-    for (const auto &name : deploymentOrder_) {
-        const auto &hpa = *state(name).hpa;
+    for (const auto &[name, ds] : deployments_)
         scaleBaseline[name] =
-            hpa.scaleUpEvents() + hpa.scaleDownEvents();
-    }
+            ds.hpa.scaleUpEvents() + ds.hpa.scaleDownEvents();
 
-    // Instantiate the initial replica set, ready at t = 0.
-    for (const auto &name : deploymentOrder_) {
-        auto &ds = state(name);
-        while (ds.pods.size() < ds.deployment->desiredReplicas())
-            addPod(ds, true);
-    }
+    // Instantiate the initial replica set, ready at t = 0, in plan
+    // order (it fixes the pod ids).
+    for (DeploymentState *ds : depByOrdinal_)
+        while (ds->pods.size() < ds->desired)
+            addPod(*ds, true);
 
     for (std::size_t i = 0; i < plannedFailures_.size(); ++i)
         queue_.schedule(plannedFailures_[i].time, EventType::kFailure,
                         i);
 
     scheduleNextArrival();
-    queue_.scheduleAfter(options_.hpaSyncPeriod, EventType::kHpaTick);
+    queue_.scheduleAfter(kHpaSyncPeriod, EventType::kHpaTick);
     sampleTick(duration);
     queue_.runUntil(duration, *this);
 
     result_.meanLatencyMs = latencyAll_.mean();
     result_.p95LatencyOverallMs = latencyAll_.quantile(0.95);
-    for (const auto &name : deploymentOrder_) {
-        auto &ds = state(name);
+    for (const auto &[name, ds] : deployments_) {
         for (const auto &p : ds.pods)
             lostQueries_ += p->lostItems();
         result_.finalReplicas[name] =
             static_cast<std::uint32_t>(ds.pods.size());
-        const std::uint64_t events = ds.hpa->scaleUpEvents() +
-                                     ds.hpa->scaleDownEvents() -
+        const std::uint64_t events = ds.hpa.scaleUpEvents() +
+                                     ds.hpa.scaleDownEvents() -
                                      scaleBaseline[name];
         result_.scaleEventsByDeployment[name] = events;
         result_.scaleEvents += events;
     }
-    obs_->gauge("erec_lost_queries",
+    obs_.gauge("erec_lost_queries",
                 "Queries whose in-flight work died with a crashed pod.")
         .set(static_cast<double>(lostQueries_));
     return result_;

@@ -24,7 +24,8 @@
  * (Section IV-D), dense/monolithic deployments scale on P95 latency
  * against 65% of the SLA. New pods charge a cold-start delay that
  * includes loading their parameters at a fixed bandwidth — the term
- * that makes baseline scale-out sluggish in Figure 19.
+ * that makes baseline scale-out sluggish in Figure 19. The control
+ * loop's values are the constants below, not options.
  *
  * ## Event engine
  *
@@ -45,10 +46,8 @@
 #include <string>
 #include <vector>
 
-#include "elasticrec/cluster/deployment.h"
 #include "elasticrec/cluster/hpa.h"
 #include "elasticrec/cluster/load_balancer.h"
-#include "elasticrec/cluster/metrics.h"
 #include "elasticrec/cluster/scheduler.h"
 #include "elasticrec/common/ring.h"
 #include "elasticrec/common/rng.h"
@@ -85,36 +84,43 @@ enum class SamplingMode
     EventTime,
 };
 
+// Control-loop constants. The paper fixes the SLA and the HPA targets
+// (Sections IV-D and V); the sync period is the Kubernetes default, as
+// are cluster::Hpa's tolerance and scale-up limits; the cold-start
+// terms and the signal windows are this model's calibration.
+
+/** End-to-end SLA bound. */
+inline constexpr SimTime kSla = 400 * units::kMillisecond;
+/** Dense/monolithic HPA latency target as a fraction of the SLA. */
+inline constexpr double kDenseLatencyTargetFraction = 0.65;
+/**
+ * Sparse HPA target utilization: scale out when per-replica QPS
+ * exceeds this fraction of the shard's QPS_max.
+ */
+inline constexpr double kSparseUtilizationTarget = 0.70;
+/** HPA sync period. */
+inline constexpr SimTime kHpaSyncPeriod = 15 * units::kSecond;
+/** Container cold-start latency excluding parameter loading. */
+inline constexpr SimTime kPodStartBase = 2 * units::kSecond;
+/** Parameter-load bandwidth during pod start (bytes/sec). */
+inline constexpr double kModelLoadBandwidth = 1e9;
+/** Sampling interval of the result time series and the gauges. */
+inline constexpr SimTime kSampleInterval = units::kSecond;
+/** Trailing window of a deployment's completion rate (sparse HPA). */
+inline constexpr SimTime kQpsWindow = 10 * units::kSecond;
+/** Trailing window of a deployment's latency quantiles (dense HPA). */
+inline constexpr SimTime kLatencyWindow = 30 * units::kSecond;
+
 struct SimOptions
 {
-    /** End-to-end SLA bound (the paper uses 400 ms). */
-    SimTime sla = 400 * units::kMillisecond;
-    /** Dense/monolithic HPA latency target as a fraction of the SLA. */
-    double denseLatencyTargetFraction = 0.65;
     /**
-     * Sparse HPA target utilization: scale out when per-replica QPS
-     * exceeds this fraction of the shard's QPS_max.
+     * Multiplicative service-time jitter (lognormal sigma). ROADMAP
+     * items 3 and 5 set it: item 3 to the spread measured on the real
+     * stack, item 5 to 0 for its deterministic-service oracle.
      */
-    double sparseUtilizationTarget = 0.70;
-    /** HPA sync period. */
-    SimTime hpaSyncPeriod = 15 * units::kSecond;
-    /** Scale-down stabilization window. */
-    SimTime hpaStabilization = 180 * units::kSecond;
-    /** Container cold-start latency excluding parameter loading. */
-    SimTime podStartBase = 2 * units::kSecond;
-    /** Parameter-load bandwidth during pod start (bytes/sec). */
-    double modelLoadBandwidth = 1e9;
-    /** Multiplicative service-time jitter (lognormal sigma). */
     double serviceJitterSigma = 0.05;
-    /** Metrics sampling interval for the result time series. */
-    SimTime sampleInterval = units::kSecond;
     /** Enable the HPA (disable for fixed-replica steady-state runs). */
     bool autoscale = true;
-    /**
-     * Start each deployment with the replica count the plan predicts
-     * for the traffic pattern's initial rate (otherwise start at 1).
-     */
-    bool warmStart = true;
     /** Load-balancing policy across a deployment's ready replicas. */
     cluster::LbPolicy lbPolicy = cluster::LbPolicy::PowerOfTwoChoices;
     /** RNG seed. */
@@ -128,11 +134,6 @@ struct SimOptions
     std::uint32_t traceSampleEvery = 0;
     /** Telemetry publication mode of the sample tick. */
     SamplingMode sampling = SamplingMode::CompatTick;
-    /**
-     * Exportable metrics registry to publish into. When null the
-     * simulation creates its own (reachable via observability()).
-     */
-    std::shared_ptr<obs::Registry> observability = {};
 };
 
 /** Aggregate results of one simulation run. */
@@ -163,7 +164,8 @@ struct SimResult
 class ClusterSimulation final : private EventSink, private PodSink
 {
   public:
-    ClusterSimulation(core::DeploymentPlan plan, hw::NodeSpec node,
+    ClusterSimulation(const core::DeploymentPlan &plan,
+                      const hw::NodeSpec &node,
                       workload::TrafficPattern traffic,
                       SimOptions options);
 
@@ -196,10 +198,8 @@ class ClusterSimulation final : private EventSink, private PodSink
      *  runs); the throughput bench reports events per query from it. */
     std::uint64_t eventsExecuted() const { return queue_.executed(); }
 
-    const core::DeploymentPlan &plan() const { return plan_; }
-
-    /** Exportable metrics registry (shared with SimOptions' owner). */
-    obs::Registry &observability() { return *obs_; }
+    /** Exportable metrics registry the simulation publishes into. */
+    obs::Registry &observability() { return obs_; }
 
     /**
      * Spans of the sampled queries, in record order, stamped in sim-µs
@@ -224,10 +224,22 @@ class ClusterSimulation final : private EventSink, private PodSink
     }
 
   private:
+    /** Bounds a deployment's replica count is clamped to. */
+    static constexpr std::uint32_t kMinReplicas = 1;
+    static constexpr std::uint32_t kMaxReplicas = 256;
+
+    /** Everything the simulation keeps for one deployment. */
     struct DeploymentState
     {
-        std::unique_ptr<cluster::Deployment> deployment;
-        std::unique_ptr<cluster::Hpa> hpa;
+        DeploymentState(core::ShardSpec shard, double hpa_target)
+            : spec(std::move(shard)), hpa(hpa_target)
+        {}
+
+        core::ShardSpec spec;
+        /** Replica count the reconciler converges to, clamped to
+         *  [kMinReplicas, kMaxReplicas]. */
+        std::uint32_t desired = kMinReplicas;
+        cluster::Hpa hpa;
         std::vector<std::unique_ptr<Pod>> pods;
         Ring<WorkItem> pending; //!< Waiting for a ready pod.
         std::unique_ptr<cluster::LoadBalancer> balancer;
@@ -242,9 +254,13 @@ class ClusterSimulation final : private EventSink, private PodSink
          *  channel model is pure, so per-query evaluation is waste). */
         SimTime rpcOut = 0;
         SimTime rpcBack = 0;
-        /** Completion-series handle, resolved lazily at first record
-         *  so export registration order matches the by-name path. */
-        cluster::MetricsRegistry::Series *series = nullptr;
+        /** Completions over the trailing kQpsWindow; total() counts
+         *  every completion since construction. */
+        RateWindow qps{kQpsWindow};
+        // Streaming sketch, not a raw sample store: the HPA reads its
+        // P95 every sync period, and a completion must stay O(1).
+        obs::WindowedQuantileSketch latency{kLatencyWindow};
+        std::uint64_t slaViolations = 0;
         /** Causal span names ("rpc/<dep>/request", ...), interned once
          *  at construction so traced queries record ids, never build
          *  strings. Sparse deployments only. */
@@ -261,6 +277,11 @@ class ClusterSimulation final : private EventSink, private PodSink
         obs::Gauge *obsUtilization = nullptr;
         obs::Gauge *obsReady = nullptr;
         obs::Gauge *obsDesired = nullptr;
+        /** Completion counters, bound at the first completion so a
+         *  deployment that completes nothing exports no zero series. */
+        obs::Counter *obsCompletions = nullptr;
+        obs::Counter *obsSlaViolations = nullptr;
+        obs::Histogram *obsLatencyMs = nullptr;
         /** Busy time carried by pods reaped since the run started. */
         SimTime reapedBusy = 0;
         /** Busy-time snapshot at the previous sample tick. */
@@ -290,6 +311,12 @@ class ClusterSimulation final : private EventSink, private PodSink
     void tracedQueryDone(std::uint32_t slot);
 
     DeploymentState &state(const std::string &name);
+    static void setDesired(DeploymentState &ds, std::uint32_t n);
+    static SimTime p95Of(const DeploymentState &ds, SimTime now);
+    void recordCompletion(DeploymentState &ds, SimTime now,
+                          SimTime latency);
+    void bindCompletionCounters(DeploymentState &ds);
+    void completeQuery(SimTime done, SimTime latency);
     double readSloSignal(const obs::SloSignal &signal, SimTime now);
     std::uint32_t readyReplicas(const DeploymentState &ds) const;
     Bytes liveMemory() const;
@@ -315,8 +342,6 @@ class ClusterSimulation final : private EventSink, private PodSink
     void sampleTick(SimTime end);
     void startQuery();
 
-    core::DeploymentPlan plan_;
-    hw::NodeSpec node_;
     workload::TrafficPattern traffic_;
     SimOptions options_;
 
@@ -324,9 +349,8 @@ class ClusterSimulation final : private EventSink, private PodSink
     Rng rng_;
     workload::PoissonArrivals arrivals_;
     rpc::Channel channel_;
-    cluster::MetricsRegistry metrics_;
     cluster::Scheduler scheduler_;
-    std::shared_ptr<obs::Registry> obs_;
+    obs::Registry obs_;
     /** Arrivals seen by the trace sampler (all runs; counts only
      *  while tracing is on). */
     std::uint64_t samplerArrivals_ = 0;
@@ -334,13 +358,10 @@ class ClusterSimulation final : private EventSink, private PodSink
     obs::SloTracker slo_;
     obs::Counter *obsArrivals_ = nullptr;
 
-    std::vector<std::string> deploymentOrder_;
     std::map<std::string, DeploymentState> deployments_;
     /** Plan-order view of deployments_ (map nodes are stable). */
     std::vector<DeploymentState *> depByOrdinal_;
-    std::string frontendName_;
     DeploymentState *frontend_ = nullptr;
-    cluster::MetricsRegistry::Series *frontendSeries_ = nullptr;
     std::uint32_t numSparse_ = 0;
     std::uint64_t nextPodId_ = 1;
 

@@ -27,11 +27,9 @@ cdfFor(const model::DlrmConfig &config, std::uint32_t granules)
 
 StaticDeployment
 evaluateStatic(const core::DeploymentPlan &plan, const hw::NodeSpec &node,
-               double target_qps, const ExperimentOptions &options)
+               double target_qps)
 {
-    ERC_CHECK(options.utilization > 0.0 && options.utilization <= 1.0,
-              "utilization must be in (0, 1]");
-    const double sized_qps = target_qps / options.utilization;
+    const double sized_qps = target_qps / kSizingUtilization;
     StaticDeployment out;
     out.policy = plan.policy;
     out.targetQps = target_qps;
@@ -56,11 +54,10 @@ runSteadyState(const core::DeploymentPlan &plan, const hw::NodeSpec &node,
                double target_qps, const ExperimentOptions &options)
 {
     SteadyStateResult result;
-    result.staticView = evaluateStatic(plan, node, target_qps, options);
+    result.staticView = evaluateStatic(plan, node, target_qps);
 
     SimOptions sim_options = options.sim;
     sim_options.autoscale = false;
-    sim_options.warmStart = true;
     ClusterSimulation sim(plan, node,
                           workload::TrafficPattern::constant(target_qps),
                           sim_options);

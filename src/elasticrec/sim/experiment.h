@@ -36,6 +36,14 @@ std::shared_ptr<const embedding::AccessCdf>
 cdfFor(const model::DlrmConfig &config, std::uint32_t granules = 1024);
 
 /**
+ * Peak per-replica utilization static deployments are sized for:
+ * replicas are provisioned at target/kSizingUtilization. Mirrors the
+ * HPA's 65-70% scaling targets (Section IV-D) so tail latency stays
+ * inside the SLA.
+ */
+inline constexpr double kSizingUtilization = 0.85;
+
+/**
  * Shared knobs of the experiment helpers below. One options struct
  * instead of trailing positional defaults, so call sites name what
  * they override (designated initializers) and new knobs do not churn
@@ -43,13 +51,6 @@ cdfFor(const model::DlrmConfig &config, std::uint32_t granules = 1024);
  */
 struct ExperimentOptions
 {
-    /**
-     * Peak per-replica utilization the deployment is sized for;
-     * replicas are provisioned at target/utilization. Mirrors the
-     * HPA's 65-70% scaling targets (Section IV-D) so tail latency
-     * stays inside the SLA. Pass 1.0 for exact sizing.
-     */
-    double utilization = 0.85;
     /** Simulated duration of steady-state runs. */
     SimTime duration = 120 * units::kSecond;
     /** Queries streamed by measureUtility (the paper measures 1,000). */
@@ -58,7 +59,7 @@ struct ExperimentOptions
     std::uint64_t seed = 99;
     /**
      * Simulation options for runSteadyState. The harness forces
-     * autoscale off and warmStart on (steady state is fixed-replica).
+     * autoscale off (steady state is fixed-replica).
      */
     SimOptions sim = {};
 };
@@ -76,13 +77,12 @@ struct StaticDeployment
 
 /**
  * Evaluate a plan statically: replica counts from the planner's
- * per-shard QPS estimates, total memory, and bin-packed node count.
- * Uses options.utilization for sizing.
+ * per-shard QPS estimates at target_qps / kSizingUtilization, total
+ * memory, and bin-packed node count.
  */
 StaticDeployment evaluateStatic(const core::DeploymentPlan &plan,
                                 const hw::NodeSpec &node,
-                                double target_qps,
-                                const ExperimentOptions &options = {});
+                                double target_qps);
 
 /** Result of a steady-state (fixed-replica) simulation run. */
 struct SteadyStateResult
@@ -97,8 +97,7 @@ struct SteadyStateResult
 /**
  * Run a fixed-replica steady-state simulation of a plan at the target
  * QPS and report achieved throughput and latency alongside the static
- * deployment view. Uses options.duration, options.utilization and
- * options.sim.
+ * deployment view. Uses options.duration and options.sim.
  */
 SteadyStateResult runSteadyState(const core::DeploymentPlan &plan,
                                  const hw::NodeSpec &node,

@@ -11,19 +11,11 @@ namespace erec::workload {
 // LocalityDistribution
 // ---------------------------------------------------------------------
 
-LocalityDistribution::LocalityDistribution(std::uint64_t num_rows, double p,
-                                           double hot_row_fraction,
-                                           double hot_shape,
-                                           double cold_shape)
-    : numRows_(num_rows), p_(p), hotFrac_(hot_row_fraction),
-      hotShape_(hot_shape), coldShape_(cold_shape)
+LocalityDistribution::LocalityDistribution(std::uint64_t num_rows, double p)
+    : numRows_(num_rows), p_(p)
 {
     ERC_CHECK(num_rows > 0, "table must have at least one row");
     ERC_CHECK(p > 0.0 && p < 1.0, "locality P must be in (0, 1)");
-    ERC_CHECK(hot_row_fraction > 0.0 && hot_row_fraction < 1.0,
-              "hot row fraction must be in (0, 1)");
-    ERC_CHECK(hot_shape > 0.0 && cold_shape > 0.0,
-              "CDF shape exponents must be positive");
 }
 
 double
@@ -33,11 +25,11 @@ LocalityDistribution::cdfAtFraction(double u) const
         return 0.0;
     if (u >= 1.0)
         return 1.0;
-    if (u <= hotFrac_)
-        return p_ * std::pow(u / hotFrac_, hotShape_);
-    return p_ +
-           (1.0 - p_) *
-               std::pow((u - hotFrac_) / (1.0 - hotFrac_), coldShape_);
+    if (u <= kHotRowFraction)
+        return p_ * std::pow(u / kHotRowFraction, kHotShape);
+    return p_ + (1.0 - p_) * std::pow((u - kHotRowFraction) /
+                                          (1.0 - kHotRowFraction),
+                                      kColdShape);
 }
 
 std::uint64_t
@@ -46,11 +38,11 @@ LocalityDistribution::sampleRank(Rng &rng) const
     const double v = rng.uniform();
     double u;
     if (v < p_) {
-        u = hotFrac_ * std::pow(v / p_, 1.0 / hotShape_);
+        u = kHotRowFraction * std::pow(v / p_, 1.0 / kHotShape);
     } else {
-        u = hotFrac_ +
-            (1.0 - hotFrac_) *
-                std::pow((v - p_) / (1.0 - p_), 1.0 / coldShape_);
+        u = kHotRowFraction +
+            (1.0 - kHotRowFraction) *
+                std::pow((v - p_) / (1.0 - p_), 1.0 / kColdShape);
     }
     auto rank = static_cast<std::uint64_t>(
         u * static_cast<double>(numRows_));

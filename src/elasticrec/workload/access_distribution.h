@@ -51,42 +51,36 @@ class AccessDistribution
 };
 
 /**
- * The paper's locality model. A fraction `hotRowFraction` of rows (10% by
- * default) receives fraction P of all accesses. Within the hot and cold
- * regions mass decays as a power law, giving the concave sorted-frequency
+ * The paper's locality model. A fraction kHotRowFraction of rows (10%)
+ * receives fraction P of all accesses. Within the hot and cold regions
+ * mass decays as a power law, giving the concave sorted-frequency
  * curves of Figure 6.
  *
  * The CDF over the normalized rank u in [0, 1] is
  *   F(u) = P * (u/h)^a                      for u <= h
  *   F(u) = P + (1-P) * ((u-h)/(1-h))^b      for u >  h
- * with h = hotRowFraction, a = hotShape (< 1, strong skew inside the hot
- * set) and b = coldShape (~1, near uniform over cold rows). Sampling is
+ * with h = kHotRowFraction, a = kHotShape (< 1, strong skew inside the
+ * hot set) and b = kColdShape (1, uniform over cold rows). Sampling is
  * exact inverse-CDF, so the analytic CDF and the empirical stream agree.
  */
 class LocalityDistribution : public AccessDistribution
 {
   public:
-    // Grandfathered positional defaults predating the options-struct
-    // convention.
-    LocalityDistribution(std::uint64_t num_rows, // erec-lint: allow(excess-default-params)
-                         double p, double hot_row_fraction = 0.10,
-                         double hot_shape = 0.35, double cold_shape = 1.0);
+    static constexpr double kHotRowFraction = 0.10;
+    static constexpr double kHotShape = 0.35;
+    static constexpr double kColdShape = 1.0;
+
+    LocalityDistribution(std::uint64_t num_rows, double p);
 
     std::uint64_t numRows() const override { return numRows_; }
     std::uint64_t sampleRank(Rng &rng) const override;
     double massOfTopRows(std::uint64_t x) const override;
-
-    double p() const { return p_; }
-    double hotRowFraction() const { return hotFrac_; }
 
   private:
     double cdfAtFraction(double u) const;
 
     std::uint64_t numRows_;
     double p_;
-    double hotFrac_;
-    double hotShape_;
-    double coldShape_;
 };
 
 /**
@@ -104,8 +98,6 @@ class ZipfDistribution : public AccessDistribution
     std::uint64_t numRows() const override { return numRows_; }
     std::uint64_t sampleRank(Rng &rng) const override;
     double massOfTopRows(std::uint64_t x) const override;
-
-    double skew() const { return s_; }
 
   private:
     double harmonic(double n) const;
@@ -146,8 +138,6 @@ class PiecewiseCdfDistribution : public AccessDistribution
     std::uint64_t numRows() const override { return numRows_; }
     std::uint64_t sampleRank(Rng &rng) const override;
     double massOfTopRows(std::uint64_t x) const override;
-
-    const std::vector<Anchor> &anchors() const { return anchors_; }
 
   private:
     std::uint64_t numRows_;

@@ -32,8 +32,6 @@ struct SparseLookup
 
     /** Number of batch items encoded. */
     std::size_t batchSize() const { return offsets.size(); }
-    /** Total number of gathers. */
-    std::size_t numGathers() const { return indices.size(); }
 
     /**
      * Raw kernel-layer view of this lookup, valid while the vectors
@@ -97,8 +95,6 @@ class QueryGenerator
 
     /** Generate the next query, stamped with the given arrival time. */
     Query next(SimTime arrival = 0);
-
-    const QueryShape &shape() const { return shape_; }
 
   private:
     QueryShape shape_;

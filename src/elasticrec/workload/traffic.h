@@ -106,8 +106,6 @@ class PoissonArrivals
      */
     SimTime nextAfter(SimTime now);
 
-    const TrafficPattern &pattern() const { return pattern_; }
-
   private:
     TrafficPattern pattern_;
     Rng rng_;

@@ -38,7 +38,6 @@ TEST(LocalityDistributionTest, RejectsBadParameters)
     EXPECT_THROW(LocalityDistribution(0, 0.9), ConfigError);
     EXPECT_THROW(LocalityDistribution(10, 0.0), ConfigError);
     EXPECT_THROW(LocalityDistribution(10, 1.0), ConfigError);
-    EXPECT_THROW(LocalityDistribution(10, 0.9, 1.5), ConfigError);
 }
 
 TEST(ZipfDistributionTest, HeadIsHotterThanTail)

@@ -37,7 +37,6 @@ TEST(BatchQueueTest, PopsOneItemAtATimeInFifoOrder)
     std::vector<int> expect(10);
     std::iota(expect.begin(), expect.end(), 0);
     EXPECT_EQ(seen, expect);
-    EXPECT_EQ(q.totalPushed(), 10u);
 }
 
 TEST(BatchQueueTest, CapacityBoundBackpressuresProducer)
@@ -77,7 +76,6 @@ TEST(BatchQueueTest, CloseRejectsPushesAndDrainsBacklog)
     ASSERT_EQ(q.pop(&item), PopStatus::Item);
     EXPECT_EQ(item, 2);
     EXPECT_EQ(q.pop(&item), PopStatus::Closed); // Closed and drained.
-    EXPECT_EQ(q.totalPushed(), 2u);
 }
 
 // The drain-then-empty shutdown contract (documented on pop): residual

@@ -173,19 +173,66 @@ TEST(ClusterSimTest, FixedReplicasAreRespected)
     EXPECT_EQ(r.finalReplicas.at(plan.shards[0].name), 3u);
 }
 
-TEST(ClusterSimTest, ColdStartDelaysServingAfterScaleUp)
+TEST(ClusterSimTest, FixedReplicasAreClamped)
 {
-    // With warmStart off, the first pod must come up before any query
-    // completes; completions then proceed.
+    // A deployment's replica count is clamped to [1, 256].
     const auto config = model::rm1();
     const auto node = hw::cpuOnlyNode();
+    const auto plan = mwPlan(config, node);
+    const std::string &name = plan.shards[0].name;
     SimOptions opt = fastOptions();
-    opt.warmStart = true;
-    ClusterSimulation sim(mwPlan(config, node), node,
-                          workload::TrafficPattern::constant(20.0),
-                          opt);
-    const auto r = sim.run(units::kMinute);
-    EXPECT_GT(r.completed, 0u);
+    opt.autoscale = false;
+    for (const auto &[asked, held] :
+         {std::pair{0u, 1u}, std::pair{1000u, 256u}}) {
+        ClusterSimulation sim(plan, node,
+                              workload::TrafficPattern::constant(10.0),
+                              opt);
+        sim.setFixedReplicas(name, asked);
+        const auto r = sim.run(units::kSecond);
+        EXPECT_EQ(r.finalReplicas.at(name), held) << asked;
+    }
+}
+
+TEST(ClusterSimTest, ColdStartDelaysTheReplacementPod)
+{
+    // A fixed two-pod fleet loses one pod between reconciles. The next
+    // reconcile starts a replacement, which turns Ready only after the
+    // container start plus loading its parameters.
+    const auto config = model::rm1();
+    const auto node = hw::cpuOnlyNode();
+    const auto plan = mwPlan(config, node);
+    const core::ShardSpec &spec = plan.shards[0];
+    SimOptions opt = fastOptions();
+    opt.autoscale = false;
+    ClusterSimulation sim(plan, node,
+                          workload::TrafficPattern::constant(5.0), opt);
+    sim.setFixedReplicas(spec.name, 2);
+    const SimTime crash = 20 * units::kSecond + 500 * units::kMillisecond;
+    sim.injectPodFailure(spec.name, crash);
+
+    const SimTime reconcile = 2 * kHpaSyncPeriod; // first after the crash
+    ASSERT_LT(reconcile - kHpaSyncPeriod, crash);
+    ASSERT_GT(reconcile, crash);
+    const SimTime ready_at =
+        reconcile + kPodStartBase +
+        units::fromSeconds(static_cast<double>(spec.memBytes) /
+                           kModelLoadBandwidth);
+    const auto r = sim.run(ready_at + 10 * units::kSecond);
+
+    // The first once-a-second sample after the crash that sees two
+    // Ready pods again is the first sample at or after ready_at.
+    SimTime first_two = -1;
+    for (const auto &[t, ready] : r.readyReplicas.points()) {
+        if (t > crash && ready == 2.0) {
+            first_two = t;
+            break;
+        }
+    }
+    EXPECT_GE(first_two, ready_at);
+    EXPECT_LE(first_two, ready_at + kSampleInterval);
+    EXPECT_EQ(sim.observability().value("erec_cold_starts_total",
+                                        {{"deployment", spec.name}}),
+              1.0);
 }
 
 TEST(ClusterSimTest, RecoversFromPodFailures)

@@ -65,10 +65,6 @@ TEST(CostModelTest, ReplicasCeilAndFloor)
     CostModel cheap(linearCdf(100), flatQps(5000), p);
     // 1000 / 5000 = 0.2 -> floored at one replica.
     EXPECT_DOUBLE_EQ(cheap.replicas(0, 100), 1.0);
-
-    p.ceilReplicas = false;
-    CostModel frac(linearCdf(100), flatQps(300), p);
-    EXPECT_NEAR(frac.replicas(0, 100), 1000.0 / 300.0, 1e-9);
 }
 
 TEST(CostModelTest, CapacityIsRowsTimesBytes)

@@ -30,11 +30,10 @@ TEST(ExperimentTest, StaticDeploymentConsistency)
     const auto node = hw::cpuOnlyNode();
     core::Planner planner(config, node);
     const auto plan = planner.planElasticRec({cdfFor(config)});
-    const auto view =
-        evaluateStatic(plan, node, 100.0, {.utilization = 1.0});
+    const auto view = evaluateStatic(plan, node, 100.0);
 
     EXPECT_EQ(view.policy, "elasticrec");
-    EXPECT_EQ(view.memory, plan.memoryForTarget(100.0));
+    EXPECT_EQ(view.memory, plan.memoryForTarget(100.0 / kSizingUtilization));
     std::uint32_t total = 0;
     for (const auto &[name, replicas] : view.replicas)
         total += replicas;

@@ -157,7 +157,7 @@ TEST(PlannerTest, GpuCacheFasterThanPlainModelWise)
     const auto config = model::rm1();
     Planner planner = Planner::forPlatform(config, hw::cpuGpuNode());
     const auto mw = planner.planModelWise();
-    const auto cache = planner.planModelWiseGpuCache(0.9);
+    const auto cache = planner.planModelWiseGpuCache();
     EXPECT_GT(cache.frontendShard().qpsPerReplica,
               mw.frontendShard().qpsPerReplica);
     EXPECT_LT(cache.memoryForTarget(200.0),
@@ -167,10 +167,7 @@ TEST(PlannerTest, GpuCacheFasterThanPlainModelWise)
 TEST(PlannerTest, GpuCacheRequiresGpu)
 {
     Planner planner(smallConfig(), hw::cpuOnlyNode());
-    EXPECT_THROW(planner.planModelWiseGpuCache(0.9), ConfigError);
-    Planner gpu = Planner::forPlatform(smallConfig(), hw::cpuGpuNode());
-    EXPECT_THROW(gpu.planModelWiseGpuCache(0.0), ConfigError);
-    EXPECT_THROW(gpu.planModelWiseGpuCache(1.0), ConfigError);
+    EXPECT_THROW(planner.planModelWiseGpuCache(), ConfigError);
 }
 
 TEST(PlannerTest, DenseShardUsesGpuOnGpuPlatform)

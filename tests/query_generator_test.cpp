@@ -32,7 +32,7 @@ TEST(QueryGeneratorTest, ShapeOfGeneratedQuery)
     ASSERT_EQ(q.lookups.size(), 3u);
     for (const auto &l : q.lookups) {
         EXPECT_EQ(l.batchSize(), 4u);
-        EXPECT_EQ(l.numGathers(), 32u); // 4 items x 8 gathers
+        EXPECT_EQ(l.indices.size(), 32u); // 4 items x 8 gathers
         // Offsets must be monotone and start at 0.
         EXPECT_EQ(l.offsets.front(), 0u);
         for (std::size_t i = 1; i < l.offsets.size(); ++i)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for bin-packing pod replicas onto nodes (Figures 15/18 input).
+ * Tests for bin-packing pod replicas onto nodes (Figures 15/18 input)
+ * and for the resource request each pod brings to it.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,19 @@ PodRequest
 pod(std::uint32_t cores, Bytes mem, bool gpu = false)
 {
     return {"d", ResourceRequest{cores, mem, gpu}};
+}
+
+TEST(SchedulerTest, ResourceRequestFromSpec)
+{
+    core::ShardSpec spec;
+    spec.name = "d";
+    spec.cpuCores = 4;
+    spec.memBytes = 123;
+    spec.usesGpu = true;
+    const auto req = resourceRequestFor(spec);
+    EXPECT_EQ(req.cpuCores, 4u);
+    EXPECT_EQ(req.memBytes, 123u);
+    EXPECT_TRUE(req.gpu);
 }
 
 TEST(SchedulerTest, PacksByCores)

@@ -152,7 +152,7 @@ TEST(ServingTest, SparseShardLoadAccounting)
     std::uint64_t gathered = 0;
     for (const auto &s : stack.shards[0])
         gathered += s->rowsGathered();
-    EXPECT_EQ(gathered, q.lookups[0].numGathers());
+    EXPECT_EQ(gathered, q.lookups[0].indices.size());
 }
 
 TEST(ServingTest, ShardMemoryTilesTable)

@@ -166,8 +166,8 @@ TEST(SimGoldenTest, SteadyQueryPathIsAllocationFree)
     const Fig19Setup setup;
     SimOptions opt;
     opt.seed = 7;
-    opt.autoscale = false; // fixed fleet: no pod churn
-    opt.warmStart = true;  // sized for the 90-QPS warm-up rate
+    // Fixed fleet, sized for the 90-QPS warm-up rate: no pod churn.
+    opt.autoscale = false;
     opt.sampling = SamplingMode::EventTime;
     const workload::TrafficPattern warm_then_measure(
         {{0, 90.0}, {30 * units::kSecond, 45.0}});

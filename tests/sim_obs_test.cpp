@@ -399,24 +399,29 @@ TEST(SimObsTest, GaugeRuleReadsTheRegistryFamily)
     EXPECT_GT(sim.observability().sum("erec_ready_replicas"), 0.0);
 }
 
-TEST(SimObsTest, ExternalRegistryIsShared)
+TEST(SimObsTest, UnknownSloTargetReadsZero)
 {
-    // A caller-provided registry receives the simulation's metrics, so
-    // several components can publish into one scrape surface.
+    // A deployment signal whose target names no deployment reads 0,
+    // so a "> 0" rule on it never fires, while the same rule on the
+    // frontend does.
     const auto config = model::rm1();
     const auto node = hw::cpuOnlyNode();
     const auto plan = erPlan(config, node);
-    auto registry = std::make_shared<obs::Registry>();
     SimOptions opt;
     opt.seed = 7;
-    opt.observability = registry;
     ClusterSimulation sim(plan, node,
                           workload::TrafficPattern::constant(20.0),
                           opt);
-    const auto r = sim.run(units::kMinute);
-    EXPECT_EQ(registry.get(), &sim.observability());
-    EXPECT_EQ(registry->value("erec_arrivals_total"),
-              static_cast<double>(r.arrivals));
+    const std::string frontend = plan.frontendShard().name;
+    sim.slo().addRule({"ghost-p95", {obs::SignalKind::P95, "ghost"}, 0, 0});
+    sim.slo().addRule({"ghost-qps", {obs::SignalKind::Qps, "ghost"}, 0, 0});
+    sim.slo().addRule({"p95", {obs::SignalKind::P95, frontend}, 0, 0});
+    sim.slo().addRule({"qps", {obs::SignalKind::Qps, frontend}, 0, 0});
+    sim.run(units::kMinute);
+    EXPECT_TRUE(sim.slo().firing("p95"));
+    EXPECT_TRUE(sim.slo().firing("qps"));
+    EXPECT_FALSE(sim.slo().firing("ghost-p95"));
+    EXPECT_FALSE(sim.slo().firing("ghost-qps"));
 }
 
 } // namespace
