@@ -10,8 +10,6 @@
 
 #include "bench_util.h"
 
-#include "elasticrec/core/cost_model.h"
-
 using namespace erec;
 
 namespace {
@@ -42,15 +40,7 @@ main()
     for (const auto &config : model::tableIIModels()) {
         core::Planner planner(config, node);
         const auto cdf = sim::cdfFor(config);
-
-        core::CostModelParams params;
-        params.gathersPerQuery =
-            static_cast<double>(config.gathersPerQueryPerTable());
-        params.rowBytes = Bytes{config.embeddingDim} * 4;
-        params.minMemAlloc = planner.options().minMemAlloc;
-        core::CostModel cost(
-            std::make_shared<embedding::AccessCdf>(*cdf),
-            planner.sparseQpsModel(), params);
+        const auto cost = planner.costModel(cdf);
 
         const auto dp = planner.partitionTable(*cdf);
         const std::uint64_t rows = config.rowsPerTable;

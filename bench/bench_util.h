@@ -11,9 +11,11 @@
 
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "elasticrec/common/error.h"
 #include "elasticrec/common/logging.h"
 #include "elasticrec/common/table_printer.h"
 #include "elasticrec/core/planner.h"
@@ -51,6 +53,35 @@ makePlans(const model::DlrmConfig &config, const hw::NodeSpec &node,
     const auto cdf = sim::cdfFor(config, cdf_granules);
     return PlanSet{planner.planElasticRec({cdf}),
                    planner.planModelWise()};
+}
+
+/**
+ * main() of the perf harnesses: parse the flags, then run. A bad flag
+ * or flag value prints the error and a usage line on stderr and
+ * returns 2; an error after parsing propagates to the caller.
+ */
+template <typename Options>
+int
+runHarness(int argc, char **argv, const char *usage,
+           Options (*parse)(int, char **), int (*run)(const Options &))
+{
+    Options opts;
+    std::string error;
+    try {
+        opts = parse(argc, argv);
+    } catch (const ConfigError &e) {
+        error = e.what();
+    } catch (const std::logic_error &e) {
+        // std::stoull's invalid_argument / out_of_range name only it.
+        error = std::string("a flag value is not a number (") + e.what() +
+                ")";
+    }
+    if (!error.empty()) {
+        std::cerr << argv[0] << ": " << error << "\nusage: " << argv[0]
+                  << " " << usage << "\n";
+        return 2;
+    }
+    return run(opts);
 }
 
 /** Quiet logging for benches. */

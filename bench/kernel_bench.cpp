@@ -358,10 +358,9 @@ writeJson(const SweepOptions &opts,
 }
 
 int
-run(int argc, char **argv)
+run(const SweepOptions &opts)
 {
     quietLogs();
-    const SweepOptions opts = parseArgs(argc, argv);
     banner("Kernel-backend sweep (gather-sum-pool + blocked GEMM)",
            "DESIGN.md section 11 (no paper figure; CI perf gate input)");
     const auto &backends = kernels::availableBackends();
@@ -427,5 +426,8 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return erec::bench::run(argc, argv);
+    return erec::bench::runHarness(
+        argc, argv,
+        "[--json PATH] [--quick] [--throttle-us N]",
+        erec::bench::parseArgs, erec::bench::run);
 }

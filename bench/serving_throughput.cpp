@@ -295,10 +295,9 @@ writeJson(const std::string &path, const BenchOptions &opts,
 }
 
 int
-run(int argc, char **argv)
+run(const BenchOptions &opts)
 {
     quietLogs();
-    const BenchOptions opts = parseArgs(argc, argv);
     banner("Concurrent serving throughput (runtime executor sweep)",
            "DESIGN.md section 8 (no paper figure; CI perf gate input)");
     std::cout << "queries/point: " << opts.queries
@@ -377,5 +376,9 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return erec::bench::run(argc, argv);
+    return erec::bench::runHarness(
+        argc, argv,
+        "[--quick] [--threads CSV] [--queries N] [--out PATH] "
+        "[--throttle-us N] [--trace-sample N] [--metrics-out DIR]",
+        erec::bench::parseArgs, erec::bench::run);
 }

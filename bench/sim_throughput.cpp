@@ -276,10 +276,9 @@ writeJson(const std::string &path, const BenchOptions &opts,
 }
 
 int
-run(int argc, char **argv)
+run(const BenchOptions &opts)
 {
     quietLogs();
-    const BenchOptions opts = parseArgs(argc, argv);
     banner("Simulator-core throughput (event engine, diurnal trace)",
            "DESIGN.md section 13 (no paper figure; CI perf gate input)");
     const auto shape = diurnalShape();
@@ -329,5 +328,9 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return erec::bench::run(argc, argv);
+    return erec::bench::runHarness(
+        argc, argv,
+        "[--quick] [--queries N] [--out PATH] "
+        "[--throttle-us N] [--metrics-out DIR]",
+        erec::bench::parseArgs, erec::bench::run);
 }

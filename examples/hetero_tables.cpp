@@ -10,7 +10,6 @@
  * adapt to each table's skew.
  */
 
-#include <cmath>
 #include <iostream>
 
 #include "elasticrec/common/logging.h"
@@ -91,20 +90,12 @@ main()
                 return avg_dist->massOfTopRows(x);
             }));
     const auto avg_partition = planner.partitionTable(*avg_cdf);
-    const double n_t =
-        static_cast<double>(config.gathersPerQueryPerTable());
-    const auto qps = planner.sparseQpsModel();
     Bytes avg_mem = 0;
     for (std::uint32_t table = 0; table < config.numTables; ++table) {
+        const auto cost = planner.costModel(cdfs[table], 100.0);
         std::uint64_t begin = 0;
         for (auto end : avg_partition.boundaries) {
-            const double n_s =
-                cdfs[table]->massOfRange(begin, end) * n_t;
-            const auto replicas = static_cast<Bytes>(std::max(
-                1.0, std::ceil(100.0 / qps->qps(n_s))));
-            avg_mem += replicas *
-                       ((end - begin) * Bytes{config.embeddingDim} * 4 +
-                        planner.options().minMemAlloc);
+            avg_mem += static_cast<Bytes>(cost.cost(begin, end));
             begin = end;
         }
     }

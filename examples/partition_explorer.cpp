@@ -60,7 +60,7 @@ main()
         std::cout << "dense shard: QPS/replica="
                   << TablePrinter::num(dense.qpsPerReplica, 1)
                   << ", latency="
-                  << units::toMillis(dense.serviceLatency) << " ms, "
+                  << units::toMillis(dense.serviceLatency()) << " ms, "
                   << "replicas@" << target_qps << "="
                   << core::DeploymentPlan::replicasForTarget(dense,
                                                              target_qps)
@@ -69,7 +69,7 @@ main()
         std::cout << "model-wise: QPS/replica="
                   << TablePrinter::num(mono.qpsPerReplica, 1)
                   << ", latency="
-                  << units::toMillis(mono.serviceLatency)
+                  << units::toMillis(mono.serviceLatency())
                   << " ms (dense "
                   << units::toMillis(mono.stageLatencies[0])
                   << " + sparse "

@@ -1,7 +1,6 @@
 #include "elasticrec/cluster/scheduler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "elasticrec/common/error.h"
 
@@ -11,71 +10,71 @@ Scheduler::Scheduler(hw::NodeSpec node) : node_(std::move(node))
 {
 }
 
-bool
-Scheduler::fits(const NodeAssignment &na, const ResourceRequest &r) const
-{
-    if (na.usedCores + r.cpuCores > node_.cpu.logicalCores)
-        return false;
-    if (na.usedMem + r.memBytes > node_.cpu.memCapacity)
-        return false;
-    if (r.gpu && (!node_.hasGpu || na.gpuUsed))
-        return false;
-    return true;
-}
-
-Packing
-Scheduler::pack(const std::vector<PodRequest> &pods) const
+std::uint32_t
+Scheduler::countNodes(std::vector<PodGroup> groups) const
 {
     // Validate that every pod can fit *some* node.
-    for (const auto &p : pods) {
-        ERC_CHECK(p.resources.cpuCores <= node_.cpu.logicalCores,
-                  "pod of " << p.deployment << " requests "
-                            << p.resources.cpuCores
+    for (const auto &g : groups) {
+        if (g.replicas == 0)
+            continue;
+        const core::ShardSpec &s = *g.spec;
+        ERC_CHECK(s.cpuCores <= node_.cpu.logicalCores,
+                  "pod of " << s.name << " requests " << s.cpuCores
                             << " cores, node has "
                             << node_.cpu.logicalCores);
-        ERC_CHECK(p.resources.memBytes <= node_.cpu.memCapacity,
-                  "pod of " << p.deployment << " requests "
-                            << units::formatBytes(p.resources.memBytes)
+        ERC_CHECK(s.memBytes <= node_.cpu.memCapacity,
+                  "pod of " << s.name << " requests "
+                            << units::formatBytes(s.memBytes)
                             << ", node has "
                             << units::formatBytes(node_.cpu.memCapacity));
-        ERC_CHECK(!p.resources.gpu || node_.hasGpu,
-                  "pod of " << p.deployment
+        ERC_CHECK(!s.usesGpu || node_.hasGpu,
+                  "pod of " << s.name
                             << " requests a GPU on a CPU-only node");
     }
 
-    // First-fit-decreasing by memory, then cores.
-    std::vector<std::uint32_t> order(pods.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         if (pods[a].resources.memBytes !=
-                             pods[b].resources.memBytes)
-                             return pods[a].resources.memBytes >
-                                    pods[b].resources.memBytes;
-                         return pods[a].resources.cpuCores >
-                                pods[b].resources.cpuCores;
+    // First-fit-decreasing by memory, then cores. A group's pods are
+    // identical, so sorting the groups stably orders the pods exactly
+    // as a stable sort of the expanded pod list would.
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const PodGroup &a, const PodGroup &b) {
+                         if (a.spec->memBytes != b.spec->memBytes)
+                             return a.spec->memBytes > b.spec->memBytes;
+                         return a.spec->cpuCores > b.spec->cpuCores;
                      });
 
-    Packing packing;
-    for (auto idx : order) {
-        const auto &req = pods[idx].resources;
-        NodeAssignment *slot = nullptr;
-        for (auto &na : packing.nodes) {
-            if (fits(na, req)) {
-                slot = &na;
-                break;
-            }
+    struct NodeLoad
+    {
+        std::uint32_t cores = 0;
+        Bytes mem = 0;
+        bool gpu = false;
+    };
+    std::vector<NodeLoad> nodes;
+    for (const auto &g : groups) {
+        const core::ShardSpec &s = *g.spec;
+        for (std::uint32_t r = 0; r < g.replicas; ++r) {
+            auto slot = std::find_if(
+                nodes.begin(), nodes.end(), [&](const NodeLoad &n) {
+                    return n.cores + s.cpuCores <=
+                               node_.cpu.logicalCores &&
+                           n.mem + s.memBytes <= node_.cpu.memCapacity &&
+                           !(s.usesGpu && (!node_.hasGpu || n.gpu));
+                });
+            if (slot == nodes.end())
+                slot = nodes.emplace(nodes.end());
+            slot->cores += s.cpuCores;
+            slot->mem += s.memBytes;
+            slot->gpu = slot->gpu || s.usesGpu;
         }
-        if (slot == nullptr) {
-            packing.nodes.emplace_back();
-            slot = &packing.nodes.back();
-        }
-        slot->podIndices.push_back(idx);
-        slot->usedCores += req.cpuCores;
-        slot->usedMem += req.memBytes;
-        slot->gpuUsed = slot->gpuUsed || req.gpu;
     }
-    return packing;
+    return static_cast<std::uint32_t>(nodes.size());
+}
+
+runtime::ExecutorOptions
+executorOptionsFor(const core::ShardSpec &spec)
+{
+    runtime::ExecutorOptions opts;
+    opts.workers = std::max(1u, spec.cpuCores);
+    return opts;
 }
 
 } // namespace erec::cluster

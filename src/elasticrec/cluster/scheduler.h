@@ -2,46 +2,31 @@
 
 /**
  * @file
- * Cluster scheduler: first-fit-decreasing bin packing of pod replicas
- * onto homogeneous nodes, respecting core, memory and GPU constraints.
- * Used to answer "how many server nodes does this deployment need?"
- * (Figures 15 and 18).
+ * What a deployment's pods ask of the cluster. A deployment is the
+ * unit Kubernetes scales (one per shard type in ElasticRec, one per
+ * whole model in the baseline), and each of its pods requests the
+ * cores, memory and GPU its shard spec names. The scheduler bin-packs
+ * those pods first-fit-decreasing onto homogeneous nodes to answer
+ * "how many server nodes does this deployment need?" (Figures 15 and
+ * 18). The simulator keeps each deployment's replica count and pods
+ * (sim::ClusterSimulation).
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "elasticrec/cluster/deployment.h"
+#include "elasticrec/core/planner.h"
 #include "elasticrec/hw/platform.h"
+#include "elasticrec/runtime/executor.h"
 
 namespace erec::cluster {
 
-/** One pod to place. */
-struct PodRequest
+/** One deployment's pods: `replicas` pods, each requesting the cores,
+ *  memory and GPU its shard spec names. */
+struct PodGroup
 {
-    std::string deployment;
-    ResourceRequest resources;
-};
-
-/** Result of packing onto one node. */
-struct NodeAssignment
-{
-    std::vector<std::uint32_t> podIndices; //!< Into the input pod list.
-    std::uint32_t usedCores = 0;
-    Bytes usedMem = 0;
-    bool gpuUsed = false;
-};
-
-/** Full packing result. */
-struct Packing
-{
-    std::vector<NodeAssignment> nodes;
-
-    std::uint32_t numNodes() const
-    {
-        return static_cast<std::uint32_t>(nodes.size());
-    }
+    const core::ShardSpec *spec = nullptr;
+    std::uint32_t replicas = 0;
 };
 
 class Scheduler
@@ -50,18 +35,25 @@ class Scheduler
     explicit Scheduler(hw::NodeSpec node);
 
     /**
-     * Pack the pods onto as few nodes as first-fit-decreasing (by
-     * memory, then cores) achieves. Throws ConfigError if any single
-     * pod cannot fit an empty node.
+     * Nodes that first-fit-decreasing (by memory, then cores; pods of
+     * equal size keep the groups' order) needs for the pods. Throws
+     * ConfigError naming the deployment if one of its pods cannot fit
+     * an empty node.
      */
-    Packing pack(const std::vector<PodRequest> &pods) const;
-
-    const hw::NodeSpec &node() const { return node_; }
+    std::uint32_t countNodes(std::vector<PodGroup> groups) const;
 
   private:
-    bool fits(const NodeAssignment &na, const ResourceRequest &r) const;
-
     hw::NodeSpec node_;
 };
+
+/**
+ * Size a pod's serving executor from its shard spec: one worker per
+ * requested CPU core, so a dispatcher on it runs one pump thread per
+ * core the scheduler bin-packs for the replica. This is the bridge
+ * between the planner's per-shard resource math and the functional
+ * runtime. Only runtime_serving_test calls it so far: it stays for
+ * ROADMAP item 10, whose real-stack HPA sizes its pools with it.
+ */
+runtime::ExecutorOptions executorOptionsFor(const core::ShardSpec &spec);
 
 } // namespace erec::cluster

@@ -1,10 +1,17 @@
 #include "elasticrec/core/cost_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "elasticrec/common/error.h"
 
 namespace erec::core {
+
+double
+replicasFor(double target_qps, double qps_per_replica)
+{
+    return std::max(1.0, std::ceil(target_qps / qps_per_replica));
+}
 
 CostModel::CostModel(std::shared_ptr<const embedding::AccessCdf> cdf,
                      std::shared_ptr<const QpsModel> qps,
@@ -36,8 +43,7 @@ CostModel::shardQps(std::uint64_t begin, std::uint64_t end) const
 double
 CostModel::replicas(std::uint64_t begin, std::uint64_t end) const
 {
-    const double raw = params_.targetTraffic / shardQps(begin, end);
-    return std::max(1.0, std::ceil(raw));
+    return replicasFor(params_.targetTraffic, shardQps(begin, end));
 }
 
 Bytes
@@ -48,12 +54,17 @@ CostModel::capacity(std::uint64_t begin, std::uint64_t end) const
     return (end - begin) * params_.rowBytes;
 }
 
+Bytes
+CostModel::replicaBytes(std::uint64_t begin, std::uint64_t end) const
+{
+    return capacity(begin, end) + params_.minMemAlloc;
+}
+
 double
 CostModel::cost(std::uint64_t begin, std::uint64_t end) const
 {
-    const double shard_size = static_cast<double>(
-        capacity(begin, end) + params_.minMemAlloc);
-    return replicas(begin, end) * shard_size;
+    return replicas(begin, end) *
+           static_cast<double>(replicaBytes(begin, end));
 }
 
 } // namespace erec::core

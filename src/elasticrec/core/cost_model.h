@@ -17,7 +17,8 @@
  *   COST(begin, end) = num_replicas x (CAPACITY + min_mem_alloc)
  *
  * Ranges here are half-open and 0-based (the paper uses inclusive
- * 1-based IDs k..j; COST(k, j) == cost(k-1, j)).
+ * 1-based IDs k..j; COST(k, j) == cost(k-1, j)). The planner sizes
+ * each deployed sparse shard with the CostModel the DP priced it with.
  */
 
 #include <cstdint>
@@ -50,6 +51,15 @@ struct CostModelParams
     Bytes minMemAlloc = 512 * units::kMiB;
 };
 
+/**
+ * Replicas one shard needs to sustain target_qps when each replica
+ * serves qps_per_replica: ceil(target / QPS), floored at one
+ * (deployment semantics). Algorithm 1 uses fractional replicas; the
+ * ceil makes plans account for the at-least-one-replica cost of cold
+ * shards.
+ */
+double replicasFor(double target_qps, double qps_per_replica);
+
 class CostModel
 {
   public:
@@ -67,16 +77,14 @@ class CostModel
     /** Estimated QPS of a shard covering rows [begin, end). */
     double shardQps(std::uint64_t begin, std::uint64_t end) const;
 
-    /**
-     * REPLICAS(begin, end): replicas needed to meet targetTraffic,
-     * rounded up and floored at one (deployment semantics).
-     * Algorithm 1 uses fractional replicas; the ceil makes plans
-     * account for the at-least-one-replica cost of cold shards.
-     */
+    /** REPLICAS(begin, end): replicasFor(targetTraffic, shardQps). */
     double replicas(std::uint64_t begin, std::uint64_t end) const;
 
     /** CAPACITY(begin, end): shard embedding bytes. */
     Bytes capacity(std::uint64_t begin, std::uint64_t end) const;
+
+    /** One replica's memory request: CAPACITY + min_mem_alloc. */
+    Bytes replicaBytes(std::uint64_t begin, std::uint64_t end) const;
 
     /** COST(begin, end): expected memory consumption in bytes. */
     double cost(std::uint64_t begin, std::uint64_t end) const;

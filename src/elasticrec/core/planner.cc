@@ -1,11 +1,22 @@
 #include "elasticrec/core/planner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
+#include <optional>
 
 #include "elasticrec/common/error.h"
 
 namespace erec::core {
+
+namespace {
+
+Bytes
+rowBytes(const model::DlrmConfig &config)
+{
+    return Bytes{config.embeddingDim} * sizeof(float);
+}
+
+} // namespace
 
 const char *
 toString(ShardKind kind)
@@ -18,12 +29,19 @@ toString(ShardKind kind)
     return "?";
 }
 
+SimTime
+ShardSpec::serviceLatency() const
+{
+    return std::accumulate(stageLatencies.begin(), stageLatencies.end(),
+                           SimTime{0});
+}
+
 std::uint32_t
 DeploymentPlan::replicasForTarget(const ShardSpec &spec, double target_qps)
 {
     ERC_CHECK(spec.qpsPerReplica > 0, "shard has no throughput estimate");
-    const double raw = target_qps / spec.qpsPerReplica;
-    return static_cast<std::uint32_t>(std::max(1.0, std::ceil(raw)));
+    return static_cast<std::uint32_t>(
+        replicasFor(target_qps, spec.qpsPerReplica));
 }
 
 Bytes
@@ -32,15 +50,6 @@ DeploymentPlan::memoryForTarget(double target_qps) const
     Bytes total = 0;
     for (const auto &s : shards)
         total += Bytes{replicasForTarget(s, target_qps)} * s.memBytes;
-    return total;
-}
-
-std::uint32_t
-DeploymentPlan::totalReplicasForTarget(double target_qps) const
-{
-    std::uint32_t total = 0;
-    for (const auto &s : shards)
-        total += replicasForTarget(s, target_qps);
     return total;
 }
 
@@ -102,23 +111,31 @@ Planner::Planner(model::DlrmConfig config, hw::NodeSpec node,
     ERC_CHECK(options_.denseCores <= lat_.node().cpu.logicalCores &&
                   options_.sparseCores <= lat_.node().cpu.logicalCores,
               "shard core request exceeds the node size");
-    const Bytes row_bytes = Bytes{config_.embeddingDim} * sizeof(float);
-    const auto max_gathers = std::max<std::uint64_t>(
-        65536, 4 * config_.gathersPerQueryPerTable());
-    sparseQps_ = std::make_shared<QpsModel>(QpsModel::profile(
-        lat_, row_bytes, options_.sparseCores, max_gathers,
-        static_cast<SimTime>(lat_.node().cpu.sparseRpcOverheadUs)));
+    sparseQps_ =
+        std::make_shared<QpsModel>(profileSparseQps(rowBytes(config_)));
 }
 
-CostModelParams
-Planner::costParams() const
+QpsModel
+Planner::profileSparseQps(Bytes row_bytes) const
 {
-    CostModelParams p;
-    p.gathersPerQuery =
-        static_cast<double>(config_.gathersPerQueryPerTable());
-    p.rowBytes = Bytes{config_.embeddingDim} * sizeof(float);
-    p.minMemAlloc = options_.minMemAlloc;
-    return p;
+    return QpsModel::profile(
+        lat_, row_bytes, options_.sparseCores,
+        std::max<std::uint64_t>(65536,
+                                4 * config_.gathersPerQueryPerTable()),
+        static_cast<SimTime>(lat_.node().cpu.sparseRpcOverheadUs));
+}
+
+CostModel
+Planner::costModel(std::shared_ptr<const embedding::AccessCdf> cdf,
+                   double target_qps) const
+{
+    return CostModel(
+        std::move(cdf), sparseQps_,
+        {.targetTraffic = target_qps,
+         .gathersPerQuery =
+             static_cast<double>(config_.gathersPerQueryPerTable()),
+         .rowBytes = rowBytes(config_),
+         .minMemAlloc = options_.minMemAlloc});
 }
 
 SimTime
@@ -137,30 +154,8 @@ Planner::denseStageLatency(std::uint32_t cores) const
     return lat_.denseCpuTime(flops, cores);
 }
 
-SimTime
-Planner::denseLatency() const
-{
-    return denseStageLatency(options_.denseCores);
-}
-
-double
-Planner::denseQpsPerReplica() const
-{
-    return 1.0 / units::toSeconds(std::max<SimTime>(denseLatency(), 1));
-}
-
-SimTime
-Planner::monolithicSparseLatency() const
-{
-    const Bytes row_bytes = Bytes{config_.embeddingDim} * sizeof(float);
-    const SimTime per_table = lat_.gatherCpuTime(
-        config_.gathersPerQueryPerTable(), row_bytes,
-        lat_.node().cpu.logicalCores);
-    return per_table * config_.numTables;
-}
-
 ShardSpec
-Planner::makeDenseSpec() const
+Planner::makeDenseSpec(SimTime hbm_lookups) const
 {
     ShardSpec spec;
     spec.name = "dense";
@@ -168,27 +163,70 @@ Planner::makeDenseSpec() const
     spec.memBytes = config_.denseParamBytes() + options_.minMemAlloc;
     spec.cpuCores = options_.denseCores;
     spec.usesGpu = lat_.node().hasGpu;
-    spec.serviceLatency = denseLatency();
-    spec.stageLatencies = {spec.serviceLatency};
-    spec.qpsPerReplica = denseQpsPerReplica();
+    spec.stageLatencies = {denseStageLatency(options_.denseCores) +
+                           hbm_lookups};
+    spec.qpsPerReplica = qpsForStageTime(spec.stageLatencies[0]);
     return spec;
 }
 
-std::shared_ptr<const QpsModel>
-Planner::sparseQpsModel() const
+ShardSpec
+Planner::sparseSpec(std::string name, std::uint32_t table,
+                    std::uint32_t shard, std::uint64_t begin,
+                    std::uint64_t end, Bytes mem_bytes, double gathers,
+                    double qps) const
 {
-    return sparseQps_;
+    ShardSpec spec;
+    spec.name = std::move(name);
+    spec.kind = ShardKind::SparseEmbedding;
+    spec.tableId = table;
+    spec.shardId = shard;
+    spec.beginRow = begin;
+    spec.endRow = end;
+    spec.memBytes = mem_bytes;
+    spec.cpuCores = options_.sparseCores;
+    spec.expectedGathers = gathers;
+    spec.qpsPerReplica = qps;
+    spec.stageLatencies = {stageTimeForQps(qps)};
+    return spec;
+}
+
+ShardSpec
+Planner::monolithicSpec(std::string name, SimTime dense_t,
+                        SimTime sparse_t) const
+{
+    ShardSpec spec;
+    spec.name = std::move(name);
+    spec.kind = ShardKind::Monolithic;
+    // CPU memory holds every table (a GPU cache is HBM-resident).
+    spec.memBytes = config_.totalParamBytes() + options_.minMemAlloc;
+    spec.cpuCores = lat_.node().cpu.logicalCores;
+    spec.usesGpu = lat_.node().hasGpu;
+    // Dense and sparse stages pipeline across queries inside the
+    // container: throughput is set by the slower stage, latency is the
+    // sum (Figure 4's premise).
+    spec.stageLatencies = {dense_t, sparse_t};
+    spec.qpsPerReplica = qpsForStageTime(std::max(dense_t, sparse_t));
+    spec.expectedGathers = static_cast<double>(
+        config_.gathersPerQueryPerTable() * config_.numTables);
+    return spec;
 }
 
 PartitionPlan
 Planner::partitionTable(const embedding::AccessCdf &cdf) const
 {
-    auto cdf_ptr = std::make_shared<embedding::AccessCdf>(cdf);
-    CostModel cost(cdf_ptr, sparseQps_, costParams());
+    return partition(costModel(std::make_shared<embedding::AccessCdf>(cdf)),
+                     cdf);
+}
+
+PartitionPlan
+Planner::partition(const CostModel &cost,
+                   const embedding::AccessCdf &cdf) const
+{
     // Align the DP candidate grid with the CDF granules so boundary
     // interpolation error stays inside one granule.
+    const DpPartitioner::Options search;
     std::vector<std::uint64_t> candidates;
-    const auto g = std::min(options_.granules, cdf.granules());
+    const auto g = std::min(search.granules, cdf.granules());
     for (std::uint32_t i = 1; i <= g; ++i) {
         const std::uint64_t row =
             cdf.rowsAtGranule(cdf.granules() * i / g);
@@ -200,10 +238,39 @@ Planner::partitionTable(const embedding::AccessCdf &cdf) const
         [&cost](std::uint64_t b, std::uint64_t e) {
             return cost.cost(b, e);
         },
-        std::move(candidates), options_.maxShards);
+        std::move(candidates), search.maxShards);
     if (options_.forceShards > 0)
         return dp.planWithShards(options_.forceShards);
     return dp.findOptimalPlan();
+}
+
+void
+Planner::appendTableShards(DeploymentPlan &plan, const CdfList &cdfs,
+                           std::uint64_t first_row,
+                           const PartitionFn &partition) const
+{
+    // Tables that share one CDF object share one partition plan.
+    std::shared_ptr<const embedding::AccessCdf> cached_cdf;
+    std::optional<CostModel> cost;
+    PartitionPlan pp;
+    for (std::uint32_t t = 0; t < config_.numTables; ++t) {
+        const auto &cdf = cdfs.size() == 1 ? cdfs[0] : cdfs[t];
+        if (cdf != cached_cdf) {
+            cost.emplace(costModel(cdf));
+            pp = partition(*cost, *cdf);
+            cached_cdf = cdf;
+        }
+        std::uint64_t begin = first_row;
+        for (std::uint32_t s = 0; s < pp.numShards(); ++s) {
+            const std::uint64_t end = first_row + pp.boundaries[s];
+            plan.shards.push_back(sparseSpec(
+                "t" + std::to_string(t) + "-s" + std::to_string(s), t, s,
+                begin, end, cost->replicaBytes(begin, end),
+                cost->shardGathers(begin, end),
+                cost->shardQps(begin, end)));
+            begin = end;
+        }
+    }
 }
 
 DeploymentPlan
@@ -213,104 +280,47 @@ Planner::planElasticRec(
 {
     ERC_CHECK(cdfs.size() == 1 || cdfs.size() == config_.numTables,
               "pass one CDF or one per table");
-    DeploymentPlan plan;
-    plan.policy = "elasticrec";
-    plan.config = config_;
-    plan.shards.push_back(makeDenseSpec());
-
-    const Bytes row_bytes = Bytes{config_.embeddingDim} * sizeof(float);
-    const double n_t =
-        static_cast<double>(config_.gathersPerQueryPerTable());
-
-    // When two tables share the same CDF object their partition plans
-    // are identical; cache by pointer.
-    std::shared_ptr<const embedding::AccessCdf> cached_cdf;
-    PartitionPlan cached_plan;
-
-    for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        auto cdf = cdfs.size() == 1 ? cdfs[0] : cdfs[t];
-        ERC_CHECK(cdf != nullptr, "null CDF for table " << t);
-        ERC_CHECK(cdf->numRows() == config_.rowsPerTable,
+    CdfList effective = cdfs;
+    for (std::size_t t = 0; t < cdfs.size(); ++t) {
+        ERC_CHECK(cdfs[t] != nullptr, "null CDF for table " << t);
+        const std::uint64_t rows = cdfs[t]->numRows();
+        ERC_CHECK(rows == config_.rowsPerTable,
                   "CDF row count mismatch for table " << t);
-        auto effective = cdf;
         if (!options_.sortTables) {
             // Figure 8(a) ablation: partition the unsorted table, where
             // hot rows are dispersed uniformly, i.e. mass is linear in
             // the row count.
-            const std::uint64_t rows = cdf->numRows();
-            effective = std::make_shared<embedding::AccessCdf>(
+            effective[t] = std::make_shared<embedding::AccessCdf>(
                 embedding::AccessCdf::fromMassFunction(
                     rows,
                     [rows](std::uint64_t x) {
                         return static_cast<double>(x) /
                                static_cast<double>(rows);
                     },
-                    cdf->granules()));
-        }
-        if (effective != cached_cdf) {
-            cached_plan = partitionTable(*effective);
-            cached_cdf = effective;
-        }
-        const PartitionPlan &pp = cached_plan;
-
-        std::uint64_t begin = 0;
-        for (std::uint32_t s = 0; s < pp.numShards(); ++s) {
-            const std::uint64_t end = pp.boundaries[s];
-            ShardSpec spec;
-            spec.name = "t" + std::to_string(t) + "-s" +
-                        std::to_string(s);
-            spec.kind = ShardKind::SparseEmbedding;
-            spec.tableId = t;
-            spec.shardId = s;
-            spec.beginRow = begin;
-            spec.endRow = end;
-            spec.memBytes =
-                (end - begin) * row_bytes + options_.minMemAlloc;
-            spec.cpuCores = options_.sparseCores;
-            spec.usesGpu = false;
-            spec.expectedGathers =
-                effective->massOfRange(begin, end) * n_t;
-            spec.qpsPerReplica = sparseQps_->qps(spec.expectedGathers);
-            spec.serviceLatency =
-                sparseQps_->serviceTime(spec.expectedGathers);
-            spec.stageLatencies = {spec.serviceLatency};
-            plan.shards.push_back(std::move(spec));
-            begin = end;
+                    cdfs[t]->granules()));
         }
     }
+    DeploymentPlan plan{"elasticrec", config_, {makeDenseSpec(0)}};
+    appendTableShards(plan, effective, 0,
+                      [this](const CostModel &cost,
+                             const embedding::AccessCdf &cdf) {
+                          return partition(cost, cdf);
+                      });
     return plan;
 }
 
 DeploymentPlan
 Planner::planModelWise() const
 {
-    DeploymentPlan plan;
-    plan.policy = "model-wise";
-    plan.config = config_;
-
     const std::uint32_t cores = lat_.node().cpu.logicalCores;
-    const SimTime dense_t = denseStageLatency(cores);
-    const SimTime sparse_t = monolithicSparseLatency();
-
-    ShardSpec spec;
-    spec.name = "model-wise";
-    spec.kind = ShardKind::Monolithic;
-    spec.memBytes = config_.totalParamBytes() + options_.minMemAlloc;
-    spec.cpuCores = cores;
-    spec.usesGpu = lat_.node().hasGpu;
-    // Dense and sparse stages pipeline across queries inside the
-    // container: throughput is set by the slower stage, latency is the
-    // sum (Figure 4's premise).
-    spec.serviceLatency = dense_t + sparse_t;
-    spec.stageLatencies = {dense_t, sparse_t};
-    spec.qpsPerReplica =
-        1.0 /
-        units::toSeconds(std::max<SimTime>(std::max(dense_t, sparse_t),
-                                           1));
-    spec.expectedGathers = static_cast<double>(
-        config_.gathersPerQueryPerTable() * config_.numTables);
-    plan.shards.push_back(std::move(spec));
-    return plan;
+    const SimTime sparse_t =
+        lat_.gatherCpuTime(config_.gathersPerQueryPerTable(),
+                           rowBytes(config_), cores) *
+        config_.numTables;
+    return {"model-wise",
+            config_,
+            {monolithicSpec("model-wise", denseStageLatency(cores),
+                            sparse_t)}};
 }
 
 DeploymentPlan
@@ -320,43 +330,23 @@ Planner::planColumnWise(std::uint32_t columns) const
               "column count must be in [1, embedding dim]");
     ERC_CHECK(config_.embeddingDim % columns == 0,
               "embedding dim must divide evenly into column shards");
-    DeploymentPlan plan;
-    plan.policy = "column-wise";
-    plan.config = config_;
-    plan.shards.push_back(makeDenseSpec());
+    DeploymentPlan plan{"column-wise", config_, {makeDenseSpec(0)}};
 
-    const std::uint32_t cols_per_shard = config_.embeddingDim / columns;
-    const Bytes shard_row_bytes = Bytes{cols_per_shard} * sizeof(float);
+    // Column shards answer every gather of every query (n_s = n_t),
+    // moving a 1/columns slice of each row; profile a QPS model for
+    // the narrower rows.
+    const Bytes shard_row_bytes = rowBytes(config_) / columns;
     const double n_t =
         static_cast<double>(config_.gathersPerQueryPerTable());
-
-    // Column shards answer every gather of every query, moving a
-    // 1/columns slice of each row; profile a QPS model for the
-    // narrower rows.
-    const auto col_qps = QpsModel::profile(
-        lat_, shard_row_bytes, options_.sparseCores,
-        std::max<std::uint64_t>(65536,
-                                4 * config_.gathersPerQueryPerTable()),
-        static_cast<SimTime>(lat_.node().cpu.sparseRpcOverheadUs));
-
+    const double qps = profileSparseQps(shard_row_bytes).qps(n_t);
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
         for (std::uint32_t c = 0; c < columns; ++c) {
-            ShardSpec spec;
-            spec.name = "t" + std::to_string(t) + "-c" +
-                        std::to_string(c);
-            spec.kind = ShardKind::SparseEmbedding;
-            spec.tableId = t;
-            spec.shardId = c;
-            spec.beginRow = 0;
-            spec.endRow = config_.rowsPerTable;
-            spec.memBytes = config_.rowsPerTable * shard_row_bytes +
-                            options_.minMemAlloc;
-            spec.cpuCores = options_.sparseCores;
-            spec.expectedGathers = n_t;
-            spec.qpsPerReplica = col_qps.qps(n_t);
-            spec.serviceLatency = col_qps.serviceTime(n_t);
-            spec.stageLatencies = {spec.serviceLatency};
-            plan.shards.push_back(std::move(spec));
+            plan.shards.push_back(sparseSpec(
+                "t" + std::to_string(t) + "-c" + std::to_string(c), t, c,
+                0, config_.rowsPerTable,
+                config_.rowsPerTable * shard_row_bytes +
+                    options_.minMemAlloc,
+                n_t, qps));
         }
     }
     return plan;
@@ -374,7 +364,7 @@ Planner::planElasticRecHotCache(
     ERC_CHECK(hot_rows_per_table > 0 &&
                   hot_rows_per_table < config_.rowsPerTable,
               "hot prefix must be a proper, non-empty table prefix");
-    const Bytes row_bytes = Bytes{config_.embeddingDim} * sizeof(float);
+    const Bytes row_bytes = rowBytes(config_);
     const Bytes hbm_use = hot_rows_per_table * row_bytes *
                           config_.numTables;
     ERC_CHECK(hbm_use <= lat_.node().gpu.hbmCapacity / 2,
@@ -382,17 +372,12 @@ Planner::planElasticRecHotCache(
                   << units::formatBytes(hbm_use)
                   << ") exceed half the HBM capacity");
 
-    DeploymentPlan plan;
-    plan.policy = "elasticrec-hot-cache";
-    plan.config = config_;
-
     const double n_t =
         static_cast<double>(config_.gathersPerQueryPerTable());
 
     // Dense shard: original dense stage plus the fused HBM lookups of
     // every table's hot prefix. HBM-resident rows also count toward
     // the container's memory footprint.
-    ShardSpec dense = makeDenseSpec();
     SimTime cache_t = 0;
     double hot_mass_total = 0.0;
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
@@ -405,67 +390,33 @@ Planner::planElasticRecHotCache(
             hot_mass * n_t);
         cache_t += lat_.cachedGatherTime(
             std::max<std::size_t>(1, hot_gathers), 1.0, row_bytes,
-            dense.cpuCores);
+            options_.denseCores);
     }
-    dense.serviceLatency += cache_t;
-    dense.stageLatencies = {dense.serviceLatency};
-    dense.qpsPerReplica =
-        1.0 / units::toSeconds(std::max<SimTime>(dense.serviceLatency,
-                                                 1));
+    ShardSpec dense = makeDenseSpec(cache_t);
     dense.memBytes += hbm_use;
     dense.expectedGathers =
         hot_mass_total / config_.numTables * n_t;
-    plan.shards.push_back(std::move(dense));
+    DeploymentPlan plan{"elasticrec-hot-cache", config_,
+                        {std::move(dense)}};
 
-    // Cold remainder: DP-partition rows [hot, N) of each table using
-    // the cost of absolute row ranges shifted into the cold region.
-    std::shared_ptr<const embedding::AccessCdf> cached_cdf;
-    PartitionPlan cached_plan;
-    for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        const auto &cdf = cdfs.size() == 1 ? cdfs[0] : cdfs[t];
-        if (cdf != cached_cdf) {
-            CostModel cost(cdf, sparseQps_, costParams());
-            const std::uint64_t cold_rows =
-                config_.rowsPerTable - hot_rows_per_table;
-            DpPartitioner::Options dp_opt;
-            dp_opt.maxShards = options_.maxShards;
-            dp_opt.granules = options_.granules;
-            DpPartitioner dp(
-                cold_rows,
-                [&cost, hot_rows_per_table](std::uint64_t b,
-                                            std::uint64_t e) {
-                    return cost.cost(hot_rows_per_table + b,
-                                     hot_rows_per_table + e);
-                },
-                dp_opt);
-            cached_plan = dp.findOptimalPlan();
-            cached_cdf = cdf;
-        }
-        std::uint64_t begin = hot_rows_per_table;
-        for (std::uint32_t s = 0; s < cached_plan.numShards(); ++s) {
-            const std::uint64_t end =
-                hot_rows_per_table + cached_plan.boundaries[s];
-            ShardSpec spec;
-            spec.name = "t" + std::to_string(t) + "-s" +
-                        std::to_string(s);
-            spec.kind = ShardKind::SparseEmbedding;
-            spec.tableId = t;
-            spec.shardId = s;
-            spec.beginRow = begin;
-            spec.endRow = end;
-            spec.memBytes =
-                (end - begin) * row_bytes + options_.minMemAlloc;
-            spec.cpuCores = options_.sparseCores;
-            spec.expectedGathers = cdf->massOfRange(begin, end) * n_t;
-            spec.qpsPerReplica =
-                sparseQps_->qps(spec.expectedGathers);
-            spec.serviceLatency =
-                sparseQps_->serviceTime(spec.expectedGathers);
-            spec.stageLatencies = {spec.serviceLatency};
-            plan.shards.push_back(std::move(spec));
-            begin = end;
-        }
-    }
+    // Cold remainder: DP-partition rows [hot, N) of each table on a
+    // uniform grid, pricing absolute row ranges shifted into the cold
+    // region.
+    const std::uint64_t cold_rows =
+        config_.rowsPerTable - hot_rows_per_table;
+    appendTableShards(
+        plan, cdfs, hot_rows_per_table,
+        [cold_rows, hot_rows_per_table](const CostModel &cost,
+                                        const embedding::AccessCdf &) {
+            return DpPartitioner(
+                       cold_rows,
+                       [&cost, hot_rows_per_table](std::uint64_t b,
+                                                   std::uint64_t e) {
+                           return cost.cost(hot_rows_per_table + b,
+                                            hot_rows_per_table + e);
+                       })
+                .findOptimalPlan();
+        });
     return plan;
 }
 
@@ -474,36 +425,16 @@ Planner::planModelWiseGpuCache() const
 {
     ERC_CHECK(lat_.node().hasGpu,
               "the GPU-cache baseline needs a GPU platform");
-    DeploymentPlan plan;
-    plan.policy = "model-wise-cache";
-    plan.config = config_;
-
     const std::uint32_t cores = lat_.node().cpu.logicalCores;
-    const Bytes row_bytes = Bytes{config_.embeddingDim} * sizeof(float);
-    const auto n_t = config_.gathersPerQueryPerTable();
-
-    const SimTime dense_t = denseStageLatency(cores);
     const SimTime sparse_t =
-        lat_.cachedGatherTime(n_t, kGpuCacheHitRate, row_bytes, cores) *
+        lat_.cachedGatherTime(config_.gathersPerQueryPerTable(),
+                              kGpuCacheHitRate, rowBytes(config_),
+                              cores) *
         config_.numTables;
-
-    ShardSpec spec;
-    spec.name = "model-wise-cache";
-    spec.kind = ShardKind::Monolithic;
-    // CPU memory still holds every table (the cache is HBM-resident).
-    spec.memBytes = config_.totalParamBytes() + options_.minMemAlloc;
-    spec.cpuCores = cores;
-    spec.usesGpu = true;
-    spec.serviceLatency = dense_t + sparse_t;
-    spec.stageLatencies = {dense_t, sparse_t};
-    spec.qpsPerReplica =
-        1.0 /
-        units::toSeconds(std::max<SimTime>(std::max(dense_t, sparse_t),
-                                           1));
-    spec.expectedGathers =
-        static_cast<double>(n_t * config_.numTables);
-    plan.shards.push_back(std::move(spec));
-    return plan;
+    return {"model-wise-cache",
+            config_,
+            {monolithicSpec("model-wise-cache", denseStageLatency(cores),
+                            sparse_t)}};
 }
 
 } // namespace erec::core

@@ -18,6 +18,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,13 +66,6 @@ struct ShardSpec
     /** Sustained throughput of one replica (queries/sec). */
     double qpsPerReplica = 0.0;
     /**
-     * Per-query processing latency of one replica, excluding queueing
-     * and network (for monolithic shards this is the sum of the dense
-     * and sparse stage latencies; throughput is set by the slower
-     * stage).
-     */
-    SimTime serviceLatency = 0;
-    /**
      * Per-stage processing latencies. Dense and sparse shards have one
      * stage; monolithic shards have two (dense stage, sparse stage)
      * that pipeline across queries inside the container.
@@ -79,6 +73,13 @@ struct ShardSpec
     std::vector<SimTime> stageLatencies;
     /** Sparse only: expected gathers per query landing here (n_s). */
     double expectedGathers = 0.0;
+
+    /**
+     * Per-query processing latency of one replica, excluding queueing
+     * and network: the sum of the stage latencies (throughput is set
+     * by the slowest stage).
+     */
+    SimTime serviceLatency() const;
 };
 
 /** A complete deployment plan for one serving policy. */
@@ -95,9 +96,6 @@ struct DeploymentPlan
     /** Total memory consumption at the given fleet target QPS. */
     Bytes memoryForTarget(double target_qps) const;
 
-    /** Total replica count across all shard types at the target. */
-    std::uint32_t totalReplicasForTarget(double target_qps) const;
-
     /** Shards belonging to one table, sorted by shardId. */
     std::vector<const ShardSpec *> tableShards(std::uint32_t table) const;
 
@@ -105,13 +103,12 @@ struct DeploymentPlan
     const ShardSpec &frontendShard() const;
 };
 
-/** Planner knobs. */
+/**
+ * Planner knobs. The DP's search space (512 candidate boundaries,
+ * S_max = 16) is DpPartitioner::Options' default.
+ */
 struct PlannerOptions
 {
-    /** DP candidate granularity over each table. */
-    std::uint32_t granules = 512;
-    /** S_max for the DP partitioner. */
-    std::uint32_t maxShards = 16;
     /** Per-container minimum memory allocation. */
     Bytes minMemAlloc = 256 * units::kMiB;
     /** Cores requested by one dense shard replica. */
@@ -148,9 +145,6 @@ class Planner
     /** Construct with platform-tuned default options. */
     static Planner forPlatform(model::DlrmConfig config,
                                const hw::NodeSpec &node);
-
-    const model::DlrmConfig &config() const { return config_; }
-    const PlannerOptions &options() const { return options_; }
 
     /**
      * Build the ElasticRec plan.
@@ -208,22 +202,43 @@ class Planner
     /** Run Algorithm 2 on one table's CDF (exposed for benchmarks). */
     PartitionPlan partitionTable(const embedding::AccessCdf &cdf) const;
 
-    /** The profiling-based QPS regression for a sparse container. */
-    std::shared_ptr<const QpsModel> sparseQpsModel() const;
-
-    /** One dense shard replica's throughput. */
-    double denseQpsPerReplica() const;
-
-    /** One dense shard replica's per-query latency. */
-    SimTime denseLatency() const;
-
-    /** Monolithic sparse-stage latency (all tables, local). */
-    SimTime monolithicSparseLatency() const;
+    /**
+     * Algorithm 1 for one table as this planner prices it: n_t, row
+     * bytes, min allocation and the profiled sparse QPS model, at the
+     * given fleet target (the DP's constant by default).
+     */
+    CostModel costModel(std::shared_ptr<const embedding::AccessCdf> cdf,
+                        double target_qps =
+                            CostModelParams{}.targetTraffic) const;
 
   private:
-    CostModelParams costParams() const;
-    ShardSpec makeDenseSpec() const;
+    using CdfList = std::vector<std::shared_ptr<const embedding::AccessCdf>>;
+    using PartitionFn = std::function<PartitionPlan(
+        const CostModel &, const embedding::AccessCdf &)>;
+
+    QpsModel profileSparseQps(Bytes row_bytes) const;
     SimTime denseStageLatency(std::uint32_t cores) const;
+    /** Algorithm 2 over the CDF-aligned candidate grid. */
+    PartitionPlan partition(const CostModel &cost,
+                            const embedding::AccessCdf &cdf) const;
+    /**
+     * Partition each table's rows [first_row, N) (once per distinct
+     * CDF) and append its shards, sized by the cost model that priced
+     * them. `partition` returns boundaries relative to first_row.
+     */
+    void appendTableShards(DeploymentPlan &plan, const CdfList &cdfs,
+                           std::uint64_t first_row,
+                           const PartitionFn &partition) const;
+
+    /** The dense shard; `hbm_lookups` adds fused HBM gathers. */
+    ShardSpec makeDenseSpec(SimTime hbm_lookups) const;
+    ShardSpec sparseSpec(std::string name, std::uint32_t table,
+                         std::uint32_t shard, std::uint64_t begin,
+                         std::uint64_t end, Bytes mem_bytes,
+                         double gathers, double qps) const;
+    /** A whole-model container whose dense and sparse stages pipeline. */
+    ShardSpec monolithicSpec(std::string name, SimTime dense_t,
+                             SimTime sparse_t) const;
 
     model::DlrmConfig config_;
     hw::LatencyModel lat_;

@@ -7,6 +7,18 @@
 
 namespace erec::core {
 
+double
+qpsForStageTime(SimTime stage_time)
+{
+    return 1.0 / units::toSeconds(std::max<SimTime>(stage_time, 1));
+}
+
+SimTime
+stageTimeForQps(double qps)
+{
+    return units::fromSeconds(1.0 / qps);
+}
+
 QpsModel::QpsModel(std::vector<ProfilePoint> points)
     : points_(std::move(points))
 {
@@ -37,10 +49,10 @@ QpsModel::profile(const hw::LatencyModel &lat, Bytes row_bytes,
             continue;
         }
         prev = g;
-        const SimTime t =
-            lat.gatherCpuTime(g, row_bytes, cores) + service_overhead;
         pts.push_back({static_cast<double>(g),
-                       1.0 / units::toSeconds(std::max<SimTime>(t, 1))});
+                       qpsForStageTime(lat.gatherCpuTime(g, row_bytes,
+                                                         cores) +
+                                       service_overhead)});
         if (g == max_gathers)
             break;
     }
@@ -68,13 +80,6 @@ QpsModel::qps(double gathers) const
     const double frac = std::log(x / lo->gathers) /
                         std::log(hi->gathers / lo->gathers);
     return lo->qps * std::pow(hi->qps / lo->qps, frac);
-}
-
-SimTime
-QpsModel::serviceTime(double gathers) const
-{
-    const double q = qps(gathers);
-    return units::fromSeconds(1.0 / q);
 }
 
 } // namespace erec::core

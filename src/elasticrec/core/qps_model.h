@@ -22,6 +22,12 @@
 
 namespace erec::core {
 
+/** Throughput of a stage that takes `stage_time` per query (>= 1 tick). */
+double qpsForStageTime(SimTime stage_time);
+
+/** Per-query time of a stage that sustains `qps`: the inverse. */
+SimTime stageTimeForQps(double qps);
+
 /** One profiled (gather count, sustained QPS) sample. */
 struct ProfilePoint
 {
@@ -57,9 +63,6 @@ class QpsModel
 
     /** Estimated QPS for gathering x vectors per query (x >= 0). */
     double qps(double gathers) const;
-
-    /** Estimated per-query service latency at x gathers. */
-    SimTime serviceTime(double gathers) const;
 
     const std::vector<ProfilePoint> &points() const { return points_; }
 

@@ -272,13 +272,12 @@ ClusterSimulation::liveNodes() const
     // bin-pack result is a pure function of it, so reuse the cache.
     if (!packDirty_)
         return packedNodes_;
-    std::vector<cluster::PodRequest> pods;
-    for (const auto &[name, ds] : deployments_) {
-        const auto req = cluster::resourceRequestFor(ds.spec);
-        for (std::size_t i = 0; i < ds.pods.size(); ++i)
-            pods.push_back({name, req});
-    }
-    packedNodes_ = scheduler_.pack(pods).numNodes();
+    std::vector<cluster::PodGroup> groups;
+    groups.reserve(deployments_.size());
+    for (const auto &[name, ds] : deployments_)
+        groups.push_back(
+            {&ds.spec, static_cast<std::uint32_t>(ds.pods.size())});
+    packedNodes_ = scheduler_.countNodes(std::move(groups));
     packDirty_ = false;
     return packedNodes_;
 }

@@ -33,19 +33,16 @@ evaluateStatic(const core::DeploymentPlan &plan, const hw::NodeSpec &node,
     StaticDeployment out;
     out.policy = plan.policy;
     out.targetQps = target_qps;
-    out.memory = plan.memoryForTarget(sized_qps);
-    out.totalReplicas = plan.totalReplicasForTarget(sized_qps);
-
-    std::vector<cluster::PodRequest> pods;
+    std::vector<cluster::PodGroup> groups;
     for (const auto &spec : plan.shards) {
         const auto replicas =
             core::DeploymentPlan::replicasForTarget(spec, sized_qps);
         out.replicas[spec.name] = replicas;
-        cluster::ResourceRequest req = cluster::resourceRequestFor(spec);
-        for (std::uint32_t i = 0; i < replicas; ++i)
-            pods.push_back({spec.name, req});
+        out.totalReplicas += replicas;
+        out.memory += Bytes{replicas} * spec.memBytes;
+        groups.push_back({&spec, replicas});
     }
-    out.nodes = cluster::Scheduler(node).pack(pods).numNodes();
+    out.nodes = cluster::Scheduler(node).countNodes(std::move(groups));
     return out;
 }
 
@@ -92,7 +89,8 @@ measureUtility(const model::DlrmConfig &config,
 
     // Stream queries for one table: batchSize items x poolingFactor
     // gathers, sampled in hotness-rank space.
-    Rng rng(options.seed);
+    constexpr std::uint64_t kQuerySeed = 99;
+    Rng rng(kQuerySeed);
     const std::uint64_t gathers_per_query =
         config.gathersPerQueryPerTable();
     for (std::uint32_t q = 0; q < options.numQueries; ++q) {

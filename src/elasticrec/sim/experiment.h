@@ -55,8 +55,6 @@ struct ExperimentOptions
     SimTime duration = 120 * units::kSecond;
     /** Queries streamed by measureUtility (the paper measures 1,000). */
     std::uint32_t numQueries = 1000;
-    /** RNG seed for measureUtility's query stream. */
-    std::uint64_t seed = 99;
     /**
      * Simulation options for runSteadyState. The harness forces
      * autoscale off (steady state is fixed-replica).
@@ -118,8 +116,8 @@ struct UtilityReport
 /**
  * Measure the memory utility of one table's shards by streaming
  * options.numQueries generated queries (the paper measures the first
- * 1,000) through the access distribution and recording which rows are
- * touched.
+ * 1,000; the stream's seed is fixed) through the access distribution
+ * and recording which rows are touched.
  *
  * @param config Workload config (row count, pooling factor, locality).
  * @param boundaries Table partitioning points (pass {rowsPerTable} for

@@ -60,109 +60,6 @@ LocalityDistribution::massOfTopRows(std::uint64_t x) const
 }
 
 // ---------------------------------------------------------------------
-// ZipfDistribution (Hormann rejection-inversion, as popularized by the
-// Apache Commons RejectionInversionZipfSampler)
-// ---------------------------------------------------------------------
-
-ZipfDistribution::ZipfDistribution(std::uint64_t num_rows, double skew)
-    : numRows_(num_rows), s_(skew)
-{
-    ERC_CHECK(num_rows > 0, "table must have at least one row");
-    ERC_CHECK(skew > 0.0, "zipf skew must be positive");
-    totalMass_ = harmonic(static_cast<double>(numRows_));
-    hImaxPlus1_ = hIntegral(static_cast<double>(numRows_) + 0.5);
-    hIx1_ = hIntegral(1.5) - 1.0;
-    sBound_ = 2.0 - hIntegralInverse(hIntegral(2.5) - h(2.0));
-}
-
-double
-ZipfDistribution::harmonic(double n) const
-{
-    // Generalized harmonic number H_{n,s} via Euler-Maclaurin; exact sum
-    // for small n.
-    if (n <= 64) {
-        double sum = 0.0;
-        for (std::uint64_t k = 1; k <= static_cast<std::uint64_t>(n); ++k)
-            sum += std::pow(static_cast<double>(k), -s_);
-        return sum;
-    }
-    double sum = 0.0;
-    constexpr int kExact = 16;
-    for (int k = 1; k <= kExact; ++k)
-        sum += std::pow(static_cast<double>(k), -s_);
-    const double a = kExact;
-    if (std::abs(s_ - 1.0) < 1e-12) {
-        sum += std::log(n / a);
-    } else {
-        sum += (std::pow(n, 1.0 - s_) - std::pow(a, 1.0 - s_)) / (1.0 - s_);
-    }
-    sum += 0.5 * (std::pow(n, -s_) - std::pow(a, -s_));
-    return sum;
-}
-
-double
-ZipfDistribution::hIntegral(double x) const
-{
-    const double log_x = std::log(x);
-    // Integral of x^-s: (x^(1-s) - 1)/(1-s), with the s == 1 limit log x.
-    const double t = log_x * (1.0 - s_);
-    // Use expm1-based evaluation for numerical stability near s == 1.
-    double helper;
-    if (std::abs(t) > 1e-8)
-        helper = std::expm1(t) / t;
-    else
-        helper = 1.0 + t * 0.5 * (1.0 + t / 3.0 * (1.0 + 0.25 * t));
-    return log_x * helper;
-}
-
-double
-ZipfDistribution::hIntegralInverse(double x) const
-{
-    double t = x * (1.0 - s_);
-    if (t < -1.0)
-        t = -1.0;
-    double log_res;
-    if (std::abs(t) > 1e-8)
-        log_res = std::log1p(t) / (1.0 - s_);
-    else
-        log_res = x * (1.0 + t * (-0.5 + t * (1.0 / 3.0 - 0.25 * t)));
-    return std::exp(log_res);
-}
-
-double
-ZipfDistribution::h(double x) const
-{
-    return std::exp(-s_ * std::log(x));
-}
-
-std::uint64_t
-ZipfDistribution::sampleRank(Rng &rng) const
-{
-    // Returns a 1-based zipf value in [1, numRows], converted to a
-    // 0-based rank on return.
-    while (true) {
-        const double u =
-            hImaxPlus1_ + rng.uniform() * (hIx1_ - hImaxPlus1_);
-        const double x = hIntegralInverse(u);
-        auto k = static_cast<double>(static_cast<std::uint64_t>(x + 0.5));
-        k = std::clamp(k, 1.0, static_cast<double>(numRows_));
-        if (k - x <= sBound_ || u >= hIntegral(k + 0.5) - h(k)) {
-            return static_cast<std::uint64_t>(k) - 1;
-        }
-    }
-}
-
-double
-ZipfDistribution::massOfTopRows(std::uint64_t x) const
-{
-    if (x == 0)
-        return 0.0;
-    if (x >= numRows_)
-        return 1.0;
-    return harmonic(static_cast<double>(x)) / totalMass_;
-}
-
-// ---------------------------------------------------------------------
 // PiecewiseCdfDistribution
 // ---------------------------------------------------------------------
 

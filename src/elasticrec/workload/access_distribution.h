@@ -84,37 +84,6 @@ class LocalityDistribution : public AccessDistribution
 };
 
 /**
- * Classic Zipf distribution over ranks: P(rank k) ~ 1/(k+1)^s.
- *
- * Sampling uses Hormann's rejection-inversion so it is O(1) even for
- * tables with tens of millions of rows. The cumulative mass function is
- * computed from the generalized harmonic number approximation.
- */
-class ZipfDistribution : public AccessDistribution
-{
-  public:
-    ZipfDistribution(std::uint64_t num_rows, double skew);
-
-    std::uint64_t numRows() const override { return numRows_; }
-    std::uint64_t sampleRank(Rng &rng) const override;
-    double massOfTopRows(std::uint64_t x) const override;
-
-  private:
-    double harmonic(double n) const;
-    double hIntegral(double x) const;
-    double hIntegralInverse(double x) const;
-    double h(double x) const;
-
-    std::uint64_t numRows_;
-    double s_;
-    double totalMass_;
-    // Rejection-inversion precomputed constants.
-    double hImaxPlus1_;
-    double hIx1_;
-    double sBound_;
-};
-
-/**
  * Piecewise CDF distribution described by anchor points
  * (rowFraction, massFraction). Used to mimic the sorted access-frequency
  * shape of real datasets (Amazon Books, Criteo, MovieLens) without the

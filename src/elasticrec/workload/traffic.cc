@@ -27,23 +27,21 @@ TrafficPattern::constant(double qps)
 }
 
 TrafficPattern
-TrafficPattern::fig19(double base_qps, double peak_qps, int up_steps,
-                      SimTime ramp_start, SimTime ramp_end,
-                      SimTime drop_time)
+TrafficPattern::fig19()
 {
-    ERC_CHECK(up_steps >= 1, "need at least one ramp step");
-    ERC_CHECK(ramp_end > ramp_start, "ramp must have positive duration");
-    ERC_CHECK(drop_time > ramp_end, "drop must follow the ramp");
+    constexpr double kBaseQps = 20.0;
+    constexpr double kPeakQps = 100.0;
+    constexpr int kUpSteps = 5;
+    constexpr SimTime kRampStart = 5 * units::kMinute;
+    constexpr SimTime kRampEnd = 20 * units::kMinute;
+    constexpr SimTime kDropTime = 24 * units::kMinute;
     std::vector<Step> steps;
-    steps.push_back({0, base_qps});
-    const double dq = (peak_qps - base_qps) / static_cast<double>(up_steps);
-    const SimTime dt = (ramp_end - ramp_start) /
-                       static_cast<SimTime>(up_steps);
-    for (int i = 1; i <= up_steps; ++i) {
-        steps.push_back({ramp_start + dt * static_cast<SimTime>(i - 1),
-                         base_qps + dq * static_cast<double>(i)});
-    }
-    steps.push_back({drop_time, base_qps});
+    steps.push_back({0, kBaseQps});
+    const double dq = (kPeakQps - kBaseQps) / kUpSteps;
+    const SimTime dt = (kRampEnd - kRampStart) / kUpSteps;
+    for (int i = 1; i <= kUpSteps; ++i)
+        steps.push_back({kRampStart + dt * (i - 1), kBaseQps + dq * i});
+    steps.push_back({kDropTime, kBaseQps});
     return TrafficPattern(std::move(steps));
 }
 

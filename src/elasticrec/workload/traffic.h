@@ -33,17 +33,11 @@ class TrafficPattern
     static TrafficPattern constant(double qps);
 
     /**
-     * The Figure 19 schedule: traffic rises in `upSteps` equal increments
-     * between rampStart and rampEnd, holds, then drops back to the base
-     * rate at dropTime.
+     * The Figure 19 schedule: 20 QPS, rising in 5 equal steps to 100 QPS
+     * between minutes 5 and 20, holding, then dropping back to 20 QPS at
+     * minute 24.
      */
-    // Grandfathered positional defaults predating the options-struct
-    // convention.
-    static TrafficPattern fig19(double base_qps = 20.0, // erec-lint: allow(excess-default-params)
-                                double peak_qps = 100.0, int up_steps = 5,
-                                SimTime ramp_start = 5 * units::kMinute,
-                                SimTime ramp_end = 20 * units::kMinute,
-                                SimTime drop_time = 24 * units::kMinute);
+    static TrafficPattern fig19();
 
     /**
      * Bursty random-walk traffic: every `step` the rate multiplies by

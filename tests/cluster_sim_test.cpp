@@ -128,9 +128,15 @@ TEST(ClusterSimTest, Figure19RelativeBehaviour)
     // memory and SLA violations under the same dynamic traffic.
     const auto config = model::rm1();
     const auto node = hw::cpuOnlyNode();
-    const auto traffic = workload::TrafficPattern::fig19(
-        10.0, 60.0, 3, 2 * units::kMinute, 8 * units::kMinute,
-        10 * units::kMinute);
+    // 10 QPS, rising in 3 equal steps to 60 QPS between minutes 2 and
+    // 8, back to 10 QPS at minute 10.
+    const double dq = 50.0 / 3.0;
+    const workload::TrafficPattern traffic(
+        {{0, 10.0},
+         {2 * units::kMinute, 10.0 + dq},
+         {4 * units::kMinute, 10.0 + dq * 2},
+         {6 * units::kMinute, 10.0 + dq * 3},
+         {10 * units::kMinute, 10.0}});
     SimOptions opt = fastOptions();
 
     ClusterSimulation er(erPlan(config, node), node, traffic, opt);

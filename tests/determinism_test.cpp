@@ -61,7 +61,7 @@ serialize(const DeploymentPlan &plan)
         oss << s.name << "|" << toString(s.kind) << "|" << s.tableId
             << "|" << s.shardId << "|" << s.beginRow << "|" << s.endRow
             << "|" << s.memBytes << "|" << s.cpuCores << "|" << s.usesGpu
-            << "|" << s.qpsPerReplica << "|" << s.serviceLatency << "|"
+            << "|" << s.qpsPerReplica << "|" << s.serviceLatency() << "|"
             << s.expectedGathers;
         for (const auto t : s.stageLatencies)
             oss << "|" << t;

@@ -91,6 +91,33 @@ TEST(PlannerTest, HotterShardsNeedMoreReplicas)
               shards.back()->qpsPerReplica);
 }
 
+TEST(PlannerTest, DeployedShardsCostWhatTheDpPriced)
+{
+    // Every sparse shard is sized by the cost model the DP priced it
+    // with: at the DP's target traffic, a table's replicas x memory
+    // equals the DP's plan cost exactly (every term is an integer
+    // below 2^53, so the double sums are exact).
+    const double target = CostModelParams{}.targetTraffic;
+    for (const auto &node : {hw::cpuOnlyNode(), hw::cpuGpuNode()}) {
+        for (const auto &config : model::tableIIModels()) {
+            const Planner planner = Planner::forPlatform(config, node);
+            const auto cdf = sim::cdfFor(config);
+            const double dp_cost = planner.partitionTable(*cdf).cost;
+            const auto plan = planner.planElasticRec({cdf});
+            for (std::uint32_t t = 0; t < config.numTables; ++t) {
+                Bytes deployed = 0;
+                for (const auto *s : plan.tableShards(t))
+                    deployed += Bytes{DeploymentPlan::replicasForTarget(
+                                    *s, target)} *
+                                s->memBytes;
+                EXPECT_EQ(static_cast<double>(deployed), dp_cost)
+                    << config.name << " on " << node.name << ", table "
+                    << t;
+            }
+        }
+    }
+}
+
 TEST(PlannerTest, ModelWisePlan)
 {
     const auto config = smallConfig();
@@ -100,10 +127,9 @@ TEST(PlannerTest, ModelWisePlan)
     const auto &mono = plan.shards[0];
     EXPECT_EQ(mono.kind, ShardKind::Monolithic);
     EXPECT_EQ(mono.memBytes,
-              config.totalParamBytes() +
-                  planner.options().minMemAlloc);
+              config.totalParamBytes() + PlannerOptions{}.minMemAlloc);
     ASSERT_EQ(mono.stageLatencies.size(), 2u);
-    EXPECT_EQ(mono.serviceLatency,
+    EXPECT_EQ(mono.serviceLatency(),
               mono.stageLatencies[0] + mono.stageLatencies[1]);
     // Throughput set by the slower stage.
     const double expect_qps =

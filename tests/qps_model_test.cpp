@@ -42,7 +42,10 @@ TEST(QpsModelTest, ExtrapolatesAboveRangeWithLastSlope)
 TEST(QpsModelTest, ServiceTimeIsInverseQps)
 {
     QpsModel m({{1, 1000}, {100, 10}});
-    EXPECT_EQ(m.serviceTime(100), units::fromSeconds(0.1));
+    EXPECT_EQ(stageTimeForQps(m.qps(100)), units::fromSeconds(0.1));
+    EXPECT_DOUBLE_EQ(qpsForStageTime(units::fromSeconds(0.1)), 10.0);
+    // A zero-time stage counts as one tick.
+    EXPECT_DOUBLE_EQ(qpsForStageTime(0), qpsForStageTime(1));
 }
 
 TEST(QpsModelTest, RejectsBadProfiles)

@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "elasticrec/cluster/deployment.h"
+#include "elasticrec/cluster/scheduler.h"
 #include "elasticrec/common/alloc_tracker.h"
 #include "elasticrec/common/logging.h"
 #include "elasticrec/obs/export.h"

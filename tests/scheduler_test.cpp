@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for bin-packing pod replicas onto nodes (Figures 15/18 input)
- * and for the resource request each pod brings to it.
+ * Tests for bin-packing pod replicas onto nodes (Figures 15/18 input):
+ * each pod requests the cores, memory and GPU its shard spec names.
  */
 
 #include <gtest/gtest.h>
+
+#include <deque>
 
 #include "elasticrec/common/error.h"
 #include "elasticrec/cluster/scheduler.h"
@@ -12,40 +14,42 @@
 namespace erec::cluster {
 namespace {
 
-PodRequest
-pod(std::uint32_t cores, Bytes mem, bool gpu = false)
+/** Owns the specs that the scheduler's pod groups point at. */
+class Pods
 {
-    return {"d", ResourceRequest{cores, mem, gpu}};
-}
+  public:
+    Pods &add(std::uint32_t replicas, std::uint32_t cores, Bytes mem,
+              bool gpu = false)
+    {
+        core::ShardSpec &spec = specs_.emplace_back();
+        spec.name = "d" + std::to_string(specs_.size());
+        spec.cpuCores = cores;
+        spec.memBytes = mem;
+        spec.usesGpu = gpu;
+        groups_.push_back({&spec, replicas});
+        return *this;
+    }
 
-TEST(SchedulerTest, ResourceRequestFromSpec)
-{
-    core::ShardSpec spec;
-    spec.name = "d";
-    spec.cpuCores = 4;
-    spec.memBytes = 123;
-    spec.usesGpu = true;
-    const auto req = resourceRequestFor(spec);
-    EXPECT_EQ(req.cpuCores, 4u);
-    EXPECT_EQ(req.memBytes, 123u);
-    EXPECT_TRUE(req.gpu);
-}
+    const std::vector<PodGroup> &groups() const { return groups_; }
+
+  private:
+    std::deque<core::ShardSpec> specs_;
+    std::vector<PodGroup> groups_;
+};
 
 TEST(SchedulerTest, PacksByCores)
 {
     Scheduler s(hw::cpuOnlyNode()); // 64 cores, 384 GiB
     // 10 pods x 16 cores = 160 cores -> ceil(160/64) = 3 nodes.
-    std::vector<PodRequest> pods(10, pod(16, units::kGiB));
-    const auto packing = s.pack(pods);
-    EXPECT_EQ(packing.numNodes(), 3u);
+    EXPECT_EQ(s.countNodes(Pods().add(10, 16, units::kGiB).groups()), 3u);
 }
 
 TEST(SchedulerTest, PacksByMemory)
 {
     Scheduler s(hw::cpuOnlyNode());
     // 4 pods x 200 GiB exceed a 384 GiB node pairwise.
-    std::vector<PodRequest> pods(4, pod(1, 200 * units::kGiB));
-    EXPECT_EQ(s.pack(pods).numNodes(), 4u);
+    EXPECT_EQ(s.countNodes(Pods().add(4, 1, 200 * units::kGiB).groups()),
+              4u);
 }
 
 TEST(SchedulerTest, MixedSizesFirstFitDecreasing)
@@ -53,51 +57,43 @@ TEST(SchedulerTest, MixedSizesFirstFitDecreasing)
     Scheduler s(hw::cpuOnlyNode());
     // Two big (250 GiB) + four small (100 GiB): FFD pairs each big
     // with one small (350 <= 384) and packs remaining smalls together.
-    std::vector<PodRequest> pods;
-    pods.push_back(pod(1, 250 * units::kGiB));
-    for (int i = 0; i < 4; ++i)
-        pods.push_back(pod(1, 100 * units::kGiB));
-    pods.push_back(pod(1, 250 * units::kGiB));
-    const auto packing = s.pack(pods);
-    EXPECT_EQ(packing.numNodes(), 3u);
+    Pods pods;
+    pods.add(1, 1, 250 * units::kGiB)
+        .add(4, 1, 100 * units::kGiB)
+        .add(1, 1, 250 * units::kGiB);
+    EXPECT_EQ(s.countNodes(pods.groups()), 3u);
 }
 
 TEST(SchedulerTest, OneGpuPodPerNode)
 {
     Scheduler s(hw::cpuGpuNode());
-    std::vector<PodRequest> pods(3, pod(4, units::kGiB, true));
-    EXPECT_EQ(s.pack(pods).numNodes(), 3u);
+    Pods pods;
+    pods.add(3, 4, units::kGiB, true);
+    EXPECT_EQ(s.countNodes(pods.groups()), 3u);
     // CPU pods can share those nodes.
-    pods.push_back(pod(4, units::kGiB, false));
-    EXPECT_EQ(s.pack(pods).numNodes(), 3u);
+    pods.add(1, 4, units::kGiB, false);
+    EXPECT_EQ(s.countNodes(pods.groups()), 3u);
 }
 
 TEST(SchedulerTest, RejectsImpossiblePods)
 {
     Scheduler s(hw::cpuOnlyNode());
-    EXPECT_THROW(s.pack({pod(128, units::kGiB)}), ConfigError);
-    EXPECT_THROW(s.pack({pod(1, 500 * units::kGiB)}), ConfigError);
-    EXPECT_THROW(s.pack({pod(1, units::kGiB, true)}), ConfigError);
+    EXPECT_THROW(s.countNodes(Pods().add(1, 128, units::kGiB).groups()),
+                 ConfigError);
+    EXPECT_THROW(
+        s.countNodes(Pods().add(1, 1, 500 * units::kGiB).groups()),
+        ConfigError);
+    EXPECT_THROW(
+        s.countNodes(Pods().add(1, 1, units::kGiB, true).groups()),
+        ConfigError);
 }
 
 TEST(SchedulerTest, EmptyListPacksZeroNodes)
 {
     Scheduler s(hw::cpuOnlyNode());
-    EXPECT_EQ(s.pack({}).numNodes(), 0u);
-}
-
-TEST(SchedulerTest, AssignmentsCoverEveryPod)
-{
-    Scheduler s(hw::cpuOnlyNode());
-    std::vector<PodRequest> pods(17, pod(8, 10 * units::kGiB));
-    const auto packing = s.pack(pods);
-    std::size_t assigned = 0;
-    for (const auto &node : packing.nodes) {
-        assigned += node.podIndices.size();
-        EXPECT_LE(node.usedCores, 64u);
-        EXPECT_LE(node.usedMem, 384 * units::kGiB);
-    }
-    EXPECT_EQ(assigned, pods.size());
+    EXPECT_EQ(s.countNodes({}), 0u);
+    // A deployment scaled to zero places no pod, so it is not checked.
+    EXPECT_EQ(s.countNodes(Pods().add(0, 128, units::kGiB).groups()), 0u);
 }
 
 } // namespace
